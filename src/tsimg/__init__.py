@@ -48,7 +48,6 @@ from .evaluation import (
     PerturbMode,
     SweepResult,
     lookback_sweep,
-    measure_costs,
     metric_accuracy,
     metric_mae,
     metric_mse,

@@ -139,14 +139,16 @@ def build_forecast_mask(lookback_cols: int, horizon_cols: int, S: int, P: int) -
     """Mask every patch whose column span intersects the horizon region.
 
     The boundary column is the look-back/horizon split rescaled to the
-    resized image width S.
+    resized image width S, capped at S - 1 so that a horizon too narrow to
+    survive the rescale still masks the last patch column: an empty mask
+    would leave the model unused.
     """
     if lookback_cols < 1 or horizon_cols < 1:
         raise ShapeMismatchError("lookback_cols and horizon_cols must be >= 1")
     if S % P != 0:
         raise IndivisiblePatchError(f"S={S} not divisible by P={P}")
     total = lookback_cols + horizon_cols
-    boundary = int(round(S * lookback_cols / total))
+    boundary = min(int(round(S * lookback_cols / total)), S - 1)
     g = S // P
     masked = set()
     for pc in range(g):

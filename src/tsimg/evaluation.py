@@ -16,7 +16,7 @@ from .errors import (
     ShapeMismatchError,
     TooShortError,
 )
-from .models import ModelConfig, init_params, count_params
+from .models import ModelConfig, init_params
 from .pipeline import build_reconstruct_sample, predict_forecast
 from .series import MultivariateSeries, gen_periodic
 from .training import TrainConfig, train
@@ -166,13 +166,6 @@ class SweepResult:
     skipped: list[tuple] = field(default_factory=list)
 
 
-@dataclass
-class TimingReport:
-    trainable_param_count: int
-    train_minutes: float
-    inference_ms_per_sample: float
-
-
 def _split_windows(task: ForecastTask):
     """Chronological train/val/test window lists of (lookback, target)."""
     x = np.asarray(task.series, dtype=np.float64)
@@ -287,29 +280,3 @@ def lookback_sweep(task: ForecastTask, model_cfg: ModelConfig,
     return SweepResult(axis=axis, mse=mses, mae=maes,
                        normalized_mse=minmax_normalize(mses) if mses else [],
                        seconds=secs, skipped=skipped)
-
-
-def measure_costs(task: ForecastTask, model_cfg: ModelConfig,
-                  train_cfg: TrainConfig, seg_len: int) -> TimingReport:
-    """Wall-clock training minutes, imaging-inclusive per-sample inference
-    milliseconds, and the exact trainable parameter count."""
-    cfg = ModelConfig(arch=model_cfg.arch, task="forecast_reconstruct",
-                      image_size=model_cfg.image_size,
-                      patch_size=model_cfg.patch_size,
-                      embed_dim=model_cfg.embed_dim,
-                      num_heads=model_cfg.num_heads, horizon=task.horizon)
-    n_params = count_params(init_params(cfg, seed=train_cfg.seed))
-    train_w, val_w, test_w = _split_windows(task)
-    train_s = [build_reconstruct_sample(lb, tg, seg_len, cfg) for lb, tg in train_w]
-    val_s = [build_reconstruct_sample(lb, tg, seg_len, cfg) for lb, tg in val_w]
-    params = init_params(cfg, seed=train_cfg.seed)
-    t0 = time.perf_counter()
-    params, _ = train(cfg, params, train_s, val_s, train_cfg)
-    train_minutes = (time.perf_counter() - t0) / 60.0
-    t0 = time.perf_counter()
-    for lb, _ in test_w:
-        predict_forecast(lb, seg_len, task.horizon, params, cfg)
-    ms = (time.perf_counter() - t0) * 1000.0 / max(1, len(test_w))
-    return TimingReport(trainable_param_count=n_params,
-                        train_minutes=train_minutes,
-                        inference_ms_per_sample=ms)

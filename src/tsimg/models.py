@@ -3,7 +3,7 @@
 All parameters live in a flat dict (name -> float64 ndarray) so the Adam
 optimizer, checkpointing, and finite-difference checks can treat every
 architecture uniformly. Forward passes cache intermediates; backward passes
-consume them and return a gradient dict with the same keys.
+consume them and add into a gradient dict with the same keys.
 
 Architectures (all share the patch-projection front end):
   wolvm     patch embed -> per-token linear layer
@@ -14,6 +14,17 @@ Architectures (all share the patch-projection front end):
 Task heads: classification (mean-pool per variate, concat, linear),
 linear forecasting (flatten tokens, linear), and masked-patch
 reconstruction (linear decoder, loss on masked patches only).
+
+A batch runs as one forward and one backward pass over stacked arrays
+(batch_loss splits batches larger than PASS_SAMPLES): (B, N, F) patches
+for the forecast tasks and (B, V, N, F) for classification, whose
+variates run through the body as B*V sequences.
+The kernels take any leading batch dims, (..., N, F) or (..., N, D), and
+compute weight gradients as one matmul over all B*N token rows. The
+reconstruction task follows the masked-autoencoder split: the patch
+projection runs only on visible rows (masked rows take the mask token),
+and the decoder and the masked MSE run only on the masked rows, gathered
+as body[mask]; their gradient is scattered back into zeros.
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ import numpy as np
 
 from .alignment import ForecastMask, PatchSequence
 from .errors import (
+    EmptyMaskError,
+    LabelOutOfRangeError,
     NonFiniteLossError,
     RoutingError,
     ShapeMismatchError,
@@ -34,6 +47,7 @@ ARCHS = ("wolvm", "lvm2attn", "minimae")
 TASKS = ("classify", "forecast_linear", "forecast_reconstruct")
 
 LN_EPS = 1e-8
+PASS_SAMPLES = 64          # most samples batch_loss stacks into one pass
 
 ParamSet = dict  # name -> np.ndarray
 GradSet = dict
@@ -134,134 +148,155 @@ def count_params(params: ParamSet) -> int:
 
 def forward_embed(patches: np.ndarray, params: ParamSet,
                   mask_rows: np.ndarray | None = None):
-    """tokens = W_e @ patch + b + pos; masked rows (reconstruction task)
-    use mask_token + pos instead of the projected patch."""
-    if patches.shape[1] != params["embed_w"].shape[0]:
-        raise ShapeMismatchError(
-            f"patch dim {patches.shape[1]} != embed fan-in {params['embed_w'].shape[0]}")
-    proj = patches @ params["embed_w"] + params["embed_b"]
-    if mask_rows is not None and mask_rows.any():
-        proj = np.where(mask_rows[:, None], params["mask_token"], proj)
-    tokens = proj + params["pos"][: patches.shape[0]]
-    cache = {"patches": patches, "mask_rows": mask_rows}
-    return tokens, cache
+    """tokens = W_e @ patch + b + pos.
+
+    Without mask_rows, patches is (..., N, F) and every row is projected.
+    With mask_rows (bool, (..., N); reconstruction task), patches holds
+    only the (n_visible, F) visible rows, in row-major order of ~mask_rows:
+    masked rows are never projected and take mask_token + pos instead.
+    """
+    F, D = params["embed_w"].shape
+    if patches.shape[-1] != F:
+        raise ShapeMismatchError(f"patch dim {patches.shape[-1]} != embed fan-in {F}")
+    if mask_rows is None:
+        rows = patches.reshape(-1, F)
+        proj = (rows @ params["embed_w"] + params["embed_b"]).reshape(patches.shape[:-1] + (D,))
+    else:
+        visible = ~mask_rows
+        if patches.shape != (np.count_nonzero(visible), F):
+            raise ShapeMismatchError(
+                f"{patches.shape[0]} patch rows for {np.count_nonzero(visible)} visible ones")
+        rows = patches
+        proj = np.empty(mask_rows.shape + (D,))
+        proj[visible] = rows @ params["embed_w"] + params["embed_b"]
+        proj[mask_rows] = params["mask_token"]
+    proj += params["pos"][: proj.shape[-2]]
+    return proj, {"rows": rows, "mask_rows": mask_rows}
 
 
 def backward_embed(d_tokens: np.ndarray, cache: dict, grads: GradSet) -> None:
-    patches = cache["patches"]
+    N, D = d_tokens.shape[-2:]
+    grads["pos"][:N] += d_tokens.reshape(-1, N, D).sum(axis=0)
     mask_rows = cache["mask_rows"]
-    grads["pos"][: d_tokens.shape[0]] += d_tokens
-    d_proj = d_tokens
-    if mask_rows is not None and mask_rows.any():
+    if mask_rows is None:
+        d_proj = d_tokens.reshape(-1, D)
+    else:
         grads["mask_token"] += d_tokens[mask_rows].sum(axis=0)
-        d_proj = d_tokens * (~mask_rows)[:, None]
-    grads["embed_w"] += patches.T @ d_proj
+        d_proj = d_tokens[~mask_rows]
+    grads["embed_w"] += cache["rows"].T @ d_proj
     grads["embed_b"] += d_proj.sum(axis=0)
 
 
 # --- bodies -------------------------------------------------------------
 
-def forward_body(tokens: np.ndarray, params: ParamSet, arch: str):
-    if arch == "wolvm":
-        out = tokens @ params["body_w"] + params["body_b"]
-        return out, {"kind": "linear", "tokens": tokens}
-    return forward_attention(tokens, params)
+def forward_body(tokens: np.ndarray, params: ParamSet, cfg: ModelConfig):
+    if cfg.arch == "wolvm":
+        rows = tokens.reshape(-1, tokens.shape[-1])
+        out = rows @ params["body_w"] + params["body_b"]
+        return out.reshape(tokens.shape), {"kind": "linear", "rows": rows}
+    return forward_attention(tokens, params, cfg.num_heads)
 
 
 def backward_body(d_out: np.ndarray, cache: dict, params: ParamSet,
                   grads: GradSet) -> np.ndarray:
     if cache["kind"] == "linear":
-        grads["body_w"] += cache["tokens"].T @ d_out
-        grads["body_b"] += d_out.sum(axis=0)
-        return d_out @ params["body_w"].T
+        d_rows = d_out.reshape(-1, d_out.shape[-1])
+        grads["body_w"] += cache["rows"].T @ d_rows
+        grads["body_b"] += d_rows.sum(axis=0)
+        return (d_rows @ params["body_w"].T).reshape(d_out.shape)
     return backward_attention(d_out, cache, params, grads)
 
 
-def forward_attention(tokens: np.ndarray, params: ParamSet):
-    """Multi-head self-attention with output projection, residual add and
-    layer norm. Returns (output, cache)."""
-    N, D = tokens.shape
-    h = _infer_heads(params, D)
-    dh = D // h
-    Q = tokens @ params["wq"]
-    K = tokens @ params["wk"]
-    V = tokens @ params["wv"]
-    Qh = Q.reshape(N, h, dh).transpose(1, 0, 2)
-    Kh = K.reshape(N, h, dh).transpose(1, 0, 2)
-    Vh = V.reshape(N, h, dh).transpose(1, 0, 2)
-    scores = Qh @ Kh.transpose(0, 2, 1) / np.sqrt(dh)
-    scores -= scores.max(axis=2, keepdims=True)
-    exps = np.exp(scores)
-    A = exps / exps.sum(axis=2, keepdims=True)           # (h, N, N)
-    Oh = A @ Vh
-    O = Oh.transpose(1, 0, 2).reshape(N, D)
-    attn = O @ params["wo"]
-    z = tokens + attn
+def _split_heads(rows: np.ndarray, lead: tuple, N: int, h: int) -> np.ndarray:
+    """(rows, D) -> (..., h, N, D/h)."""
+    return rows.reshape(lead + (N, h, -1)).swapaxes(-2, -3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., h, N, dh) -> (rows, h * dh)."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(-1, x.shape[-2] * x.shape[-1])
+
+
+def forward_attention(tokens: np.ndarray, params: ParamSet, num_heads: int):
+    """Multi-head self-attention over (..., N, D) tokens with output
+    projection, residual add and layer norm. Returns (output, cache); the
+    cache holds the (..., heads, N, N) attention weights as "A"."""
+    lead, (N, D) = tokens.shape[:-2], tokens.shape[-2:]
+    if D % num_heads != 0:
+        raise ShapeMismatchError(f"embed dim {D} not divisible by {num_heads} heads")
+    dh = D // num_heads
+    x = tokens.reshape(-1, D)
+    Qh, Kh, Vh = (_split_heads(x @ params[w], lead, N, num_heads) for w in ("wq", "wk", "wv"))
+    A = Qh @ Kh.swapaxes(-1, -2)                         # scores, then softmax in place
+    A /= np.sqrt(dh)
+    A -= A.max(axis=-1, keepdims=True)
+    np.exp(A, out=A)
+    A /= A.sum(axis=-1, keepdims=True)                   # (..., h, N, N)
+    O = _merge_heads(A @ Vh)
+    z = x + O @ params["wo"]
     mu = z.mean(axis=1, keepdims=True)
     var = z.var(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (z - mu) * inv_std
     out = params["ln_g"] * xhat + params["ln_b"]
-    cache = {"kind": "attn", "tokens": tokens, "Qh": Qh, "Kh": Kh, "Vh": Vh,
-             "A": A, "O": O, "xhat": xhat, "inv_std": inv_std, "h": h, "dh": dh}
-    return out, cache
+    cache = {"kind": "attn", "x": x, "Qh": Qh, "Kh": Kh, "Vh": Vh, "A": A, "O": O,
+             "xhat": xhat, "inv_std": inv_std}
+    return out.reshape(tokens.shape), cache
 
 
-def attention_weights(tokens: np.ndarray, params: ParamSet) -> np.ndarray:
-    """(heads, N, N) row-stochastic attention matrix (diagnostics)."""
-    _, cache = forward_attention(tokens, params)
-    return cache["A"]
-
-
-def _infer_heads(params: ParamSet, D: int) -> int:
-    h = params.get("_num_heads")
-    if h is None:
-        raise ShapeMismatchError("attention params missing _num_heads marker")
-    return int(h)
+def attention_weights(tokens: np.ndarray, params: ParamSet, num_heads: int) -> np.ndarray:
+    """(..., heads, N, N) row-stochastic attention matrix (diagnostics)."""
+    return forward_attention(tokens, params, num_heads)[1]["A"]
 
 
 def backward_attention(d_out: np.ndarray, cache: dict, params: ParamSet,
                        grads: GradSet) -> np.ndarray:
-    tokens, xhat, inv_std = cache["tokens"], cache["xhat"], cache["inv_std"]
-    N, D = tokens.shape
-    h, dh = cache["h"], cache["dh"]
-    grads["ln_g"] += (d_out * xhat).sum(axis=0)
-    grads["ln_b"] += d_out.sum(axis=0)
-    d_xhat = d_out * params["ln_g"]
+    x, xhat, inv_std, A = cache["x"], cache["xhat"], cache["inv_std"], cache["A"]
+    Qh, Kh, Vh = cache["Qh"], cache["Kh"], cache["Vh"]
+    g = d_out.reshape(x.shape)
+    grads["ln_g"] += (g * xhat).sum(axis=0)
+    grads["ln_b"] += g.sum(axis=0)
+    d_xhat = g * params["ln_g"]
     dz = inv_std * (d_xhat
                     - d_xhat.mean(axis=1, keepdims=True)
                     - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True))
-    d_attn = dz
-    grads["wo"] += cache["O"].T @ d_attn
-    dO = d_attn @ params["wo"].T
-    dOh = dO.reshape(N, h, dh).transpose(1, 0, 2)
-    A, Qh, Kh, Vh = cache["A"], cache["Qh"], cache["Kh"], cache["Vh"]
-    dA = dOh @ Vh.transpose(0, 2, 1)
-    dVh = A.transpose(0, 2, 1) @ dOh
-    d_scores = A * (dA - (dA * A).sum(axis=2, keepdims=True))
-    scale = 1.0 / np.sqrt(dh)
-    dQh = d_scores @ Kh * scale
-    dKh = d_scores.transpose(0, 2, 1) @ Qh * scale
-    dQ = dQh.transpose(1, 0, 2).reshape(N, D)
-    dK = dKh.transpose(1, 0, 2).reshape(N, D)
-    dV = dVh.transpose(1, 0, 2).reshape(N, D)
-    grads["wq"] += tokens.T @ dQ
-    grads["wk"] += tokens.T @ dK
-    grads["wv"] += tokens.T @ dV
+    grads["wo"] += cache["O"].T @ dz
+    dOh = _split_heads(dz @ params["wo"].T, A.shape[:-3], A.shape[-1], A.shape[-3])
+    d_scores = dOh @ Vh.swapaxes(-1, -2)                 # dA, then softmax backward in place
+    d_scores -= (d_scores * A).sum(axis=-1, keepdims=True)
+    d_scores *= A
+    scale = 1.0 / np.sqrt(Qh.shape[-1])
+    dQ = _merge_heads(d_scores @ Kh * scale)
+    dK = _merge_heads(d_scores.swapaxes(-1, -2) @ Qh * scale)
+    dV = _merge_heads(A.swapaxes(-1, -2) @ dOh)
+    grads["wq"] += x.T @ dQ
+    grads["wk"] += x.T @ dK
+    grads["wv"] += x.T @ dV
     d_tokens = dz + dQ @ params["wq"].T + dK @ params["wk"].T + dV @ params["wv"].T
-    return d_tokens
+    return d_tokens.reshape(d_out.shape)
 
 
 # --- heads --------------------------------------------------------------
 
-def forward_classify(tokens_per_variate: list[np.ndarray], params: ParamSet) -> np.ndarray:
-    """Mean-pool tokens per variate, concatenate, linear head -> logits."""
-    pooled = [t.mean(axis=0) for t in tokens_per_variate]
-    feat = np.concatenate(pooled)
-    if feat.shape[0] != params["head_w"].shape[0]:
+def _head(feat: np.ndarray, params: ParamSet) -> np.ndarray:
+    if feat.shape[-1] != params["head_w"].shape[0]:
         raise ShapeMismatchError(
-            f"feature dim {feat.shape[0]} != head fan-in {params['head_w'].shape[0]}")
+            f"feature dim {feat.shape[-1]} != head fan-in {params['head_w'].shape[0]}")
     return feat @ params["head_w"] + params["head_b"]
+
+
+def _pool_variates(body) -> np.ndarray:
+    """(..., V, N, D) body outputs -> (..., V * D) per-variate token means."""
+    pooled = np.asarray(body).mean(axis=-2)
+    return pooled.reshape(pooled.shape[:-2] + (-1,))
+
+
+def forward_classify(tokens_per_variate, params: ParamSet) -> np.ndarray:
+    """Mean-pool tokens per variate, concatenate, linear head -> logits.
+    Takes (..., V, N, D) tokens (or a list of V (N, D) arrays) and returns
+    (..., classes) logits."""
+    return _head(_pool_variates(tokens_per_variate), params)
 
 
 def argmax_class(logits: np.ndarray) -> int:
@@ -270,24 +305,34 @@ def argmax_class(logits: np.ndarray) -> int:
 
 
 def forward_forecast_linear(tokens: np.ndarray, params: ParamSet) -> np.ndarray:
-    flat = tokens.reshape(-1)
-    if flat.shape[0] != params["head_w"].shape[0]:
-        raise ShapeMismatchError(
-            f"flattened dim {flat.shape[0]} != head fan-in {params['head_w'].shape[0]}")
-    return flat @ params["head_w"] + params["head_b"]
+    """Flatten (..., N, D) tokens, linear head -> (..., horizon)."""
+    return _head(tokens.reshape(tokens.shape[:-2] + (-1,)), params)
+
+
+def _encode(patches: np.ndarray, params: ParamSet, cfg: ModelConfig,
+            mask_rows: np.ndarray | None = None):
+    """Embed (see forward_embed for the patches layout) and body ->
+    ((..., N, D) body outputs, caches)."""
+    tokens, embed_cache = forward_embed(patches, params, mask_rows)
+    body, body_cache = forward_body(tokens, params, cfg)
+    return body, (embed_cache, body_cache)
+
+
+def _encode_backward(d_body: np.ndarray, caches: tuple, params: ParamSet,
+                     grads: GradSet) -> None:
+    embed_cache, body_cache = caches
+    backward_embed(backward_body(d_body, body_cache, params, grads), embed_cache, grads)
 
 
 def forward_reconstruct(seq: PatchSequence, mask: ForecastMask, params: ParamSet,
                         cfg: ModelConfig) -> PatchSequence:
-    """Full framework-(d) forward: masked tokens become the mask token,
-    the decoder regenerates patches, and unmasked output patches are the
-    inputs passed through untouched."""
-    params = _with_heads(params, cfg)
+    """Full framework-(d) forward on one image: masked tokens become the
+    mask token, the decoder regenerates only the masked patches, and
+    unmasked output patches are the inputs passed through untouched."""
     mask_rows = mask.row_mask(seq.patches.shape[0])
-    tokens, _ = forward_embed(seq.patches, params, mask_rows)
-    body_out, _ = forward_body(tokens, params, cfg.arch)
-    decoded = body_out @ params["dec_w"] + params["dec_b"]
-    out = np.where(mask_rows[:, None], decoded, seq.patches)
+    body, _ = _encode(seq.patches[~mask_rows], params, cfg, mask_rows)
+    out = seq.patches.copy()
+    out[mask_rows] = body[mask_rows] @ params["dec_w"] + params["dec_b"]
     return PatchSequence(patches=out, grid=seq.grid, patch_size=seq.patch_size)
 
 
@@ -312,130 +357,115 @@ class ReconstructSample:
     mask_rows: np.ndarray           # bool (N,)
 
 
-def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
+def _stack(arrays: list, what: str) -> np.ndarray:
+    try:
+        return np.stack(arrays)
+    except ValueError as e:
+        raise ShapeMismatchError(f"{what} of a batch differ in shape: {e}") from None
 
 
-def _sample_loss_grad(sample, params: ParamSet, cfg: ModelConfig,
-                      grads: GradSet | None):
-    """Loss (and gradient accumulation when grads is not None) for one
-    sample. Returns the scalar loss."""
+def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None) -> float:
+    """Mean loss of one stacked pass over the batch; when grads is a dict,
+    the gradients of that mean are added into it."""
+    if not batch:
+        raise ShapeMismatchError("batch is empty")
+    B = len(batch)
     if cfg.task == "classify":
-        token_list, caches = [], []
-        for patches in sample.patch_seqs:
-            tokens, ec = forward_embed(patches, params)
-            body, bc = forward_body(tokens, params, cfg.arch)
-            token_list.append(body)
-            caches.append((ec, bc))
-        logits = forward_classify(token_list, params)
-        probs = _softmax(logits)
-        loss = -np.log(max(probs[sample.label], 1e-300))
-        if grads is not None:
-            d_logits = probs.copy()
-            d_logits[sample.label] -= 1.0
-            feat = np.concatenate([t.mean(axis=0) for t in token_list])
-            grads["head_w"] += np.outer(feat, d_logits)
-            grads["head_b"] += d_logits
-            d_feat = params["head_w"] @ d_logits
-            D = cfg.embed_dim
-            for v, (ec, bc) in enumerate(caches):
-                n = token_list[v].shape[0]
-                d_body = np.tile(d_feat[v * D:(v + 1) * D] / n, (n, 1))
-                d_tokens = backward_body(d_body, bc, params, grads)
-                backward_embed(d_tokens, ec, grads)
-        return loss
-
-    if cfg.task == "forecast_linear":
-        tokens, ec = forward_embed(sample.patches, params)
-        body, bc = forward_body(tokens, params, cfg.arch)
-        pred = forward_forecast_linear(body, params)
-        err = pred - sample.target
+        x = _stack([s.patch_seqs for s in batch], "variate patches")    # (B, V, N, F)
+        labels = np.array([s.label for s in batch])
+        n_classes = params["head_b"].shape[0]
+        if labels.min() < 0 or labels.max() >= n_classes:
+            raise LabelOutOfRangeError(f"labels {labels} outside [0, {n_classes})")
+        body, caches = _encode(x, params, cfg)                          # (B, V, N, D)
+        feat = _pool_variates(body)
+        shifted = _head(feat, params)
+        shifted -= shifted.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        loss = float(-log_probs[np.arange(B), labels].mean())
+        if grads is None:
+            return loss
+        d_logits = np.exp(log_probs)
+        d_logits[np.arange(B), labels] -= 1.0
+        d_logits /= B
+        grads["head_w"] += feat.T @ d_logits
+        grads["head_b"] += d_logits.sum(axis=0)
+        N, D = body.shape[-2:]
+        d_pooled = (d_logits @ params["head_w"].T).reshape(body.shape[:-2] + (1, D))
+        d_body = np.broadcast_to(d_pooled / N, body.shape)
+    elif cfg.task == "forecast_linear":
+        x = _stack([s.patches for s in batch], "patches")               # (B, N, F)
+        target = _stack([s.target for s in batch], "targets")
+        body, caches = _encode(x, params, cfg)
+        flat = body.reshape(B, -1)
+        pred = _head(flat, params)
+        if pred.shape != target.shape:
+            raise ShapeMismatchError(f"forecast {pred.shape} != target {target.shape}")
+        err = pred - target
         loss = float(np.mean(err * err))
-        if grads is not None:
-            d_pred = 2.0 * err / err.size
-            flat = body.reshape(-1)
-            grads["head_w"] += np.outer(flat, d_pred)
-            grads["head_b"] += d_pred
-            d_body = (params["head_w"] @ d_pred).reshape(body.shape)
-            d_tokens = backward_body(d_body, bc, params, grads)
-            backward_embed(d_tokens, ec, grads)
-        return loss
-
-    # forecast_reconstruct: MSE on masked patch entries only
-    mask_rows = sample.mask_rows
-    n_masked = int(mask_rows.sum())
-    if n_masked == 0:
-        from .errors import EmptyMaskError
-        raise EmptyMaskError("reconstruction loss needs >= 1 masked patch")
-    tokens, ec = forward_embed(sample.patches, params, mask_rows)
-    body, bc = forward_body(tokens, params, cfg.arch)
-    decoded = body @ params["dec_w"] + params["dec_b"]
-    err = (decoded - sample.target_patches) * mask_rows[:, None]
-    denom = n_masked * decoded.shape[1]
-    loss = float((err * err).sum() / denom)
-    if grads is not None:
-        d_dec = 2.0 * err / denom
-        grads["dec_w"] += body.T @ d_dec
+        if grads is None:
+            return loss
+        d_pred = 2.0 * err / err.size
+        grads["head_w"] += flat.T @ d_pred
+        grads["head_b"] += d_pred.sum(axis=0)
+        d_body = (d_pred @ params["head_w"].T).reshape(body.shape)
+    else:  # forecast_reconstruct: MSE on masked patch entries only
+        mask = _stack([s.mask_rows for s in batch], "masks").astype(bool, copy=False)
+        if any(s.patches.shape != s.target_patches.shape or s.patches.shape[0] != mask.shape[1]
+               for s in batch):
+            raise ShapeMismatchError("patches, target patches and mask rows differ")
+        n_masked = mask.sum(axis=1)
+        if not n_masked.all():
+            raise EmptyMaskError("reconstruction loss needs >= 1 masked patch per sample")
+        # gathered per sample: only visible inputs and masked targets are copied
+        visible = np.concatenate([s.patches[~m] for s, m in zip(batch, mask)])
+        target = np.concatenate([s.target_patches[m] for s, m in zip(batch, mask)])
+        body, caches = _encode(visible, params, cfg, mask)              # (B, N, D)
+        rows = body[mask]                                               # (M, D), sample-major
+        err = rows @ params["dec_w"] + params["dec_b"] - target
+        # each sample's masked MSE, averaged over the batch: a row of sample
+        # b weighs 1 / (B * n_b * F)
+        w = np.repeat(1.0 / (B * n_masked * target.shape[1]), n_masked)[:, None]
+        loss = float((w * err * err).sum())
+        if grads is None:
+            return loss
+        d_dec = 2.0 * w * err
+        grads["dec_w"] += rows.T @ d_dec
         grads["dec_b"] += d_dec.sum(axis=0)
-        d_body = d_dec @ params["dec_w"].T
-        d_tokens = backward_body(d_body, bc, params, grads)
-        backward_embed(d_tokens, ec, grads)
+        d_body = np.zeros_like(body)
+        d_body[mask] = d_dec @ params["dec_w"].T
+    _encode_backward(d_body, caches, params, grads)
+    return loss
+
+
+def _finite(loss: float) -> float:
+    if not np.isfinite(loss):
+        raise NonFiniteLossError(f"loss is {loss}")
     return loss
 
 
 def batch_loss(batch: list, params: ParamSet, cfg: ModelConfig) -> float:
-    """Mean loss over a batch, forward only."""
-    params = _with_heads(params, cfg)
-    total = 0.0
-    for s in batch:
-        total += _sample_loss_grad(s, params, cfg, None)
-    loss = total / len(batch)
-    if not np.isfinite(loss):
-        raise NonFiniteLossError(f"loss is {loss}")
-    return loss
+    """Mean loss over a batch, forward only. Batches larger than
+    PASS_SAMPLES (a whole validation set, say) run in several stacked
+    passes, so activation memory does not grow with the batch."""
+    if not batch:
+        raise ShapeMismatchError("batch is empty")
+    parts = [batch[i:i + PASS_SAMPLES] for i in range(0, len(batch), PASS_SAMPLES)]
+    return _finite(sum(_loss(p, params, cfg, None) * (len(p) / len(batch)) for p in parts))
 
 
 def backward(batch: list, params: ParamSet, cfg: ModelConfig):
     """Mean loss and analytic gradients over a batch."""
-    params = _with_heads(params, cfg)
-    grads = zeros_like_params({k: v for k, v in params.items() if k != "_num_heads"})
-    total = 0.0
-    for s in batch:
-        total += _sample_loss_grad(s, params, cfg, grads)
-    b = len(batch)
-    for k in grads:
-        grads[k] /= b
-    loss = total / b
-    if not np.isfinite(loss):
-        raise NonFiniteLossError(f"loss is {loss}")
-    return loss, grads
-
-
-def _with_heads(params: ParamSet, cfg: ModelConfig) -> ParamSet:
-    """Attention kernels need the head count; carry it alongside the
-    tensors without making it a trainable entry."""
-    if cfg.arch == "wolvm" or "_num_heads" in params:
-        return params
-    p = dict(params)
-    p["_num_heads"] = cfg.num_heads
-    return p
+    grads = zeros_like_params(params)
+    return _finite(_loss(batch, params, cfg, grads)), grads
 
 
 def predict_linear(sample_patches: np.ndarray, params: ParamSet,
                    cfg: ModelConfig) -> np.ndarray:
-    params = _with_heads(params, cfg)
-    tokens, _ = forward_embed(sample_patches, params)
-    body, _ = forward_body(tokens, params, cfg.arch)
+    body, _ = _encode(sample_patches, params, cfg)
     return forward_forecast_linear(body, params)
 
 
 def predict_class(patch_seqs: list[np.ndarray], params: ParamSet,
                   cfg: ModelConfig) -> int:
-    params = _with_heads(params, cfg)
-    token_list = []
-    for patches in patch_seqs:
-        tokens, _ = forward_embed(patches, params)
-        body, _ = forward_body(tokens, params, cfg.arch)
-        token_list.append(body)
-    return argmax_class(forward_classify(token_list, params))
+    body, _ = _encode(_stack(patch_seqs, "variate patches"), params, cfg)
+    return argmax_class(forward_classify(body, params))

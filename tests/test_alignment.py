@@ -118,3 +118,11 @@ def test_forecast_mask_monotone_in_horizon():
 def test_forecast_mask_zero_horizon_rejected():
     with pytest.raises(ShapeMismatchError):
         build_forecast_mask(4, 0, 64, 8)
+
+
+def test_forecast_mask_narrow_horizon_masks_last_column():
+    # 96 look-back columns and 1 horizon column round the boundary to S;
+    # it is capped at S - 1, so the last patch column stays masked
+    m = build_forecast_mask(lookback_cols=96, horizon_cols=1, S=32, P=8)
+    assert m.boundary_col == 31
+    assert sorted(m.masked_patch_indices) == [3, 7, 11, 15]

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from tsimg.alignment import ForecastMask, PatchSequence
-from tsimg.errors import RoutingError, ShapeMismatchError
+from tsimg.errors import (
+    EmptyMaskError,
+    LabelOutOfRangeError,
+    RoutingError,
+    ShapeMismatchError,
+)
 from tsimg.models import (
     ARCHS,
+    PASS_SAMPLES,
     TASKS,
     ClassifySample,
     ForecastSample,
     ModelConfig,
     ReconstructSample,
     argmax_class,
+    attention_weights,
     backward,
     batch_loss,
     count_params,
@@ -21,7 +28,6 @@ from tsimg.models import (
     forward_reconstruct,
     init_params,
     validate_routing,
-    _with_heads,
 )
 
 SMALL = dict(image_size=16, patch_size=8, embed_dim=8, num_heads=2,
@@ -104,19 +110,19 @@ def test_forward_embed_linearity():
 
 def test_attention_rows_sum_to_one():
     cfg = small_cfg("lvm2attn", "forecast_linear")
-    params = _with_heads(init_params(cfg, 0), cfg)
+    params = init_params(cfg, 0)
     rng = np.random.default_rng(1)
     tokens = rng.normal(size=(cfg.n_patches, cfg.embed_dim))
-    _, cache = forward_attention(tokens, params)
+    _, cache = forward_attention(tokens, params, cfg.num_heads)
     sums = cache["A"].sum(axis=2)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
 
 
 def test_attention_single_token():
     cfg = small_cfg("lvm2attn", "forecast_linear")
-    params = _with_heads(init_params(cfg, 0), cfg)
+    params = init_params(cfg, 0)
     token = np.random.default_rng(2).normal(size=(1, cfg.embed_dim))
-    out, cache = forward_attention(token, params)
+    out, cache = forward_attention(token, params, cfg.num_heads)
     assert cache["A"].shape == (cfg.num_heads, 1, 1)
     assert np.allclose(cache["A"], 1.0)
     assert out.shape == (1, cfg.embed_dim)
@@ -124,12 +130,12 @@ def test_attention_single_token():
 
 def test_attention_permutation_equivariance():
     cfg = small_cfg("lvm2attn", "forecast_linear")
-    params = _with_heads(init_params(cfg, 0), cfg)
+    params = init_params(cfg, 0)
     rng = np.random.default_rng(3)
     tokens = rng.normal(size=(cfg.n_patches, cfg.embed_dim))
     perm = rng.permutation(cfg.n_patches)
-    out, _ = forward_attention(tokens, params)
-    out_p, _ = forward_attention(tokens[perm], params)
+    out, _ = forward_attention(tokens, params, cfg.num_heads)
+    out_p, _ = forward_attention(tokens[perm], params, cfg.num_heads)
     assert np.allclose(out_p, out[perm], atol=1e-12)
 
 
@@ -253,3 +259,82 @@ def test_count_params_closed_form():
     F, D, N, Tp = 3 * 64, 64, 64, 96
     expected = (F * D + D) + (N * D) + (D * D + D) + (N * D * Tp + Tp)
     assert n == expected
+
+
+def _equivalence_batch(cfg, rng):
+    """Five samples; reconstruct samples have 1, 2, 3, 1, 2 masked rows."""
+    batch = make_batch(cfg, rng, n=5)
+    if cfg.task == "forecast_reconstruct":
+        for s, n_masked in zip(batch, (1, 2, 3, 1, 2)):
+            s.mask_rows[:] = False
+            s.mask_rows[rng.choice(cfg.n_patches, n_masked, replace=False)] = True
+    return batch
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("task", TASKS)
+def test_batched_backward_equals_mean_of_single_samples(arch, task):
+    cfg = small_cfg(arch, task)
+    params = init_params(cfg, 3)
+    batch = _equivalence_batch(cfg, np.random.default_rng(10))
+    loss, grads = backward(batch, params, cfg)
+    singles = [backward([s], params, cfg) for s in batch]
+    mean_loss = np.mean([l for l, _ in singles])
+    assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
+    assert batch_loss(batch, params, cfg) == loss
+    for k in params:
+        mean_grad = np.mean([g[k] for _, g in singles], axis=0)
+        scale = np.max(np.abs(mean_grad))
+        assert np.max(np.abs(grads[k] - mean_grad)) <= 1e-12 * scale, k
+
+
+def test_empty_mask_in_one_sample_raises():
+    cfg = small_cfg("minimae", "forecast_reconstruct")
+    params = init_params(cfg, 0)
+    batch = make_batch(cfg, np.random.default_rng(11), n=3)
+    batch[1].mask_rows[:] = False
+    with pytest.raises(EmptyMaskError):
+        backward(batch, params, cfg)
+    with pytest.raises(EmptyMaskError):
+        batch_loss(batch, params, cfg)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_reconstruct_passes_unmasked_rows_bitwise(arch):
+    cfg = small_cfg(arch, "forecast_reconstruct")
+    params = init_params(cfg, 0)
+    rng = np.random.default_rng(12)
+    for masked in ([0], [1, 2], [0, 1, 3]):
+        seq, mask = _seq_and_mask(cfg, rng, masked)
+        out = forward_reconstruct(seq, mask, params, cfg)
+        keep = [i for i in range(cfg.n_patches) if i not in masked]
+        assert np.array_equal(out.patches[keep], seq.patches[keep])
+
+
+def test_attention_weights_batched_rows_sum_to_one():
+    cfg = small_cfg("lvm2attn", "forecast_linear")
+    params = init_params(cfg, 0)
+    tokens = np.random.default_rng(13).normal(size=(3, cfg.n_patches, cfg.embed_dim))
+    A = attention_weights(tokens, params, cfg.num_heads)
+    assert A.shape == (3, cfg.num_heads, cfg.n_patches, cfg.n_patches)
+    assert np.max(np.abs(A.sum(axis=-1) - 1.0)) < 1e-12
+    single = attention_weights(tokens[1], params, cfg.num_heads)
+    assert np.allclose(A[1], single, rtol=0, atol=1e-15)
+
+
+def test_classify_label_out_of_range_raises():
+    cfg = small_cfg("wolvm", "classify")
+    params = init_params(cfg, 0)
+    batch = make_batch(cfg, np.random.default_rng(14), n=2)
+    for bad in (-1, cfg.num_classes):
+        batch[1].label = bad
+        with pytest.raises(LabelOutOfRangeError):
+            batch_loss(batch, params, cfg)
+
+
+def test_batch_loss_past_one_pass_is_the_sample_mean():
+    cfg = small_cfg("lvm2attn", "forecast_reconstruct")
+    params = init_params(cfg, 4)
+    batch = make_batch(cfg, np.random.default_rng(15), n=PASS_SAMPLES + 6)
+    singles = [batch_loss([s], params, cfg) for s in batch]
+    assert batch_loss(batch, params, cfg) == pytest.approx(np.mean(singles), rel=1e-12)

@@ -143,3 +143,49 @@ def test_trained_stub_free_round_trip_smoke():
                       horizon=24)
     pred = predict_forecast(gen_periodic(24, 96), 24, 24, init_params(cfg, 0), cfg)
     assert pred.shape == (24,) and np.all(np.isfinite(pred))
+
+
+# --- narrow horizons still mask the last patch column ----------------------
+#
+# A horizon that is a small fraction of the image width rounds its boundary
+# to S; the mask must still cover the last patch column, or the forecast
+# would not depend on the model at all.
+
+NARROW_CFG = ModelConfig(arch="minimae", task="forecast_reconstruct",
+                         image_size=32, patch_size=8, embed_dim=16, num_heads=2,
+                         horizon=24)
+
+
+def _spy_masks(monkeypatch):
+    seen = []
+    real = pipeline.forward_reconstruct
+
+    def spy(seq, mask, params, cfg):
+        seen.append(mask)
+        return real(seq, mask, params, cfg)
+
+    monkeypatch.setattr(pipeline, "forward_reconstruct", spy)
+    return seen
+
+
+def test_predict_forecast_narrow_horizon_uses_model(monkeypatch):
+    seen = _spy_masks(monkeypatch)
+    lookback = gen_periodic(24, 2304, "composite")   # 96 columns + 1 horizon column
+    preds = [predict_forecast(lookback, 24, 24, init_params(NARROW_CFG, seed), NARROW_CFG)
+             for seed in (0, 1)]
+    g = NARROW_CFG.grid_side
+    assert len(seen) == 2
+    assert all(sorted(m.masked_patch_indices) == [r * g + g - 1 for r in range(g)]
+               for m in seen)
+    assert not np.array_equal(preds[0], preds[1])
+
+
+def test_predict_forecast_mvh_narrow_horizon_uses_model(monkeypatch):
+    seen = _spy_masks(monkeypatch)
+    lookback = np.random.default_rng(5).normal(size=(2, 96))   # 96 + 1 time columns
+    preds = [predict_forecast_mvh(lookback, 1, init_params(NARROW_CFG, seed), NARROW_CFG)
+             for seed in (0, 1)]
+    assert len(seen) == 2
+    assert all(len(m.masked_patch_indices) > 0 for m in seen)
+    assert preds[0].shape == (2, 1)
+    assert not np.array_equal(preds[0], preds[1])
