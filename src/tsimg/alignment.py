@@ -3,6 +3,7 @@ replication, patchification, and the forecast mask layout."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,12 +54,30 @@ class ForecastMask:
         return m
 
 
+@functools.lru_cache(maxsize=256)
+def _axis_plan(n_out: int, n_in: int) -> tuple[np.ndarray, ...]:
+    """Read-only (lo, hi, frac, 1 - frac) sampling arrays for one axis."""
+    c = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    c = np.clip(c, 0.0, n_in - 1)
+    lo = np.floor(c).astype(int)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = c - lo
+    plan = (lo, hi, frac, 1 - frac)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
 def resize_bilinear(img: GrayImage, out_h: int, out_w: int) -> GrayImage:
     """Bilinear resize with the half-pixel-center convention
     src = (dst + 0.5) * (in / out) - 0.5, clamped at the borders.
 
-    Same-size resize is an exact identity; output values stay inside the
-    input's value range.
+    Separable: columns are interpolated on every input row, then rows on
+    that result. Each axis's sample positions and weights depend only on
+    (out, in) and come from a bounded cache. The output is clamped to the
+    input's [min, max], since rounding in a * (1 - f) + b * f can step
+    1 ulp outside it: a constant image stays exactly constant. Same-size
+    resize is an exact identity.
     """
     if out_h < 1 or out_w < 1:
         raise ShapeMismatchError("output size must be >= 1")
@@ -66,31 +85,27 @@ def resize_bilinear(img: GrayImage, out_h: int, out_w: int) -> GrayImage:
     in_h, in_w = src.shape
     if (out_h, out_w) == (in_h, in_w):
         return GrayImage(src.copy())
-
-    def axis_coords(n_out, n_in):
-        c = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        c = np.clip(c, 0.0, n_in - 1)
-        lo = np.floor(c).astype(int)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = c - lo
-        return lo, hi, frac
-
-    r0, r1, rf = axis_coords(out_h, in_h)
-    c0, c1, cf = axis_coords(out_w, in_w)
-    top = src[np.ix_(r0, c0)] * (1 - cf) + src[np.ix_(r0, c1)] * cf
-    bot = src[np.ix_(r1, c0)] * (1 - cf) + src[np.ix_(r1, c1)] * cf
-    return GrayImage(top * (1 - rf)[:, None] + bot * rf[:, None])
+    r0, r1, rf, rg = _axis_plan(out_h, in_h)
+    c0, c1, cf, cg = _axis_plan(out_w, in_w)
+    cols = src[:, c0] * cg + src[:, c1] * cf                    # (in_h, out_w)
+    out = cols[r0] * rg[:, None] + cols[r1] * rf[:, None]
+    np.minimum(np.maximum(out, src.min(), out=out), src.max(), out=out)
+    return GrayImage(out)
 
 
 def standardize_image(img: GrayImage) -> GrayImage:
     """Zero-mean, unit-std (population) standardization of a whole image.
 
-    Constant images become all zeros with meta["degenerate"] set.
+    A degenerate image is a constant one: it becomes all zeros with
+    meta["degenerate"] set. Constancy is read from the pixel range, not
+    from the std alone, because the rounded mean of a constant image can
+    differ from the constant and leave a tiny nonzero std. A std that
+    underflows to 0 is degenerate too.
     """
     p = img.pixels
     mu = p.mean()
     sigma = p.std()
-    if sigma == 0.0:
+    if sigma == 0.0 or p.max() == p.min():
         return GrayImage(np.zeros_like(p), meta={"degenerate": True,
                                                  "mean": float(mu), "std": 0.0})
     return GrayImage((p - mu) / sigma, meta={"degenerate": False,

@@ -72,7 +72,8 @@ def detect_period(x: np.ndarray, top_k: int = 3) -> PeriodEstimate:
     Considers frequencies f in [1, T//2] (DC excluded), converts each to a
     period ceil(T/f), and picks the max-amplitude frequency. Amplitude ties
     break toward the lower frequency, i.e. the longer period. A flat
-    spectrum (constant input) yields f=1, L=T with the degenerate flag set.
+    spectrum (every amplitude <= 1e-8, as for a constant input) yields
+    f=1, L=T with the degenerate flag set.
     """
     x = np.asarray(x, dtype=np.float64)
     T = x.size
@@ -83,7 +84,7 @@ def detect_period(x: np.ndarray, top_k: int = 3) -> PeriodEstimate:
     spec = np.abs(np.fft.rfft(x))
     fmax = T // 2
     amps = spec[1:fmax + 1]  # f = 1 .. T//2
-    if np.allclose(amps, 0.0):
+    if amps.max() <= 1e-8:  # NaN compares False, so it never reads as flat
         return PeriodEstimate(top_periods=[T], chosen_L=T, degenerate=True)
     # stable sort on -amplitude keeps lower f first among ties; quantize to
     # a relative 1e-9 so float noise cannot hide an exact-amplitude tie
@@ -184,14 +185,11 @@ def stft_spectrogram(x: np.ndarray, window_len: int | None = None,
         raise WindowTooLongError(f"window {window_len} > series length {T}")
     if hop < 1:
         raise ShapeMismatchError("hop >= 1 required")
-    win = np.hanning(window_len)
-    n_frames = (T - window_len) // hop + 1
-    frames = np.stack([x[i * hop:i * hop + window_len] * win for i in range(n_frames)])
-    mag = np.abs(np.fft.rfft(frames, axis=1)).T  # (bins, frames)
-    return GrayImage(np.log1p(mag))
+    return GrayImage(np.log1p(_stft_magnitude(x, window_len, hop)))
 
 
 def _stft_magnitude(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
+    """Hann-windowed |rfft| of each frame, (bins, frames)."""
     win = np.hanning(window_len)
     n_frames = (x.size - window_len) // hop + 1
     frames = np.stack([x[i * hop:i * hop + window_len] * win for i in range(n_frames)])
@@ -314,11 +312,7 @@ def lineplot_raster(x: np.ndarray, height: int = 64, width: int = 64,
             thick[k:, :] = np.maximum(thick[k:, :], img[:-k, :])
             thick[:-k, :] = np.maximum(thick[:-k, :], img[k:, :])
         img = thick
-    return img_from(img)
-
-
-def img_from(pixels: np.ndarray) -> GrayImage:
-    return GrayImage(pixels)
+    return GrayImage(img)
 
 
 # canonical method names used by the CLI and routing checks

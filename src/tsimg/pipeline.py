@@ -163,7 +163,9 @@ def predict_forecast(lookback: np.ndarray, L: int, horizon: int,
     Pipeline: uvh -> append ceil(horizon/L) placeholder columns -> resize
     to S x S -> standardize (recording mu/sigma) -> patchify -> masked
     reconstruction -> unpatchify -> de-standardize -> resize back ->
-    unstack -> first `horizon` recovered values.
+    unstack -> first `horizon` recovered values. A degenerate (constant)
+    resized image has no scale to de-standardize with; its constant is the
+    forecast, and the model is not run.
     """
     if cfg.task != "forecast_reconstruct":
         raise RoutingError(
@@ -178,12 +180,14 @@ def predict_forecast(lookback: np.ndarray, L: int, horizon: int,
     S, P = cfg.image_size, cfg.patch_size
     resized = resize_bilinear(in_img, S, S)
     std = standardize_image(resized)
+    if std.meta["degenerate"]:
+        return np.full(horizon, resized.pixels[0, 0])
     mu, sigma = std.meta["mean"], std.meta["std"]
     seq = patchify(replicate_channels(std), P)
     mask = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P)
     out_seq = forward_reconstruct(seq, mask, params, cfg)
     out_gray = aligned_to_gray(unpatchify(out_seq))
-    restored = GrayImage(out_gray.pixels * (sigma if sigma > 0 else 1.0) + mu)
+    restored = GrayImage(out_gray.pixels * sigma + mu)
     back = resize_bilinear(restored, L, layout.total_cols)
     flat_len = lookback.size + layout.horizon_cols * L
     values = imaging.uvh_inverse(back, flat_len)
@@ -219,7 +223,11 @@ def build_reconstruct_sample_mvh(lookback: np.ndarray, target: np.ndarray,
 
 def predict_forecast_mvh(lookback: np.ndarray, horizon: int, params: ParamSet,
                          cfg: ModelConfig) -> np.ndarray:
-    """MVH mask-reconstruction forecast; returns a (d, horizon) matrix."""
+    """MVH mask-reconstruction forecast; returns a (d, horizon) matrix.
+
+    As in :func:`predict_forecast`, a degenerate (constant) resized image
+    forecasts its constant without running the model.
+    """
     if cfg.task != "forecast_reconstruct":
         raise RoutingError(
             f"predict_forecast_mvh requires task 'forecast_reconstruct', got {cfg.task!r}")
@@ -231,11 +239,13 @@ def predict_forecast_mvh(lookback: np.ndarray, horizon: int, params: ParamSet,
     S, P = cfg.image_size, cfg.patch_size
     resized = resize_bilinear(in_img, S, S)
     std = standardize_image(resized)
+    if std.meta["degenerate"]:
+        return np.full((d, horizon), resized.pixels[0, 0])
     mu, sigma = std.meta["mean"], std.meta["std"]
     seq = patchify(replicate_channels(std), P)
     mask = build_forecast_mask(H, horizon, S, P)
     out_seq = forward_reconstruct(seq, mask, params, cfg)
     out_gray = aligned_to_gray(unpatchify(out_seq))
-    restored = GrayImage(out_gray.pixels * (sigma if sigma > 0 else 1.0) + mu)
+    restored = GrayImage(out_gray.pixels * sigma + mu)
     back = resize_bilinear(restored, d, H + horizon)
     return back.pixels[:, H:H + horizon]

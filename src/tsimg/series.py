@@ -67,7 +67,7 @@ class SplitStats:
 
     mean: np.ndarray                     # (d,)
     std: np.ndarray                      # (d,)
-    degenerate: np.ndarray = field(default=None)  # bool (d,), True where std == 0
+    degenerate: np.ndarray = field(default=None)  # bool (d,), True where train is constant (default: std == 0)
 
     def __post_init__(self):
         if self.degenerate is None:
@@ -118,14 +118,18 @@ def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,
                                     MultivariateSeries, SplitStats]:
     """Per-variate z-score of all three splits using train statistics.
 
-    Variates with zero train std are mapped to all zeros and flagged in the
-    returned SplitStats instead of raising.
+    Variates that are constant over train are mapped to all zeros and
+    flagged in the returned SplitStats instead of raising. Constancy is read
+    from the range, not from the std alone: the rounded mean of a constant
+    variate can differ from the constant and leave a tiny nonzero std.
     """
     if not (train.d == val.d == test.d):
         raise ShapeMismatchError("splits disagree on number of variates")
-    mean = train.values.mean(axis=1)
-    std = train.values.std(axis=1)
-    degenerate = std == 0.0
+    v = train.values
+    mean = v.mean(axis=1)
+    std = v.std(axis=1)
+    degenerate = (std == 0.0) | (v.max(axis=1, initial=-np.inf)
+                                 == v.min(axis=1, initial=np.inf))
     safe_std = np.where(degenerate, 1.0, std)
 
     def transform(s: MultivariateSeries) -> MultivariateSeries:

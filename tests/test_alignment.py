@@ -30,6 +30,9 @@ def test_resize_constant_preserved():
     img = GrayImage(np.full((3, 5), 2.5))
     for h, w in ((7, 7), (2, 9), (64, 64)):
         assert np.all(resize_bilinear(img, h, w).pixels == 2.5)
+    # unclamped, a * (1 - f) + a * f leaves this constant by 1 ulp
+    v = -1.3420444532864415
+    assert np.all(resize_bilinear(GrayImage(np.full((9, 11), v)), 24, 28).pixels == v)
 
 
 def test_resize_range_bound_random():
@@ -57,6 +60,15 @@ def test_standardize_image_degenerate():
     out = standardize_image(GrayImage(np.full((4, 4), 7.0)))
     assert np.all(out.pixels == 0.0)
     assert out.meta["degenerate"]
+
+
+@pytest.mark.parametrize("S", [32, 64])
+@pytest.mark.parametrize("v", [0.1, 1 / 3, -1.3420444532864415])
+def test_standardize_constant_with_inexact_mean_is_degenerate(S, v):
+    # the rounded mean of these images differs from v, so their std is not 0
+    out = standardize_image(GrayImage(np.full((S, S), v)))
+    assert out.meta["degenerate"]
+    assert np.all(out.pixels == 0.0)
 
 
 def test_replicate_channels():

@@ -22,6 +22,7 @@ from tsimg.models import (
     batch_loss,
     count_params,
     forward_attention,
+    forward_body,
     forward_classify,
     forward_embed,
     forward_forecast_linear,
@@ -29,6 +30,7 @@ from tsimg.models import (
     init_params,
     validate_routing,
 )
+from tsimg.training import cross_entropy, masked_mse
 
 SMALL = dict(image_size=16, patch_size=8, embed_dim=8, num_heads=2,
              horizon=5, num_classes=3, num_variates=2)
@@ -338,3 +340,30 @@ def test_batch_loss_past_one_pass_is_the_sample_mean():
     batch = make_batch(cfg, np.random.default_rng(15), n=PASS_SAMPLES + 6)
     singles = [batch_loss([s], params, cfg) for s in batch]
     assert batch_loss(batch, params, cfg) == pytest.approx(np.mean(singles), rel=1e-12)
+
+
+# --- the batched losses against the reference losses in training ----------
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_reconstruct_batch_loss_is_masked_mse(arch):
+    cfg = small_cfg(arch, "forecast_reconstruct")
+    params = init_params(cfg, 16)
+    s = make_batch(cfg, np.random.default_rng(16), n=1)[0]
+    seq = PatchSequence(patches=s.patches, grid=(cfg.grid_side, cfg.grid_side),
+                        patch_size=cfg.patch_size)
+    mask = ForecastMask(frozenset(np.flatnonzero(s.mask_rows).tolist()), boundary_col=0)
+    pred = forward_reconstruct(seq, mask, params, cfg).patches
+    assert batch_loss([s], params, cfg) == pytest.approx(
+        masked_mse(pred, s.target_patches, s.mask_rows), rel=1e-12)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_classify_batch_loss_is_cross_entropy(arch):
+    cfg = small_cfg(arch, "classify")
+    params = init_params(cfg, 17)
+    s = make_batch(cfg, np.random.default_rng(17), n=1)[0]
+    tokens, _ = forward_embed(np.stack(s.patch_seqs), params)
+    body, _ = forward_body(tokens, params, cfg)
+    logits = forward_classify(body, params)
+    assert batch_loss([s], params, cfg) == pytest.approx(
+        cross_entropy(logits, s.label), rel=1e-12)

@@ -48,6 +48,17 @@ def test_build_classify_sample_per_variate():
     assert len(s_mvh.patch_seqs) == 1
 
 
+@pytest.mark.parametrize("method", ["uvh", "mvh"])
+@pytest.mark.parametrize("v", [0.1, 1 / 3, -1.3420444532864415, 2.2])
+def test_build_classify_sample_flat_window_is_zero(method, v):
+    cfg = ModelConfig(arch="wolvm", task="classify", image_size=64,
+                      patch_size=8, embed_dim=8, num_heads=2, num_classes=2,
+                      num_variates=3)
+    s = build_classify_sample(WindowSample(lookback=np.full((3, 96), v),
+                                           class_label=0), method, cfg)
+    assert all(np.all(p == 0.0) for p in s.patch_seqs)
+
+
 def test_build_linear_sample_shapes():
     cfg = ModelConfig(arch="wolvm", task="forecast_linear", image_size=16,
                       patch_size=8, embed_dim=8, num_heads=2, horizon=4)
@@ -189,3 +200,37 @@ def test_predict_forecast_mvh_narrow_horizon_uses_model(monkeypatch):
     assert all(len(m.masked_patch_indices) > 0 for m in seen)
     assert preds[0].shape == (2, 1)
     assert not np.array_equal(preds[0], preds[1])
+
+
+# --- flat look-backs ---------------------------------------------------------
+#
+# A constant look-back gives a degenerate image with no scale to undo: the
+# forecast is the constant itself and the model is not run.
+
+@pytest.mark.parametrize("v", [0.1, 1 / 3, -1.3420444532864415])
+def test_predict_forecast_flat_lookback_is_persistence(monkeypatch, v):
+    seen = _spy_masks(monkeypatch)
+    pred = predict_forecast(np.full(96, v), 24, 24, init_params(NARROW_CFG, 0),
+                            NARROW_CFG)
+    assert pred.shape == (24,) and np.all(pred == v)
+    assert seen == []
+
+
+@pytest.mark.parametrize("v", [0.1, 1 / 3, -1.3420444532864415])
+def test_predict_forecast_mvh_flat_lookback_is_persistence(monkeypatch, v):
+    seen = _spy_masks(monkeypatch)
+    pred = predict_forecast_mvh(np.full((2, 96), v), 4, init_params(NARROW_CFG, 0),
+                                NARROW_CFG)
+    assert pred.shape == (2, 4) and np.all(pred == v)
+    assert seen == []
+
+
+@pytest.mark.parametrize("v", [0.1, 1 / 3])
+def test_build_reconstruct_sample_flat_lookback_target_in_raw_units(v):
+    # sigma of a degenerate input is replaced by 1: the target is the raw
+    # offset from the look-back level, not a division by rounding noise
+    s = build_reconstruct_sample(np.full(96, v), np.full(24, v + 1.0), 24,
+                                 NARROW_CFG)
+    assert np.all(s.patches == 0.0)
+    assert np.max(np.abs(s.target_patches)) <= 1.0 + 1e-9
+    assert np.max(s.target_patches[s.mask_rows]) > 0.5

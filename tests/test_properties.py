@@ -1,0 +1,94 @@
+"""Property tests for the alignment and imaging contracts: resize range
+and bitwise agreement with the reference formula, exact round trips, a
+non-empty forecast mask, and the flat-spectrum threshold."""
+
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tsimg.alignment import (
+    AlignedImage,
+    build_forecast_mask,
+    patchify,
+    resize_bilinear,
+    unpatchify,
+)
+from tsimg.imaging import GrayImage, detect_period, uvh, uvh_inverse
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+side = st.integers(1, 24)
+images = st.tuples(side, side).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=finite))
+
+
+def reference_resize(src, out_h, out_w):
+    """The per-call np.ix_ formula the plan-cached resize replaced, plus
+    the same clamp to the input range."""
+    in_h, in_w = src.shape
+
+    def axis_coords(n_out, n_in):
+        c = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+        c = np.clip(c, 0.0, n_in - 1)
+        lo = np.floor(c).astype(int)
+        hi = np.minimum(lo + 1, n_in - 1)
+        return lo, hi, c - lo
+
+    r0, r1, rf = axis_coords(out_h, in_h)
+    c0, c1, cf = axis_coords(out_w, in_w)
+    top = src[np.ix_(r0, c0)] * (1 - cf) + src[np.ix_(r0, c1)] * cf
+    bot = src[np.ix_(r1, c0)] * (1 - cf) + src[np.ix_(r1, c1)] * cf
+    out = top * (1 - rf)[:, None] + bot * rf[:, None]
+    return np.clip(out, src.min(), src.max())
+
+
+@given(images, st.integers(1, 40), st.integers(1, 40))
+def test_resize_stays_inside_input_range(src, out_h, out_w):
+    out = resize_bilinear(GrayImage(src), out_h, out_w).pixels
+    assert out.shape == (out_h, out_w)
+    assert out.min() >= src.min() and out.max() <= src.max()
+
+
+@given(images, st.integers(1, 40), st.integers(1, 40))
+def test_resize_bitwise_equals_reference_formula(src, out_h, out_w):
+    out = resize_bilinear(GrayImage(src), out_h, out_w).pixels
+    if (out_h, out_w) != src.shape:
+        assert np.array_equal(out, reference_resize(src, out_h, out_w))
+
+
+@given(images)
+def test_resize_same_size_is_exact_identity(src):
+    out = resize_bilinear(GrayImage(src), *src.shape).pixels
+    assert np.array_equal(out, src)
+
+
+@given(st.integers(1, 8), st.integers(1, 6), st.data())
+def test_patchify_unpatchify_round_trip_bitwise(P, g, data):
+    S = P * g
+    ch = data.draw(arrays(np.float64, (3, S, S), elements=finite))
+    back = unpatchify(patchify(AlignedImage(channels=ch, source_size=(S, S)), P))
+    assert np.array_equal(back.channels, ch)
+
+
+@given(arrays(np.float64, st.integers(1, 300), elements=finite), st.integers(1, 50))
+def test_uvh_round_trip_exact(x, L):
+    assert np.array_equal(uvh_inverse(uvh(x, L), x.size), x)
+
+
+@given(st.integers(1, 5000), st.integers(1, 720), st.integers(1, 200),
+       st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 8))
+def test_forecast_mask_never_empty(lookback, horizon, L, P, g):
+    S = P * g
+    m = build_forecast_mask(math.ceil(lookback / L), math.ceil(horizon / L), S, P)
+    assert m.masked_patch_indices
+    assert all(pr * g + g - 1 in m.masked_patch_indices for pr in range(g))
+
+
+@given(st.floats(-100, 100), st.integers(4, 512), st.data())
+def test_detect_period_flat_threshold(c, T, data):
+    f = data.draw(st.integers(1, T // 2))
+    ripple = np.cos(2 * np.pi * f * np.arange(T) / T)
+    assert detect_period(c + 1e-12 * ripple).degenerate
+    assert not detect_period(c + 1e-6 * ripple).degenerate

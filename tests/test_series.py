@@ -64,6 +64,16 @@ def test_standardize_degenerate_variate():
     assert stats.degenerate.tolist() == [True, False]
 
 
+
+@pytest.mark.parametrize("v", [0.1, 1 / 3, -1.3420444532864415])
+def test_standardize_constant_variate_with_inexact_mean_is_degenerate(v):
+    # over 100 steps the rounded mean of each v differs from v: std is not 0
+    tr = MultivariateSeries(np.stack([np.full(100, v), np.arange(100.0)]))
+    assert tr.values[0].std() > 0.0
+    tr2, va2, _, stats = standardize_by_train(tr, tr, tr)
+    assert stats.degenerate.tolist() == [True, False]
+    assert np.all(tr2.values[0] == 0.0) and np.all(va2.values[0] == 0.0)
+
 def test_standardize_invertible():
     rng = np.random.default_rng(0)
     tr = MultivariateSeries(rng.normal(2.0, 3.0, size=(3, 50)))
