@@ -104,12 +104,13 @@ def standardize_image(img: GrayImage) -> GrayImage:
     """
     p = img.pixels
     mu = p.mean()
-    sigma = p.std()
+    c = p - mu                    # centred once for the std and the result
+    sigma = np.sqrt((c * c).sum() / c.size)
     if sigma == 0.0 or p.max() == p.min():
         return GrayImage(np.zeros_like(p), meta={"degenerate": True,
                                                  "mean": float(mu), "std": 0.0})
-    return GrayImage((p - mu) / sigma, meta={"degenerate": False,
-                                             "mean": float(mu), "std": float(sigma)})
+    c /= sigma
+    return GrayImage(c, meta={"degenerate": False, "mean": float(mu), "std": float(sigma)})
 
 
 def replicate_channels(img: GrayImage) -> AlignedImage:
@@ -143,11 +144,6 @@ def unpatchify(seq: PatchSequence) -> AlignedImage:
     if ch.shape[1] != ch.shape[2]:
         raise ShapeMismatchError("unpatchify produced a non-square image")
     return AlignedImage(channels=ch.copy(), source_size=(ch.shape[1], ch.shape[2]))
-
-
-def aligned_to_gray(img: AlignedImage) -> GrayImage:
-    """Collapse the three (identical-by-construction) channels to one."""
-    return GrayImage(img.channels.mean(axis=0))
 
 
 def build_forecast_mask(lookback_cols: int, horizon_cols: int, S: int, P: int) -> ForecastMask:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import dataio, evaluation, imaging, models, pipeline, series, training
-from .errors import TsimgError
+from .errors import ShapeMismatchError, TsimgError
 from .models import ModelConfig, init_params
 from .training import TrainConfig, train
 
@@ -281,6 +281,19 @@ def _forecast_samples(w, args, cfg: ModelConfig, task: str):
     return out
 
 
+def _check_checkpoint(params: dict, cfg: ModelConfig) -> None:
+    """A checkpoint must hold exactly the tensors, in the same shapes, that
+    init_params(cfg) makes; any other belongs to a different model."""
+    expected = {k: v.shape for k, v in init_params(cfg).items()}
+    found = {k: v.shape for k, v in params.items()}
+    if found != expected:
+        diff = "; ".join(f"{k}: {found.get(k)} vs {expected.get(k)}"
+                         for k in sorted(expected.keys() | found.keys())
+                         if found.get(k) != expected.get(k))
+        raise ShapeMismatchError(
+            f"checkpoint does not fit the model in config.json (checkpoint vs config): {diff}")
+
+
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     meta = json.loads((run_dir / "config.json").read_text())
@@ -290,6 +303,7 @@ def cmd_eval(args) -> int:
                       patch_size=m["patch_size"], embed_dim=m["embed_dim"],
                       num_heads=m["num_heads"], horizon=m["horizon"],
                       num_classes=m["num_classes"], num_variates=m["num_variates"])
+    _check_checkpoint(params, cfg)
     seed = _seed_of(args)
     mode = (evaluation.PerturbMode(PERTURB_FLAGS[args.perturb], seed=seed)
             if args.perturb else None)

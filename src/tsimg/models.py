@@ -25,6 +25,12 @@ reconstruction task follows the masked-autoencoder split: the patch
 projection runs only on visible rows (masked rows take the mask token),
 and the decoder and the masked MSE run only on the masked rows, gathered
 as body[mask]; their gradient is scattered back into zeros.
+
+Patches are three identical channels of one gray image (F = 3 * P * P).
+Training keeps all three. The forecast path runs forward_reconstruct_gray
+on the gray (N, P * P) patches: the channel copies are folded into the
+weights (embed_w's channel blocks summed, dec_w's and dec_b's averaged),
+which gives the channel mean of forward_reconstruct up to rounding.
 """
 
 from __future__ import annotations
@@ -235,10 +241,9 @@ def forward_attention(tokens: np.ndarray, params: ParamSet, num_heads: int):
     A /= A.sum(axis=-1, keepdims=True)                   # (..., h, N, N)
     O = _merge_heads(A @ Vh)
     z = x + O @ params["wo"]
-    mu = z.mean(axis=1, keepdims=True)
-    var = z.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (z - mu) * inv_std
+    z -= z.mean(axis=1, keepdims=True)                   # centred once for var and xhat
+    inv_std = 1.0 / np.sqrt((z * z).mean(axis=1, keepdims=True) + LN_EPS)
+    xhat = z * inv_std
     out = params["ln_g"] * xhat + params["ln_b"]
     cache = {"kind": "attn", "x": x, "Qh": Qh, "Kh": Kh, "Vh": Vh, "A": A, "O": O,
              "xhat": xhat, "inv_std": inv_std}
@@ -334,6 +339,32 @@ def forward_reconstruct(seq: PatchSequence, mask: ForecastMask, params: ParamSet
     out = seq.patches.copy()
     out[mask_rows] = body[mask_rows] @ params["dec_w"] + params["dec_b"]
     return PatchSequence(patches=out, grid=seq.grid, patch_size=seq.patch_size)
+
+
+def forward_reconstruct_gray(patches: np.ndarray, mask: ForecastMask, params: ParamSet,
+                             cfg: ModelConfig) -> np.ndarray:
+    """:func:`forward_reconstruct` on the (N, P*P) patches of one gray image.
+
+    Equal, up to rounding, to replicating each patch into three identical
+    channels, running forward_reconstruct and averaging the three output
+    channels. The copies are folded into the weights on each call instead:
+    the embedding uses the sum of embed_w's three channel blocks and the
+    decoder the mean of dec_w's and dec_b's, so a third of the columns are
+    embedded and decoded.
+    """
+    F, D = params["embed_w"].shape
+    P2 = patches.shape[-1]
+    if F != 3 * P2 or params["dec_w"].shape != (D, F):
+        raise ShapeMismatchError(
+            f"embed_w {params['embed_w'].shape} and dec_w {params['dec_w'].shape} "
+            f"do not fit three channels of {P2}-pixel patches")
+    mask_rows = mask.row_mask(patches.shape[0])
+    folded = dict(params, embed_w=params["embed_w"].reshape(3, P2, D).sum(axis=0))
+    body, _ = _encode(patches[~mask_rows], folded, cfg, mask_rows)
+    out = patches.copy()
+    out[mask_rows] = (body[mask_rows] @ params["dec_w"].reshape(D, 3, P2).mean(axis=1)
+                      + params["dec_b"].reshape(3, P2).mean(axis=0))
+    return out
 
 
 # --- batched loss + gradients ------------------------------------------

@@ -10,13 +10,11 @@ import numpy as np
 
 from . import imaging
 from .alignment import (
-    aligned_to_gray,
     build_forecast_mask,
     patchify,
     replicate_channels,
     resize_bilinear,
     standardize_image,
-    unpatchify,
 )
 from .errors import HorizonTooLongError, RoutingError, ShapeMismatchError
 from .imaging import GrayImage
@@ -26,8 +24,7 @@ from .models import (
     ModelConfig,
     ParamSet,
     ReconstructSample,
-    forward_reconstruct,
-    validate_routing,
+    forward_reconstruct_gray,
 )
 from .series import MultivariateSeries, WindowSample
 
@@ -155,40 +152,55 @@ def build_reconstruct_sample(lookback: np.ndarray, target: np.ndarray,
                              mask_rows=mask.row_mask(in_patches.patches.shape[0]))
 
 
+def _reconstruct_horizon(img: GrayImage, lookback_cols: int, horizon_cols: int,
+                         params: ParamSet, cfg: ModelConfig) -> GrayImage:
+    """Framework-(d) predict core shared by UVH and MVH.
+
+    Resize `img` (look-back columns, then horizon columns) to S x S,
+    standardize it, mask the patch columns past the look-back boundary,
+    reconstruct them from the gray (N, P*P) patches with
+    :func:`forward_reconstruct_gray`, and return the de-standardized S x S
+    image. A degenerate (constant) resized image has no scale to
+    de-standardize with: it is returned as is, so its constant is the
+    forecast, and the model is not run.
+    """
+    if cfg.task != "forecast_reconstruct":
+        raise RoutingError(
+            f"forecast reconstruction requires task 'forecast_reconstruct', got {cfg.task!r}")
+    S, P = cfg.image_size, cfg.patch_size
+    resized = resize_bilinear(img, S, S)
+    std = standardize_image(resized)
+    if std.meta["degenerate"]:
+        return resized
+    g = S // P
+    patches = std.pixels.reshape(g, P, g, P).swapaxes(1, 2).reshape(g * g, P * P)
+    mask = build_forecast_mask(lookback_cols, horizon_cols, S, P)
+    out = forward_reconstruct_gray(patches, mask, params, cfg)
+    pixels = out.reshape(g, g, P, P).swapaxes(1, 2).reshape(S, S)
+    return GrayImage(pixels * std.meta["std"] + std.meta["mean"])
+
+
 def predict_forecast(lookback: np.ndarray, L: int, horizon: int,
                      params: ParamSet, cfg: ModelConfig,
                      max_horizon_cols: int = MAX_HORIZON_COLS) -> np.ndarray:
     """Framework-(d) forecast: image, mask, reconstruct, invert.
 
     Pipeline: uvh -> append ceil(horizon/L) placeholder columns -> resize
-    to S x S -> standardize (recording mu/sigma) -> patchify -> masked
-    reconstruction -> unpatchify -> de-standardize -> resize back ->
-    unstack -> first `horizon` recovered values. A degenerate (constant)
-    resized image has no scale to de-standardize with; its constant is the
-    forecast, and the model is not run.
+    to S x S -> standardize (recording mu/sigma) -> cut into gray P x P
+    patches -> masked reconstruction, with the model's three identical
+    input channels folded into its weights -> de-standardize -> resize
+    back -> unstack -> first `horizon` recovered values. A degenerate
+    (constant) resized image forecasts its constant without running the
+    model.
     """
-    if cfg.task != "forecast_reconstruct":
-        raise RoutingError(
-            f"predict_forecast requires task 'forecast_reconstruct', got {cfg.task!r}")
-    validate_routing(cfg.task, "uvh")
     lookback = np.asarray(lookback, dtype=np.float64)
     if math.ceil(horizon / L) > max_horizon_cols:
         raise HorizonTooLongError(
             f"horizon {horizon} needs {math.ceil(horizon / L)} columns "
             f"(max {max_horizon_cols})")
     in_img, layout = _uvh_with_horizon(lookback, L, horizon, None)
-    S, P = cfg.image_size, cfg.patch_size
-    resized = resize_bilinear(in_img, S, S)
-    std = standardize_image(resized)
-    if std.meta["degenerate"]:
-        return np.full(horizon, resized.pixels[0, 0])
-    mu, sigma = std.meta["mean"], std.meta["std"]
-    seq = patchify(replicate_channels(std), P)
-    mask = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P)
-    out_seq = forward_reconstruct(seq, mask, params, cfg)
-    out_gray = aligned_to_gray(unpatchify(out_seq))
-    restored = GrayImage(out_gray.pixels * sigma + mu)
-    back = resize_bilinear(restored, L, layout.total_cols)
+    out = _reconstruct_horizon(in_img, layout.lookback_cols, layout.horizon_cols, params, cfg)
+    back = resize_bilinear(out, L, layout.total_cols)
     flat_len = lookback.size + layout.horizon_cols * L
     values = imaging.uvh_inverse(back, flat_len)
     return values[lookback.size:lookback.size + horizon]
@@ -225,27 +237,13 @@ def predict_forecast_mvh(lookback: np.ndarray, horizon: int, params: ParamSet,
                          cfg: ModelConfig) -> np.ndarray:
     """MVH mask-reconstruction forecast; returns a (d, horizon) matrix.
 
-    As in :func:`predict_forecast`, a degenerate (constant) resized image
-    forecasts its constant without running the model.
+    The (d, H) look-back gets `horizon` placeholder time columns and runs
+    through the same core as :func:`predict_forecast`; the forecast is the
+    horizon columns of the image resized back to (d, H + horizon).
     """
-    if cfg.task != "forecast_reconstruct":
-        raise RoutingError(
-            f"predict_forecast_mvh requires task 'forecast_reconstruct', got {cfg.task!r}")
-    validate_routing(cfg.task, "mvh")
     lookback = np.atleast_2d(np.asarray(lookback, dtype=np.float64))
     d, H = lookback.shape
     placeholder = np.tile(lookback[:, -1:], (1, horizon))
     in_img = GrayImage(np.concatenate([lookback, placeholder], axis=1))
-    S, P = cfg.image_size, cfg.patch_size
-    resized = resize_bilinear(in_img, S, S)
-    std = standardize_image(resized)
-    if std.meta["degenerate"]:
-        return np.full((d, horizon), resized.pixels[0, 0])
-    mu, sigma = std.meta["mean"], std.meta["std"]
-    seq = patchify(replicate_channels(std), P)
-    mask = build_forecast_mask(H, horizon, S, P)
-    out_seq = forward_reconstruct(seq, mask, params, cfg)
-    out_gray = aligned_to_gray(unpatchify(out_seq))
-    restored = GrayImage(out_gray.pixels * sigma + mu)
-    back = resize_bilinear(restored, d, H + horizon)
-    return back.pixels[:, H:H + horizon]
+    out = _reconstruct_horizon(in_img, H, horizon, params, cfg)
+    return resize_bilinear(out, d, H + horizon).pixels[:, H:H + horizon]

@@ -121,7 +121,9 @@ def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,
     Variates that are constant over train are mapped to all zeros and
     flagged in the returned SplitStats instead of raising. Constancy is read
     from the range, not from the std alone: the rounded mean of a constant
-    variate can differ from the constant and leave a tiny nonzero std.
+    variate can differ from the constant and leave a tiny nonzero std. The
+    mean stored for a flagged variate is its first train value, so
+    :func:`destandardize` returns the constant exactly.
     """
     if not (train.d == val.d == test.d):
         raise ShapeMismatchError("splits disagree on number of variates")
@@ -130,6 +132,8 @@ def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,
     std = v.std(axis=1)
     degenerate = (std == 0.0) | (v.max(axis=1, initial=-np.inf)
                                  == v.min(axis=1, initial=np.inf))
+    if degenerate.any():
+        mean[degenerate] = v[degenerate, 0]
     safe_std = np.where(degenerate, 1.0, std)
 
     def transform(s: MultivariateSeries) -> MultivariateSeries:
@@ -142,7 +146,8 @@ def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,
 
 
 def destandardize(series: MultivariateSeries, stats: SplitStats) -> MultivariateSeries:
-    """Inverse of :func:`standardize_by_train` (non-degenerate variates)."""
+    """Inverse of :func:`standardize_by_train`; a flagged (constant) variate
+    maps back to its train constant."""
     safe_std = np.where(stats.degenerate, 1.0, stats.std)
     v = series.values * safe_std[:, None] + stats.mean[:, None]
     return MultivariateSeries(v, series.variate_names)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from tsimg.cli import main
+from tsimg.dataio import save_checkpoint
+from tsimg.models import ModelConfig, init_params
 from tsimg.series import gen_periodic
 
 
@@ -78,6 +80,26 @@ def test_train_then_eval_forecast(ett_csv, tmp_path, capsys):
     assert rc == 0
     assert "mse=" in capsys.readouterr().out
     assert os.path.exists(out_csv)
+
+
+@pytest.mark.parametrize("other", [
+    dict(arch="wolvm", task="forecast_linear", image_size=16, horizon=4),
+    dict(arch="minimae", task="forecast_reconstruct", image_size=16, embed_dim=16),
+    dict(arch="minimae", task="forecast_reconstruct", image_size=32),
+])
+def test_eval_rejects_checkpoint_of_another_model(ett_csv, tmp_path, capsys, other):
+    run = tmp_path / "run"
+    assert main(["train", "--task", "forecast-reconstruct", "--imaging", "uvh",
+                 "--arch", "minimae", "--input", ett_csv, "--out", str(run),
+                 "--lookback", "24", "--horizon", "4", "--seg-len", "12",
+                 "--image-size", "16", "--patch-size", "8", "--embed-dim", "8",
+                 "--heads", "2", "--epochs", "1", "--seed", "0"]) == 0
+    cfg = ModelConfig(**{"patch_size": 8, "embed_dim": 8, "num_heads": 2, **other})
+    save_checkpoint(init_params(cfg, 0), str(run / "checkpoint.bin"))
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--input", ett_csv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint does not fit the model")
 
 
 def test_eval_with_perturbation(ett_csv, tmp_path, capsys):

@@ -15,6 +15,7 @@ from tsimg.evaluation import (
     PerturbMode,
     PERTURB_KINDS,
     _split_windows,
+    lookback_sweep,
     metric_accuracy,
     metric_mae,
     metric_mse,
@@ -24,7 +25,9 @@ from tsimg.evaluation import (
     reoccurrence_brute_force,
     reoccurrence_n,
 )
-from tsimg.series import MultivariateSeries
+from tsimg.models import ModelConfig
+from tsimg.series import MultivariateSeries, gen_periodic
+from tsimg.training import TrainConfig
 
 
 # --- metrics vs naive double-loop oracles --------------------------------
@@ -183,3 +186,18 @@ def test_split_windows_chronological():
     assert te[0][0][0] == 80.0
     # no window crosses a block boundary
     assert tr[-1][1][-1] == 69.0
+
+
+def test_lookback_sweep_skips_too_long_lengths():
+    # a 600-step series leaves a 120-step test block: look-back 48 fits,
+    # 200 does not and is skipped with its reason
+    task = ForecastTask(series=gen_periodic(12, 600, "composite", noise_std=0.05),
+                        lookback=48, horizon=12, stride=16)
+    cfg = ModelConfig(arch="minimae", task="forecast_reconstruct", image_size=16,
+                      patch_size=8, embed_dim=8, num_heads=2, horizon=12)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=1, patience=1, seed=0)
+    res = lookback_sweep(task, cfg, tc, [48, 200], seg_len=12)
+    assert res.axis == [48]
+    assert res.skipped == [(200, "series too short for this look-back length")]
+    assert len(res.mse) == len(res.mae) == 1
+    assert np.all(np.isfinite(res.mse + res.mae))

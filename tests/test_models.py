@@ -27,6 +27,7 @@ from tsimg.models import (
     forward_embed,
     forward_forecast_linear,
     forward_reconstruct,
+    forward_reconstruct_gray,
     init_params,
     validate_routing,
 )
@@ -203,6 +204,40 @@ def test_reconstruct_zero_decoder():
     seq, mask = _seq_and_mask(cfg, rng, range(cfg.n_patches))
     out = forward_reconstruct(seq, mask, params, cfg)
     assert np.all(out.patches == 0.0)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_reconstruct_gray_is_channel_mean_of_replicated(arch):
+    # reference: replicate each gray patch into three channels, run the
+    # three-channel model, average the output channels
+    cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=32,
+                      patch_size=8, embed_dim=16, num_heads=2)
+    params = init_params(cfg, 0)
+    rng = np.random.default_rng(12)
+    params["dec_b"] = rng.normal(size=params["dec_b"].shape)
+    P2 = cfg.patch_size ** 2
+    gray = rng.normal(size=(cfg.n_patches, P2))
+    seq = PatchSequence(patches=np.tile(gray, (1, 3)),
+                        grid=(cfg.grid_side, cfg.grid_side), patch_size=cfg.patch_size)
+    mask = ForecastMask(masked_patch_indices=frozenset({2, 3, 6, 7, 11, 15}), boundary_col=0)
+    ref = forward_reconstruct(seq, mask, params, cfg).patches.reshape(-1, 3, P2).mean(axis=1)
+    out = forward_reconstruct_gray(gray, mask, params, cfg)
+    assert out.shape == gray.shape
+    assert np.max(np.abs(out - ref)) < 1e-12
+    keep = sorted(set(range(cfg.n_patches)) - mask.masked_patch_indices)
+    assert np.array_equal(out[keep], gray[keep])
+
+
+def test_reconstruct_gray_rejects_mismatched_embed():
+    cfg = small_cfg("minimae", "forecast_reconstruct")
+    mask = ForecastMask(masked_patch_indices=frozenset({1}), boundary_col=0)
+    gray = np.zeros((cfg.n_patches, cfg.patch_size ** 2))
+    other = ModelConfig(arch="minimae", task="forecast_reconstruct",
+                        **dict(SMALL, patch_size=4))
+    with pytest.raises(ShapeMismatchError):
+        forward_reconstruct_gray(gray, mask, init_params(other, 0), cfg)
+    with pytest.raises(ShapeMismatchError):
+        forward_reconstruct_gray(np.tile(gray, (1, 3)), mask, init_params(cfg, 0), cfg)
 
 
 def test_reconstruct_loss_ignores_unmasked_targets():

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 import tsimg.pipeline as pipeline
+from tsimg.alignment import (
+    build_forecast_mask,
+    patchify,
+    replicate_channels,
+    resize_bilinear,
+    standardize_image,
+    unpatchify,
+)
 from tsimg.errors import HorizonTooLongError, RoutingError, ShapeMismatchError
-from tsimg.models import ModelConfig, init_params
+from tsimg.imaging import GrayImage, uvh_inverse
+from tsimg.models import ModelConfig, forward_reconstruct, init_params
 from tsimg.pipeline import (
     build_classify_sample,
     build_linear_sample,
@@ -82,8 +91,8 @@ STUB_CFG = ModelConfig(arch="minimae", task="forecast_reconstruct",
 
 
 def _identity_model(monkeypatch):
-    monkeypatch.setattr(pipeline, "forward_reconstruct",
-                        lambda seq, mask, params, cfg: seq)
+    monkeypatch.setattr(pipeline, "forward_reconstruct_gray",
+                        lambda patches, mask, params, cfg: patches)
 
 
 def test_predict_forecast_identity_stub_exact(monkeypatch):
@@ -156,6 +165,44 @@ def test_trained_stub_free_round_trip_smoke():
     assert pred.shape == (24,) and np.all(np.isfinite(pred))
 
 
+# --- the single-channel core against the three-channel model ---------------
+#
+# The reference runs the model as trained: the standardized image replicated
+# into three channels, patchified, reconstructed by forward_reconstruct,
+# unpatchified and averaged back to one channel.
+
+def _three_channel_image(img, lookback_cols, horizon_cols, params, cfg):
+    S, P = cfg.image_size, cfg.patch_size
+    std = standardize_image(resize_bilinear(img, S, S))
+    seq = patchify(replicate_channels(std), P)
+    mask = build_forecast_mask(lookback_cols, horizon_cols, S, P)
+    gray = unpatchify(forward_reconstruct(seq, mask, params, cfg)).channels.mean(axis=0)
+    return GrayImage(gray * std.meta["std"] + std.meta["mean"])
+
+
+@pytest.mark.parametrize("arch", ["wolvm", "lvm2attn", "minimae"])
+def test_predict_forecast_matches_three_channel_reference(arch):
+    cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=32,
+                      patch_size=8, embed_dim=16, num_heads=2, horizon=24)
+    params = init_params(cfg, 1)
+    params["dec_b"] = np.random.default_rng(2).normal(size=params["dec_b"].shape)
+    for seed, L, H in ((0, 24, 96), (1, 12, 100), (2, 17, 64)):
+        lookback = gen_periodic(L, H, "composite", seed=seed, noise_std=0.1)
+        in_img, lay = pipeline._uvh_with_horizon(lookback, L, 24, None)
+        ref_img = _three_channel_image(in_img, lay.lookback_cols, lay.horizon_cols, params, cfg)
+        ref = uvh_inverse(resize_bilinear(ref_img, L, lay.total_cols),
+                          H + lay.horizon_cols * L)[H:H + 24]
+        pred = predict_forecast(lookback, L, 24, params, cfg)
+        assert pred.shape == (24,) and np.max(np.abs(pred - ref)) < 1e-12
+
+    lookback = np.random.default_rng(3).normal(size=(3, 96)) + np.arange(3.0)[:, None]
+    in_img = GrayImage(np.concatenate([lookback, np.tile(lookback[:, -1:], (1, 24))], axis=1))
+    ref = resize_bilinear(_three_channel_image(in_img, 96, 24, params, cfg),
+                          3, 120).pixels[:, 96:]
+    pred = predict_forecast_mvh(lookback, 24, params, cfg)
+    assert pred.shape == (3, 24) and np.max(np.abs(pred - ref)) < 1e-12
+
+
 # --- narrow horizons still mask the last patch column ----------------------
 #
 # A horizon that is a small fraction of the image width rounds its boundary
@@ -169,13 +216,13 @@ NARROW_CFG = ModelConfig(arch="minimae", task="forecast_reconstruct",
 
 def _spy_masks(monkeypatch):
     seen = []
-    real = pipeline.forward_reconstruct
+    real = pipeline.forward_reconstruct_gray
 
-    def spy(seq, mask, params, cfg):
+    def spy(patches, mask, params, cfg):
         seen.append(mask)
-        return real(seq, mask, params, cfg)
+        return real(patches, mask, params, cfg)
 
-    monkeypatch.setattr(pipeline, "forward_reconstruct", spy)
+    monkeypatch.setattr(pipeline, "forward_reconstruct_gray", spy)
     return seen
 
 

@@ -74,6 +74,17 @@ def test_standardize_constant_variate_with_inexact_mean_is_degenerate(v):
     assert stats.degenerate.tolist() == [True, False]
     assert np.all(tr2.values[0] == 0.0) and np.all(va2.values[0] == 0.0)
 
+
+@pytest.mark.parametrize("v", [0.1, 1 / 3, -1.3420444532864415])
+def test_destandardize_flagged_variate_is_exact_constant(v):
+    # the rounded mean of 100 copies of v is not v; the stored mean must be
+    tr = MultivariateSeries(np.stack([np.full(100, v), np.arange(100.0)]))
+    tr2, _, te2, stats = standardize_by_train(tr, tr, tr)
+    assert stats.mean[0] == v
+    assert np.all(destandardize(tr2, stats).values[0] == v)
+    assert np.all(destandardize(te2, stats).values[0] == v)
+
+
 def test_standardize_invertible():
     rng = np.random.default_rng(0)
     tr = MultivariateSeries(rng.normal(2.0, 3.0, size=(3, 50)))
