@@ -7,6 +7,7 @@ stderr; stdout carries machine-readable summaries only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from . import dataio, evaluation, imaging, models, pipeline, series, training
-from .errors import ShapeMismatchError, TsimgError
+from .errors import EmptyResultError, ParseError, ShapeMismatchError, TsimgError
 from .models import ModelConfig, init_params
 from .training import TrainConfig, train
 
@@ -189,15 +190,14 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _load_forecast_windows(args, task_name: str):
-    """Standardized per-variate train/val/test windows from an ETT CSV."""
-    mts = dataio.load_ett_csv(args.input)
-    tr, va, te, stats = series.standardize_by_train(
-        *series.chronological_split(mts))
+def _load_forecast_windows(path: str, lookback: int, horizon: int):
+    """Standardized train/val/test (d, H) windows of an ETT CSV, and d."""
+    mts = dataio.load_ett_csv(path)
+    tr, va, te, _ = series.standardize_by_train(*series.chronological_split(mts))
     def windows(split):
         try:
-            return series.slide_windows(split, args.lookback, args.horizon)
-        except TsimgError:
+            return series.slide_windows(split, lookback, horizon)
+        except EmptyResultError:
             return []
     return (windows(tr), windows(va), windows(te)), mts.d
 
@@ -209,18 +209,18 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     args.seed = seed
     _write_run_metadata(out_dir, args)
-    epochs = args.epochs if args.epochs else (30 if task == "classify" else 20)
-    patience = args.patience if args.patience else (8 if task == "classify" else 3)
-    tc = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                     max_epochs=epochs, patience=patience, seed=seed)
+    given = {k: v for k, v in (("max_epochs", args.epochs), ("patience", args.patience))
+             if v is not None}
+    make_tc = TrainConfig.for_classification if task == "classify" else TrainConfig
+    tc = make_tc(learning_rate=args.lr, batch_size=args.batch_size, seed=seed, **given)
+    cfg = ModelConfig(arch=args.arch, task=task, image_size=args.image_size,
+                      patch_size=args.patch_size, embed_dim=args.embed_dim,
+                      num_heads=args.heads)
 
     if task == "classify":
         raw = dataio.load_labeled_windows_csv(args.input, d=args.d)
-        n_classes = max(w.class_label for w in raw) + 1
-        cfg = ModelConfig(arch=args.arch, task=task, image_size=args.image_size,
-                          patch_size=args.patch_size, embed_dim=args.embed_dim,
-                          num_heads=args.heads, num_classes=n_classes,
-                          num_variates=1 if args.imaging == "mvh" else args.d)
+        cfg = dataclasses.replace(cfg, num_classes=max(w.class_label for w in raw) + 1,
+                                  num_variates=1 if args.imaging == "mvh" else args.d)
         samples = [pipeline.build_classify_sample(w, args.imaging, cfg, L=args.seg_len)
                    for w in raw]
         rng = np.random.default_rng(seed)
@@ -230,26 +230,20 @@ def cmd_train(args) -> int:
         train_s = [samples[i] for i in order[:n_train]]
         val_s = [samples[i] for i in order[n_train:n_train + n_val]]
     else:
-        (tr_w, va_w, te_w), d = _load_forecast_windows(args, task)
+        (tr_w, va_w, _), d = _load_forecast_windows(args.input, args.lookback, args.horizon)
         if not tr_w or not va_w:
             raise TsimgError("input series too short for the requested windows")
-        horizon = args.horizon * (d if args.imaging == "mvh" else 1)
-        cfg = ModelConfig(arch=args.arch, task=task, image_size=args.image_size,
-                          patch_size=args.patch_size, embed_dim=args.embed_dim,
-                          num_heads=args.heads,
-                          horizon=args.horizon if task == "forecast_reconstruct" else horizon)
-        train_s, val_s = [], []
-        for source, dest in ((tr_w, train_s), (va_w, val_s)):
-            for w in source:
-                dest.extend(_forecast_samples(w, args, cfg, task))
+        # the linear head of an MVH window forecasts all d variates at once
+        flat = task == "forecast_linear" and args.imaging == "mvh"
+        cfg = dataclasses.replace(cfg, horizon=args.horizon * (d if flat else 1))
+        def samples(wins):
+            return [s for w in wins
+                    for s in pipeline.forecast_samples(w, args.imaging, cfg, args.seg_len)]
+        train_s, val_s = samples(tr_w), samples(va_w)
     params = init_params(cfg, seed=seed)
     params, history = train(cfg, params, train_s, val_s, tc)
     dataio.save_checkpoint(params, str(out_dir / "checkpoint.bin"))
-    meta = {"model": {"arch": cfg.arch, "task": cfg.task,
-                      "image_size": cfg.image_size, "patch_size": cfg.patch_size,
-                      "embed_dim": cfg.embed_dim, "num_heads": cfg.num_heads,
-                      "horizon": cfg.horizon, "num_classes": cfg.num_classes,
-                      "num_variates": cfg.num_variates},
+    meta = {"model": dataclasses.asdict(cfg),
             "imaging": args.imaging, "seg_len": args.seg_len,
             "lookback": args.lookback, "horizon": args.horizon,
             "d": args.d, "seed": seed}
@@ -260,25 +254,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _forecast_samples(w, args, cfg: ModelConfig, task: str):
-    if args.imaging == "mvh":
-        if task == "forecast_reconstruct":
-            return [pipeline.build_reconstruct_sample_mvh(w.lookback, w.target, cfg)]
-        return [models.ForecastSample(
-            patches=pipeline.patchify(
-                pipeline.align_image(imaging.mvh(series.MultivariateSeries(w.lookback)), cfg),
-                cfg.patch_size).patches,
-            target=w.target.reshape(-1))]
-    out = []
-    for v in range(w.lookback.shape[0]):
-        lb, tg = w.lookback[v], w.target[v]
-        if task == "forecast_reconstruct":
-            seg = args.seg_len or imaging.detect_period(lb).chosen_L
-            out.append(pipeline.build_reconstruct_sample(lb, tg, seg, cfg))
-        else:
-            out.append(pipeline.build_linear_sample(lb, tg, args.imaging, cfg,
-                                                    L=args.seg_len))
-    return out
+RUN_FIELDS = ("model", "imaging", "seg_len", "lookback", "horizon", "d")
+
+
+def _read_run_config(path: Path) -> tuple[dict, ModelConfig]:
+    """A run's config.json and its ModelConfig. The file comes from outside
+    the program, so a malformed one raises ParseError."""
+    try:
+        meta = json.loads(path.read_text())
+        if not isinstance(meta, dict):
+            raise ParseError(f"{path}: not a JSON object")
+        missing = [k for k in RUN_FIELDS if k not in meta]
+        if missing:
+            raise ParseError(f"{path}: missing field(s) {', '.join(missing)}")
+        return meta, ModelConfig(**meta["model"])
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise ParseError(f"{path}: malformed run config: {e}") from e
 
 
 def _check_checkpoint(params: dict, cfg: ModelConfig) -> None:
@@ -296,13 +287,8 @@ def _check_checkpoint(params: dict, cfg: ModelConfig) -> None:
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
-    meta = json.loads((run_dir / "config.json").read_text())
+    meta, cfg = _read_run_config(run_dir / "config.json")
     params = dataio.load_checkpoint(str(run_dir / "checkpoint.bin"))
-    m = meta["model"]
-    cfg = ModelConfig(arch=m["arch"], task=m["task"], image_size=m["image_size"],
-                      patch_size=m["patch_size"], embed_dim=m["embed_dim"],
-                      num_heads=m["num_heads"], horizon=m["horizon"],
-                      num_classes=m["num_classes"], num_variates=m["num_variates"])
     _check_checkpoint(params, cfg)
     seed = _seed_of(args)
     mode = (evaluation.PerturbMode(PERTURB_FLAGS[args.perturb], seed=seed)
@@ -328,40 +314,16 @@ def cmd_eval(args) -> int:
         rows.append({"experiment_id": "eval", "accuracy": repr(acc)})
         print(f"eval accuracy={acc!r} perturb={args.perturb}")
     else:
-        ns = argparse.Namespace(input=args.input, lookback=meta["lookback"],
-                                horizon=meta["horizon"])
-        (tr_w, va_w, te_w), d = _load_forecast_windows(ns, cfg.task)
+        (_, va_w, te_w), _ = _load_forecast_windows(args.input, meta["lookback"],
+                                                    meta["horizon"])
         wins = te_w if args.split == "test" else va_w
         if not wins:
             raise TsimgError("no evaluation windows for this split")
-        preds, truths = [], []
-        for w in wins:
-            lb = maybe_perturb(w.lookback)
-            if meta["imaging"] == "mvh":
-                if cfg.task == "forecast_reconstruct":
-                    pred = pipeline.predict_forecast_mvh(lb, meta["horizon"], params, cfg)
-                else:
-                    seq = pipeline.patchify(
-                        pipeline.align_image(imaging.mvh(series.MultivariateSeries(lb)), cfg),
-                        cfg.patch_size)
-                    pred = models.predict_linear(seq.patches, params, cfg).reshape(
-                        d, meta["horizon"])
-                preds.append(pred)
-                truths.append(w.target)
-            else:
-                for v in range(lb.shape[0]):
-                    if cfg.task == "forecast_reconstruct":
-                        seg = meta["seg_len"] or imaging.detect_period(lb[v]).chosen_L
-                        preds.append(pipeline.predict_forecast(
-                            lb[v], seg, meta["horizon"], params, cfg))
-                    else:
-                        preds.append(models.predict_linear(
-                            pipeline.build_linear_sample(
-                                lb[v], w.target[v], meta["imaging"], cfg,
-                                L=meta["seg_len"]).patches, params, cfg))
-                    truths.append(w.target[v])
-        pred = np.stack(preds)
-        truth = np.stack(truths)
+        pred = np.stack([pipeline.forecast_window(maybe_perturb(w.lookback), meta["imaging"],
+                                                  meta["horizon"], params, cfg,
+                                                  seg_len=meta["seg_len"])
+                         for w in wins])
+        truth = np.stack([w.target for w in wins])
         mse = evaluation.metric_mse(pred, truth)
         mae = evaluation.metric_mae(pred, truth)
         rows.append({"experiment_id": "eval", "mse": repr(mse), "mae": repr(mae)})

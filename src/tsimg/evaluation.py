@@ -5,20 +5,21 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     DivByZeroError,
+    EmptyResultError,
     NonIntegerSegmentError,
     NonPositiveError,
     ShapeMismatchError,
     TooShortError,
 )
 from .models import ModelConfig, init_params
-from .pipeline import build_reconstruct_sample, predict_forecast
-from .series import MultivariateSeries, gen_periodic
+from .pipeline import build_reconstruct_sample, predict_forecast, uvh_seg_len
+from .series import MultivariateSeries, chronological_split, gen_periodic, slide_windows
 from .training import TrainConfig, train
 
 
@@ -167,20 +168,15 @@ class SweepResult:
 
 
 def _split_windows(task: ForecastTask):
-    """Chronological train/val/test window lists of (lookback, target)."""
-    x = np.asarray(task.series, dtype=np.float64)
-    T = x.size
-    n_train = int(T * task.ratios[0])
-    n_val = int(T * task.ratios[1])
-    blocks = (x[:n_train], x[n_train:n_train + n_val], x[n_train + n_val:])
+    """Chronological train/val/test lists of 1-D (lookback, target) pairs;
+    a block too short for one window gives []."""
     out = []
-    for b in blocks:
-        wins = []
-        limit = b.size - task.lookback - task.horizon
-        for s in range(0, limit + 1, task.stride):
-            wins.append((b[s:s + task.lookback],
-                         b[s + task.lookback:s + task.lookback + task.horizon]))
-        out.append(wins)
+    for block in chronological_split(MultivariateSeries(task.series), task.ratios):
+        try:
+            wins = slide_windows(block, task.lookback, task.horizon, task.stride)
+        except EmptyResultError:
+            wins = []
+        out.append([(w.lookback[0], w.target[0]) for w in wins])
     return out
 
 
@@ -192,26 +188,14 @@ def _train_eval_reconstruct(task: ForecastTask, seg_len: int,
     train_w, val_w, test_w = _split_windows(task)
     if not train_w or not val_w or not test_w:
         raise ShapeMismatchError("task series too short for the requested windows")
-    cfg = ModelConfig(arch=model_cfg.arch, task="forecast_reconstruct",
-                      image_size=model_cfg.image_size,
-                      patch_size=model_cfg.patch_size,
-                      embed_dim=model_cfg.embed_dim,
-                      num_heads=model_cfg.num_heads,
-                      horizon=task.horizon)
+    cfg = replace(model_cfg, task="forecast_reconstruct", horizon=task.horizon)
     train_s = [build_reconstruct_sample(lb, tg, seg_len, cfg) for lb, tg in train_w]
     val_s = [build_reconstruct_sample(lb, tg, seg_len, cfg) for lb, tg in val_w]
     params = init_params(cfg, seed=seed)
-    tc = TrainConfig(learning_rate=train_cfg.learning_rate,
-                     batch_size=train_cfg.batch_size,
-                     max_epochs=train_cfg.max_epochs,
-                     patience=train_cfg.patience, seed=seed)
-    params, _ = train(cfg, params, train_s, val_s, tc)
-    preds, truths = [], []
-    for lb, tg in test_w:
-        preds.append(predict_forecast(lb, seg_len, task.horizon, params, cfg))
-        truths.append(tg)
-    pred = np.stack(preds)
-    truth = np.stack(truths)
+    params, _ = train(cfg, params, train_s, val_s, replace(train_cfg, seed=seed))
+    pred = np.stack([predict_forecast(lb, seg_len, task.horizon, params, cfg)
+                     for lb, _ in test_w])
+    truth = np.stack([tg for _, tg in test_w])
     return metric_mse(pred, truth), metric_mae(pred, truth)
 
 
@@ -260,16 +244,12 @@ def lookback_sweep(task: ForecastTask, model_cfg: ModelConfig,
         raise ShapeMismatchError("lengths must be increasing")
     axis, mses, maes, secs, skipped = [], [], [], [], []
     for idx, H in enumerate(lengths):
-        sub = ForecastTask(series=task.series, lookback=H, horizon=task.horizon,
-                           ratios=task.ratios, stride=task.stride)
+        sub = replace(task, lookback=H)
         splits = _split_windows(sub)
         if any(not w for w in splits):
             skipped.append((H, "series too short for this look-back length"))
             continue
-        seg = seg_len
-        if seg is None:
-            from .imaging import detect_period
-            seg = detect_period(np.asarray(task.series)[:H]).chosen_L
+        seg = uvh_seg_len(np.asarray(task.series)[:H], seg_len)
         t0 = time.perf_counter()
         mse, mae = _train_eval_reconstruct(sub, seg, model_cfg, train_cfg,
                                            seed=train_cfg.seed ^ idx)

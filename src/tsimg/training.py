@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyMaskError, LabelOutOfRangeError, ShapeMismatchError
+from .errors import EmptyMaskError, LabelOutOfRangeError, NonPositiveError, ShapeMismatchError
 from .models import ModelConfig, ParamSet, backward, batch_loss, predict_class
 
 ADAM_BETA1 = 0.9
@@ -24,6 +24,10 @@ class TrainConfig:
     max_epochs: int = 20
     patience: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.batch_size, self.max_epochs, self.patience) < 1:
+            raise NonPositiveError("batch_size, max_epochs and patience must be >= 1")
 
     @classmethod
     def for_classification(cls, **kw) -> "TrainConfig":

@@ -184,3 +184,101 @@ def test_seed_env_default(ett_csv, tmp_path, monkeypatch):
     assert rc == 0
     meta = json.loads((tmp_path / "run" / "config.json").read_text())
     assert meta["seed"] == 17
+
+
+# --- forecast runs through both layouts and both frameworks ---------------
+
+@pytest.fixture
+def ett_csv2(tmp_path):
+    a = gen_periodic(12, 400, "composite", seed=0, noise_std=0.02)
+    b = 2.0 * gen_periodic(8, 400, "sine", seed=1, noise_std=0.02) + 1.0
+    lines = ["date,a,b"] + [f"t{i},{float(u)!r},{float(v)!r}"
+                            for i, (u, v) in enumerate(zip(a, b))]
+    p = tmp_path / "series2.csv"
+    p.write_text("\n".join(lines) + "\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("task,imaging,horizon", [
+    ("forecast-linear", "mvh", 8),        # one head forecasts both variates
+    ("forecast-reconstruct", "mvh", 4),
+    ("forecast-reconstruct", "uvh", 4),
+])
+def test_train_then_eval_forecast_layouts(ett_csv2, tmp_path, capsys, task, imaging, horizon):
+    run = tmp_path / "run"
+    assert main(["train", "--task", task, "--imaging", imaging, "--arch", "minimae",
+                 "--input", ett_csv2, "--out", str(run), "--lookback", "24",
+                 "--horizon", "4", "--image-size", "16", "--patch-size", "8",
+                 "--embed-dim", "8", "--heads", "2", "--epochs", "2", "--seed", "0"]) == 0
+    model = json.loads((run / "config.json").read_text())["model"]
+    assert ModelConfig(**model) == ModelConfig(
+        arch="minimae", task=task.replace("-", "_"), image_size=16, patch_size=8,
+        embed_dim=8, num_heads=2, horizon=horizon)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--input", ett_csv2]) == 0
+    out = capsys.readouterr().out
+    mse = float(out.split("mse=")[1].split()[0])
+    assert np.isfinite(mse)
+
+
+# --- config.json comes from outside the program ---------------------------
+
+@pytest.mark.parametrize("text,why", [
+    ("{not json", "malformed run config: Expecting property name"),
+    ("\xff\xfe", "malformed run config: 'utf-8' codec"),
+    ('["model"]', "not a JSON object"),
+    ('{"imaging": "uvh", "seg_len": null, "lookback": 24, "horizon": 4, "d": 1}',
+     "missing field(s) model"),
+    ('{"model": {"arch": "wolvm"}, "imaging": "uvh", "lookback": 24, "horizon": 4, "d": 1}',
+     "missing field(s) seg_len"),
+    ('{"model": {"arch": "wolvm", "depth": 3}, "imaging": "uvh", "seg_len": null, '
+     '"lookback": 24, "horizon": 4, "d": 1}', "unexpected keyword argument 'depth'"),
+    ('{"model": [1], "imaging": "uvh", "seg_len": null, "lookback": 24, "horizon": 4, "d": 1}',
+     "malformed run config"),
+    ('{"model": {"patch_size": 0}, "imaging": "uvh", "seg_len": null, "lookback": 24, '
+     '"horizon": 4, "d": 1}', "malformed run config: integer modulo by zero"),
+], ids=["not-json", "not-utf8", "json-list", "no-model", "no-seg-len", "unknown-field",
+        "model-not-object", "zero-patch"])
+def test_eval_malformed_config_is_runtime_error(ett_csv, tmp_path, capsys, text, why):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "config.json").write_text(text, encoding="latin-1")
+    assert main(["eval", "--run", str(run), "--input", ett_csv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err
+
+
+# --- training defaults live in TrainConfig --------------------------------
+
+@pytest.mark.parametrize("task,imaging,flags,expected", [
+    ("forecast-linear", "uvh", [], (20, 3)),
+    ("forecast-reconstruct", "mvh", [], (20, 3)),
+    ("classify", "gaf", [], (30, 8)),
+    ("classify", "gaf", ["--epochs", "5"], (5, 8)),
+    ("forecast-linear", "uvh", ["--patience", "1"], (20, 1)),
+])
+def test_train_config_defaults(ett_csv, labeled_csv, tmp_path, monkeypatch,
+                               task, imaging, flags, expected):
+    import tsimg.cli as cli
+    from tsimg.training import EpochRecord
+    seen = []
+
+    def spy(model_cfg, params, train_data, val_data, tc):
+        seen.append((tc.max_epochs, tc.patience))
+        return params, [EpochRecord(epoch=0, train_loss=1.0, val_metric=1.0, seconds=0.0)]
+
+    monkeypatch.setattr(cli, "train", spy)
+    data = labeled_csv if task == "classify" else ett_csv
+    assert main(["train", "--task", task, "--imaging", imaging, "--arch", "wolvm",
+                 "--input", data, "--out", str(tmp_path / "run"), "--lookback", "24",
+                 "--horizon", "4", "--seg-len", "12", "--image-size", "16",
+                 "--patch-size", "8", "--embed-dim", "8", "--heads", "2", *flags]) == 0
+    assert seen == [expected]
+
+
+def test_train_zero_epochs_is_runtime_error(ett_csv, tmp_path, capsys):
+    assert main(["train", "--task", "forecast-linear", "--imaging", "uvh",
+                 "--arch", "wolvm", "--input", ett_csv, "--out", str(tmp_path / "run"),
+                 "--lookback", "24", "--horizon", "4", "--image-size", "16",
+                 "--embed-dim", "8", "--heads", "2", "--epochs", "0"]) == 1
+    assert "max_epochs" in capsys.readouterr().err

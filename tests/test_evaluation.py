@@ -201,3 +201,17 @@ def test_lookback_sweep_skips_too_long_lengths():
     assert res.skipped == [(200, "series too short for this look-back length")]
     assert len(res.mse) == len(res.mae) == 1
     assert np.all(np.isfinite(res.mse + res.mae))
+
+
+@pytest.mark.parametrize("ratios", [(0.5, 0.1, 0.2), (0.7, 0.2, 0.2)])
+def test_forecast_task_ratios_must_sum_to_one(ratios):
+    task = ForecastTask(series=np.arange(100.0), lookback=5, horizon=2, ratios=ratios)
+    with pytest.raises(ShapeMismatchError, match="sum to 1"):
+        _split_windows(task)
+
+
+def test_split_windows_short_block_is_empty():
+    # 100 steps: the 10-step val block cannot hold a 12-step window
+    tr, va, te = _split_windows(ForecastTask(series=np.arange(100.0), lookback=8,
+                                             horizon=4, stride=3))
+    assert va == [] and len(tr) == (70 - 12) // 3 + 1 and len(te) == (20 - 12) // 3 + 1

@@ -11,8 +11,8 @@ from tsimg.alignment import (
     unpatchify,
 )
 from tsimg.errors import HorizonTooLongError, RoutingError, ShapeMismatchError
-from tsimg.imaging import GrayImage, uvh_inverse
-from tsimg.models import ModelConfig, forward_reconstruct, init_params
+from tsimg.imaging import GrayImage, detect_period, uvh_inverse
+from tsimg.models import ModelConfig, forward_reconstruct, init_params, predict_linear
 from tsimg.pipeline import (
     build_classify_sample,
     build_linear_sample,
@@ -281,3 +281,76 @@ def test_build_reconstruct_sample_flat_lookback_target_in_raw_units(v):
     assert np.all(s.patches == 0.0)
     assert np.max(np.abs(s.target_patches)) <= 1.0 + 1e-9
     assert np.max(s.target_patches[s.mask_rows]) > 0.5
+
+
+# --- one forecast window: its samples and its forecast -------------------
+
+def _window_cfg(task, method, d=3, horizon=6):
+    # the linear head of an MVH window forecasts all d variates at once
+    flat = task == "forecast_linear" and method == "mvh"
+    return ModelConfig(arch="minimae", task=task, image_size=16, patch_size=8,
+                       embed_dim=8, num_heads=2, horizon=horizon * (d if flat else 1))
+
+
+def _window(d=3, H=48, horizon=6):
+    rng = np.random.default_rng(7)
+    x = np.stack([gen_periodic(12, H + horizon, "composite", seed=v, noise_std=0.1)
+                  for v in range(d)]) + rng.normal(size=(d, 1))
+    return WindowSample(lookback=x[:, :H], target=x[:, H:])
+
+
+@pytest.mark.parametrize("task", ["forecast_linear", "forecast_reconstruct"])
+@pytest.mark.parametrize("method", ["uvh", "mvh"])
+@pytest.mark.parametrize("seg_len", [None, 12])
+def test_forecast_samples_match_builders(task, method, seg_len):
+    w, cfg = _window(), _window_cfg(task, method)
+    got = pipeline.forecast_samples(w, method, cfg, seg_len)
+    if method == "mvh":
+        want = ([build_reconstruct_sample_mvh(w.lookback, w.target, cfg)]
+                if task == "forecast_reconstruct"
+                else [build_linear_sample(w.lookback, w.target.reshape(-1), "mvh", cfg)])
+    elif task == "forecast_reconstruct":
+        want = [build_reconstruct_sample(lb, tg, seg_len or detect_period(lb).chosen_L, cfg)
+                for lb, tg in zip(w.lookback, w.target)]
+    else:
+        want = [build_linear_sample(lb, tg, method, cfg, L=seg_len)
+                for lb, tg in zip(w.lookback, w.target)]
+    assert len(got) == (1 if method == "mvh" else 3)
+    for g, s in zip(got, want):
+        assert g.patches.shape == (cfg.n_patches, cfg.patch_dim)
+        assert vars(g).keys() == vars(s).keys()
+        assert all(np.array_equal(vars(g)[k], vars(s)[k]) for k in vars(s))
+    if task == "forecast_linear":
+        assert all(g.target.shape == (cfg.horizon,) for g in got)
+
+
+@pytest.mark.parametrize("task", ["forecast_linear", "forecast_reconstruct"])
+@pytest.mark.parametrize("method", ["uvh", "mvh"])
+@pytest.mark.parametrize("seg_len", [None, 12])
+def test_forecast_window_matches_predict_paths(task, method, seg_len):
+    w, cfg = _window(), _window_cfg(task, method)
+    params = init_params(cfg, 3)
+    got = pipeline.forecast_window(w.lookback, method, 6, params, cfg, seg_len)
+    if task == "forecast_reconstruct":
+        want = (predict_forecast_mvh(w.lookback, 6, params, cfg) if method == "mvh" else
+                np.stack([predict_forecast(lb, seg_len or detect_period(lb).chosen_L, 6,
+                                           params, cfg) for lb in w.lookback]))
+    else:
+        want = np.stack([predict_linear(s.patches, params, cfg) for s in
+                         pipeline.forecast_samples(w, method, cfg, seg_len)]).reshape(3, 6)
+    assert got.shape == (3, 6) and np.all(np.isfinite(got))
+    assert np.array_equal(got, want)
+
+
+def test_forecast_window_routes_gaf_linear_per_variate():
+    w, cfg = _window(), _window_cfg("forecast_linear", "gaf")
+    assert pipeline.forecast_window(w.lookback, "gaf", 6, init_params(cfg, 0), cfg).shape == (3, 6)
+    assert len(pipeline.forecast_samples(w, "gaf", cfg)) == 3
+
+
+def test_forecast_window_rejects_reconstruct_on_gaf():
+    w, cfg = _window(), _window_cfg("forecast_reconstruct", "gaf")
+    with pytest.raises(RoutingError):
+        pipeline.forecast_samples(w, "gaf", cfg)
+    with pytest.raises(RoutingError):
+        pipeline.forecast_window(w.lookback, "gaf", 6, init_params(cfg, 0), cfg)

@@ -1,6 +1,7 @@
 """Property tests for the alignment and imaging contracts: resize range
 and bitwise agreement with the reference formula, exact round trips, a
-non-empty forecast mask, and the flat-spectrum threshold."""
+non-empty forecast mask, the flat-spectrum threshold, and the sweep
+windows against the explicit slice formula."""
 
 import math
 
@@ -16,6 +17,7 @@ from tsimg.alignment import (
     resize_bilinear,
     unpatchify,
 )
+from tsimg.evaluation import ForecastTask, _split_windows
 from tsimg.imaging import GrayImage, detect_period, uvh, uvh_inverse
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -92,3 +94,30 @@ def test_detect_period_flat_threshold(c, T, data):
     ripple = np.cos(2 * np.pi * f * np.arange(T) / T)
     assert detect_period(c + 1e-12 * ripple).degenerate
     assert not detect_period(c + 1e-6 * ripple).degenerate
+
+
+def reference_split_windows(x, lookback, horizon, stride, ratios):
+    """The explicit slice formula: chronological blocks, then every
+    stride-th window that fits inside its block."""
+    n_train, n_val = int(x.size * ratios[0]), int(x.size * ratios[1])
+    out = []
+    for b in (x[:n_train], x[n_train:n_train + n_val], x[n_train + n_val:]):
+        out.append([(b[s:s + lookback], b[s + lookback:s + lookback + horizon])
+                    for s in range(0, b.size - lookback - horizon + 1, stride)])
+    return out
+
+
+@given(st.integers(1, 400), st.integers(1, 80), st.integers(0, 40), st.integers(1, 25),
+       st.sampled_from([(0.7, 0.1, 0.2), (0.6, 0.2, 0.2), (0.5, 0.25, 0.25)]),
+       st.integers(0, 2**32 - 1))
+def test_split_windows_equals_slice_formula(T, lookback, horizon, stride, ratios, seed):
+    x = np.random.default_rng(seed).normal(size=T)
+    task = ForecastTask(series=x, lookback=lookback, horizon=horizon,
+                        ratios=ratios, stride=stride)
+    got = _split_windows(task)
+    want = reference_split_windows(x, lookback, horizon, stride, ratios)
+    assert [len(w) for w in got] == [len(w) for w in want]
+    for g_block, w_block in zip(got, want):
+        for (g_lb, g_tg), (w_lb, w_tg) in zip(g_block, w_block):
+            assert g_lb.dtype == g_tg.dtype == np.float64
+            assert np.array_equal(g_lb, w_lb) and np.array_equal(g_tg, w_tg)

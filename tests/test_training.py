@@ -6,6 +6,7 @@ import pytest
 from tsimg.errors import (
     EmptyMaskError,
     LabelOutOfRangeError,
+    NonPositiveError,
     ShapeMismatchError,
 )
 from tsimg.training import (
@@ -133,3 +134,11 @@ def test_train_config_presets():
     tc = TrainConfig.for_classification()
     assert tc.max_epochs == 30 and tc.patience == 8
     assert TrainConfig().max_epochs == 20 and TrainConfig().patience == 3
+
+
+@pytest.mark.parametrize("field", ["batch_size", "max_epochs", "patience"])
+def test_train_config_rejects_non_positive(field):
+    with pytest.raises(NonPositiveError):
+        TrainConfig(**{field: 0})
+    with pytest.raises(NonPositiveError):
+        TrainConfig.for_classification(**{field: 0})
