@@ -10,11 +10,7 @@ import numpy as np
 
 from tsimg.evaluation import ForecastTask, _split_windows, metric_mae, metric_mse
 from tsimg.models import ModelConfig, init_params, predict_linear
-from tsimg.pipeline import (
-    build_linear_sample,
-    build_reconstruct_sample,
-    predict_forecast,
-)
+from tsimg.pipeline import build_linear_sample, build_reconstruct_samples, predict_forecasts
 from tsimg.series import gen_periodic
 from tsimg.training import TrainConfig, train
 
@@ -42,13 +38,15 @@ print(f"linear head:     MSE {metric_mse(pred_c, truth):.2e}  "
 cfg_d = ModelConfig(arch="minimae", task="forecast_reconstruct",
                     image_size=32, patch_size=8, embed_dim=32, num_heads=4,
                     horizon=HORIZON)
+# every window shares one segment length, so each split is one stacked call
+stacks = [(np.stack([lb for lb, _ in w]), np.stack([tg for _, tg in w]))
+          for w in (tr_w, va_w, te_w)]
 params = init_params(cfg_d, 0)
 params, _ = train(cfg_d, params,
-                  [build_reconstruct_sample(lb, tg, L, cfg_d) for lb, tg in tr_w],
-                  [build_reconstruct_sample(lb, tg, L, cfg_d) for lb, tg in va_w],
+                  build_reconstruct_samples(*stacks[0], L, cfg_d),
+                  build_reconstruct_samples(*stacks[1], L, cfg_d),
                   TrainConfig(learning_rate=3e-3, batch_size=16,
                               max_epochs=150, patience=150, seed=0))
-pred_d = np.stack([predict_forecast(lb, L, HORIZON, params, cfg_d)
-                   for lb, _ in te_w])
+pred_d = predict_forecasts(stacks[2][0], L, HORIZON, params, cfg_d)
 print(f"reconstruction:  MSE {metric_mse(pred_d, truth):.2e}  "
       f"MAE {metric_mae(pred_d, truth):.2e}")

@@ -1,9 +1,17 @@
 """Input alignment: bilinear resize, per-image standardization, 3-channel
-replication, patchification, and the forecast mask layout."""
+replication, patchification, and the forecast mask layout.
+
+Resize, standardization and gray patchification work on (n, H, W) stacks
+of images that share one shape (:func:`resize_stack`,
+:func:`standardize_stack`, :func:`patchify_stack`);
+:func:`resize_bilinear` and :func:`standardize_image` are their n = 1
+wrappers on a :class:`GrayImage`.
+"""
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,49 +76,84 @@ def _axis_plan(n_out: int, n_in: int) -> tuple[np.ndarray, ...]:
     return plan
 
 
-def resize_bilinear(img: GrayImage, out_h: int, out_w: int) -> GrayImage:
-    """Bilinear resize with the half-pixel-center convention
+def resize_stack(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize of an (n, H, W) stack of images to (n, out_h, out_w),
+    with the half-pixel-center convention
     src = (dst + 0.5) * (in / out) - 0.5, clamped at the borders.
 
     Separable: columns are interpolated on every input row, then rows on
     that result. Each axis's sample positions and weights depend only on
-    (out, in) and come from a bounded cache. The output is clamped to the
-    input's [min, max], since rounding in a * (1 - f) + b * f can step
-    1 ulp outside it: a constant image stays exactly constant. Same-size
-    resize is an exact identity.
+    (out, in) and come from a bounded cache. Each output image is clamped
+    to its input's [min, max], since rounding in a * (1 - f) + b * f can
+    step 1 ulp outside it: a constant image stays exactly constant.
+    Same-size resize is an exact identity.
     """
     if out_h < 1 or out_w < 1:
         raise ShapeMismatchError("output size must be >= 1")
-    src = img.pixels
-    in_h, in_w = src.shape
+    _, in_h, in_w = src.shape
     if (out_h, out_w) == (in_h, in_w):
-        return GrayImage(src.copy())
+        return src.copy()
     r0, r1, rf, rg = _axis_plan(out_h, in_h)
     c0, c1, cf, cg = _axis_plan(out_w, in_w)
-    cols = src[:, c0] * cg + src[:, c1] * cf                    # (in_h, out_w)
-    out = cols[r0] * rg[:, None] + cols[r1] * rf[:, None]
-    np.minimum(np.maximum(out, src.min(), out=out), src.max(), out=out)
-    return GrayImage(out)
+    # np.take keeps every array C-contiguous, as standardize_stack's
+    # per-image reductions need; each product is formed in place
+    cols = _lerp(np.take(src, c0, axis=2), np.take(src, c1, axis=2), cg, cf)
+    out = _lerp(np.take(cols, r0, axis=1), np.take(cols, r1, axis=1),
+                rg[:, None], rf[:, None])
+    np.maximum(out, src.min(axis=(1, 2), keepdims=True), out=out)
+    return np.minimum(out, src.max(axis=(1, 2), keepdims=True), out=out)
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """a * wa + b * wb, computed in a's and b's buffers."""
+    a *= wa
+    b *= wb
+    a += b
+    return a
+
+
+def resize_bilinear(img: GrayImage, out_h: int, out_w: int) -> GrayImage:
+    """:func:`resize_stack` of one image."""
+    return GrayImage(resize_stack(img.pixels[None], out_h, out_w)[0])
+
+
+def standardize_stack(stack: np.ndarray):
+    """Zero-mean, unit-std (population) standardization of each image of an
+    (n, H, W) stack; returns (standardized, mean, std, degenerate), the
+    last three of shape (n,).
+
+    A degenerate image is a constant one: it becomes all zeros, its std
+    reads 0 and its degenerate flag is set. Constancy is read from the
+    pixel range, not from the std alone, because the rounded mean of a
+    constant image can differ from the constant and leave a tiny nonzero
+    std. A std that underflows to 0 is degenerate too. The stack is made
+    C-contiguous first, so each image is reduced on its own as one run of
+    H * W pixels, and its mean and std are bitwise those of the image
+    standardized alone.
+    """
+    stack = np.ascontiguousarray(stack)
+    n = stack.shape[0]
+    flat = stack.reshape(n, -1)
+    size = flat.shape[1]
+    mu = flat.sum(axis=1) / size
+    c = stack - mu[:, None, None]          # centred once for the std and the result
+    sigma = np.sqrt((c * c).reshape(n, -1).sum(axis=1) / size)
+    degenerate = (sigma == 0.0) | (flat.max(axis=1) == flat.min(axis=1))
+    if degenerate.any():
+        sigma[degenerate] = 0.0
+        c[degenerate] = 0.0
+        c /= np.where(degenerate, 1.0, sigma)[:, None, None]
+    else:
+        c /= sigma[:, None, None]
+    return c, mu, sigma, degenerate
 
 
 def standardize_image(img: GrayImage) -> GrayImage:
-    """Zero-mean, unit-std (population) standardization of a whole image.
-
-    A degenerate image is a constant one: it becomes all zeros with
-    meta["degenerate"] set. Constancy is read from the pixel range, not
-    from the std alone, because the rounded mean of a constant image can
-    differ from the constant and leave a tiny nonzero std. A std that
-    underflows to 0 is degenerate too.
-    """
-    p = img.pixels
-    mu = p.mean()
-    c = p - mu                    # centred once for the std and the result
-    sigma = np.sqrt((c * c).sum() / c.size)
-    if sigma == 0.0 or p.max() == p.min():
-        return GrayImage(np.zeros_like(p), meta={"degenerate": True,
-                                                 "mean": float(mu), "std": 0.0})
-    c /= sigma
-    return GrayImage(c, meta={"degenerate": False, "mean": float(mu), "std": float(sigma)})
+    """:func:`standardize_stack` of one image; meta holds "degenerate",
+    "mean" and "std"."""
+    std, mu, sigma, degenerate = standardize_stack(img.pixels[None])
+    return GrayImage(std[0], meta={"degenerate": bool(degenerate[0]),
+                                   "mean": float(mu[0]), "std": float(sigma[0])})
 
 
 def replicate_channels(img: GrayImage) -> AlignedImage:
@@ -144,6 +187,23 @@ def unpatchify(seq: PatchSequence) -> AlignedImage:
     if ch.shape[1] != ch.shape[2]:
         raise ShapeMismatchError("unpatchify produced a non-square image")
     return AlignedImage(channels=ch.copy(), source_size=(ch.shape[1], ch.shape[2]))
+
+
+def patchify_stack(stack: np.ndarray, P: int) -> np.ndarray:
+    """Cut each image of an (n, S, S) gray stack into P x P patches in
+    row-major order: (n, N, P * P), each patch row-major."""
+    n, S, _ = stack.shape
+    if S % P != 0:
+        raise IndivisiblePatchError(f"image size {S} not divisible by patch size {P}")
+    g = S // P
+    return stack.reshape(n, g, P, g, P).swapaxes(2, 3).reshape(n, g * g, P * P)
+
+
+def unpatchify_stack(patches: np.ndarray, P: int) -> np.ndarray:
+    """Exact inverse of :func:`patchify_stack`."""
+    n, N, _ = patches.shape
+    g = math.isqrt(N)
+    return patches.reshape(n, g, g, P, P).swapaxes(2, 3).reshape(n, g * P, g * P)
 
 
 def build_forecast_mask(lookback_cols: int, horizon_cols: int, S: int, P: int) -> ForecastMask:

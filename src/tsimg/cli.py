@@ -257,18 +257,33 @@ def cmd_train(args) -> int:
 RUN_FIELDS = ("model", "imaging", "seg_len", "lookback", "horizon", "d")
 
 
+def _is_count(v) -> bool:
+    """An int >= 1 that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def _read_run_config(path: Path) -> tuple[dict, ModelConfig]:
     """A run's config.json and its ModelConfig. The file comes from outside
     the program, so a malformed one raises ParseError."""
     try:
         meta = json.loads(path.read_text())
-        if not isinstance(meta, dict):
-            raise ParseError(f"{path}: not a JSON object")
-        missing = [k for k in RUN_FIELDS if k not in meta]
-        if missing:
-            raise ParseError(f"{path}: missing field(s) {', '.join(missing)}")
+    except ValueError as e:
+        raise ParseError(f"{path}: malformed run config: {e}") from e
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: not a JSON object")
+    missing = [k for k in RUN_FIELDS if k not in meta]
+    if missing:
+        raise ParseError(f"{path}: missing field(s) {', '.join(missing)}")
+    if not (isinstance(meta["imaging"], str) and meta["imaging"] in imaging.IMAGING_METHODS):
+        raise ParseError(f"{path}: imaging must be one of {', '.join(imaging.IMAGING_METHODS)}, "
+                         f"got {meta['imaging']!r}")
+    for k in ("seg_len", "lookback", "horizon", "d"):
+        if not (_is_count(meta[k]) or (k == "seg_len" and meta[k] is None)):
+            kind = "null or an int >= 1" if k == "seg_len" else "an int >= 1"
+            raise ParseError(f"{path}: {k} must be {kind}, got {meta[k]!r}")
+    try:
         return meta, ModelConfig(**meta["model"])
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, TsimgError) as e:
         raise ParseError(f"{path}: malformed run config: {e}") from e
 
 

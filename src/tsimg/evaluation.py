@@ -18,7 +18,7 @@ from .errors import (
     TooShortError,
 )
 from .models import ModelConfig, init_params
-from .pipeline import build_reconstruct_sample, predict_forecast, uvh_seg_len
+from .pipeline import build_reconstruct_samples, predict_forecasts, uvh_seg_len
 from .series import MultivariateSeries, chronological_split, gen_periodic, slide_windows
 from .training import TrainConfig, train
 
@@ -184,18 +184,21 @@ def _train_eval_reconstruct(task: ForecastTask, seg_len: int,
                             model_cfg: ModelConfig, train_cfg: TrainConfig,
                             seed: int) -> tuple[float, float]:
     """Train a framework-(d) forecaster with the given segment length and
-    return test (MSE, MAE) of the recovered forecasts."""
+    return test (MSE, MAE) of the recovered forecasts. Every window of the
+    cell shares one image geometry, so each split is built, and the test
+    split forecast, by one stacked call."""
     train_w, val_w, test_w = _split_windows(task)
     if not train_w or not val_w or not test_w:
         raise ShapeMismatchError("task series too short for the requested windows")
     cfg = replace(model_cfg, task="forecast_reconstruct", horizon=task.horizon)
-    train_s = [build_reconstruct_sample(lb, tg, seg_len, cfg) for lb, tg in train_w]
-    val_s = [build_reconstruct_sample(lb, tg, seg_len, cfg) for lb, tg in val_w]
+    (train_lb, train_tg), (val_lb, val_tg), (test_lb, truth) = (
+        (np.stack([lb for lb, _ in w]), np.stack([tg for _, tg in w]))
+        for w in (train_w, val_w, test_w))
+    train_s = build_reconstruct_samples(train_lb, train_tg, seg_len, cfg)
+    val_s = build_reconstruct_samples(val_lb, val_tg, seg_len, cfg)
     params = init_params(cfg, seed=seed)
     params, _ = train(cfg, params, train_s, val_s, replace(train_cfg, seed=seed))
-    pred = np.stack([predict_forecast(lb, seg_len, task.horizon, params, cfg)
-                     for lb, _ in test_w])
-    truth = np.stack([tg for _, tg in test_w])
+    pred = predict_forecasts(test_lb, seg_len, task.horizon, params, cfg)
     return metric_mse(pred, truth), metric_mae(pred, truth)
 
 

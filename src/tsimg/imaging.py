@@ -95,18 +95,24 @@ def detect_period(x: np.ndarray, top_k: int = 3) -> PeriodEstimate:
     return PeriodEstimate(top_periods=periods, chosen_L=periods[0])
 
 
-def uvh(x: np.ndarray, L: int) -> GrayImage:
-    """Univariate heatmap: left-pad to a multiple of L with the first
-    observed value, then stack length-L segments as columns."""
-    x = np.asarray(x, dtype=np.float64)
+def uvh_stack(X: np.ndarray, L: int) -> np.ndarray:
+    """Univariate heatmaps of the rows of an (n, T) stack: each row is
+    left-padded to a multiple of L with its first value, then its length-L
+    segments are stacked as columns, giving (n, L, ceil(T / L))."""
     if L < 1:
         raise InvalidLError(f"L must be >= 1, got {L}")
-    T = x.size
+    n, T = X.shape
     cols = -(-T // L)  # ceil
     pad = cols * L - T
-    padded = np.concatenate([np.full(pad, x[0]), x]) if pad else x
-    img = padded.reshape(cols, L).T
-    return GrayImage(img.copy(), meta={"pad": pad, "pad_value": float(x[0])})
+    padded = np.concatenate([np.repeat(X[:, :1], pad, axis=1), X], axis=1) if pad else X
+    return padded.reshape(n, cols, L).swapaxes(1, 2)
+
+
+def uvh(x: np.ndarray, L: int) -> GrayImage:
+    """:func:`uvh_stack` of one series."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    img = uvh_stack(x, L)[0]
+    return GrayImage(img.copy(), meta={"pad": img.size - x.size, "pad_value": float(x[0, 0])})
 
 
 def uvh_inverse(img: GrayImage, original_length: int) -> np.ndarray:

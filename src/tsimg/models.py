@@ -28,9 +28,10 @@ as body[mask]; their gradient is scattered back into zeros.
 
 Patches are three identical channels of one gray image (F = 3 * P * P).
 Training keeps all three. The forecast path runs forward_reconstruct_gray
-on the gray (N, P * P) patches: the channel copies are folded into the
-weights (embed_w's channel blocks summed, dec_w's and dec_b's averaged),
-which gives the channel mean of forward_reconstruct up to rounding.
+on the gray (n, N, P * P) patches of a forecast stack in one pass: the
+channel copies are folded into the weights (embed_w's channel blocks
+summed, dec_w's and dec_b's averaged), which gives the channel mean of
+forward_reconstruct up to rounding.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
     EmptyMaskError,
     LabelOutOfRangeError,
     NonFiniteLossError,
+    NonPositiveError,
     RoutingError,
     ShapeMismatchError,
 )
@@ -54,6 +56,8 @@ TASKS = ("classify", "forecast_linear", "forecast_reconstruct")
 
 LN_EPS = 1e-8
 PASS_SAMPLES = 64          # most samples batch_loss stacks into one pass
+SIZE_FIELDS = ("image_size", "patch_size", "embed_dim", "num_heads", "horizon",
+               "num_classes", "num_variates")
 
 ParamSet = dict  # name -> np.ndarray
 GradSet = dict
@@ -76,6 +80,9 @@ class ModelConfig:
             raise ShapeMismatchError(f"unknown arch {self.arch!r}")
         if self.task not in TASKS:
             raise ShapeMismatchError(f"unknown task {self.task!r}")
+        small = [f"{k}={getattr(self, k)!r}" for k in SIZE_FIELDS if getattr(self, k) < 1]
+        if small:
+            raise NonPositiveError(f"ModelConfig sizes must be >= 1, got {', '.join(small)}")
         if self.image_size % self.patch_size != 0:
             raise ShapeMismatchError("image_size must be divisible by patch_size")
         if self.embed_dim % self.num_heads != 0:
@@ -343,14 +350,15 @@ def forward_reconstruct(seq: PatchSequence, mask: ForecastMask, params: ParamSet
 
 def forward_reconstruct_gray(patches: np.ndarray, mask: ForecastMask, params: ParamSet,
                              cfg: ModelConfig) -> np.ndarray:
-    """:func:`forward_reconstruct` on the (N, P*P) patches of one gray image.
+    """:func:`forward_reconstruct` on the (..., N, P*P) patches of gray
+    images that share one mask, as one stacked pass.
 
     Equal, up to rounding, to replicating each patch into three identical
     channels, running forward_reconstruct and averaging the three output
-    channels. The copies are folded into the weights on each call instead:
-    the embedding uses the sum of embed_w's three channel blocks and the
-    decoder the mean of dec_w's and dec_b's, so a third of the columns are
-    embedded and decoded.
+    channels. The copies are folded into the weights once per call
+    instead: the embedding uses the sum of embed_w's three channel blocks
+    and the decoder the mean of dec_w's and dec_b's, so a third of the
+    columns are embedded and decoded.
     """
     F, D = params["embed_w"].shape
     P2 = patches.shape[-1]
@@ -358,7 +366,7 @@ def forward_reconstruct_gray(patches: np.ndarray, mask: ForecastMask, params: Pa
         raise ShapeMismatchError(
             f"embed_w {params['embed_w'].shape} and dec_w {params['dec_w'].shape} "
             f"do not fit three channels of {P2}-pixel patches")
-    mask_rows = mask.row_mask(patches.shape[0])
+    mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | mask.row_mask(patches.shape[-2])
     folded = dict(params, embed_w=params["embed_w"].reshape(3, P2, D).sum(axis=0))
     body, _ = _encode(patches[~mask_rows], folded, cfg, mask_rows)
     out = patches.copy()

@@ -4,6 +4,13 @@ frameworks, and the mask-reconstruction forecast pipeline.
 A (d, H) forecast window has two entry points, both routed by task and
 layout: :func:`forecast_samples` (training samples) and
 :func:`forecast_window` (a (d, horizon) forecast).
+
+The mask-reconstruction core is stacked: :func:`build_reconstruct_samples`
+and :func:`predict_forecasts` (UVH, one segment length) and their ``_mvh``
+twins take n windows that share one image geometry and resize,
+standardize, patchify and mask them as (n, ., .) arrays, with one model
+pass per forecast stack. :func:`build_reconstruct_sample`,
+:func:`predict_forecast` and their ``_mvh`` twins are the n = 1 case.
 """
 
 from __future__ import annotations
@@ -17,11 +24,15 @@ from . import imaging
 from .alignment import (
     build_forecast_mask,
     patchify,
+    patchify_stack,
     replicate_channels,
     resize_bilinear,
+    resize_stack,
     standardize_image,
+    standardize_stack,
+    unpatchify_stack,
 )
-from .errors import HorizonTooLongError, RoutingError, ShapeMismatchError
+from .errors import HorizonTooLongError, InvalidLError, RoutingError, ShapeMismatchError
 from .imaging import GrayImage
 from .models import (
     ClassifySample,
@@ -101,6 +112,10 @@ def build_linear_sample(lookback: np.ndarray, target: np.ndarray, method: str,
 
 
 # --- framework (d): mask-reconstruction forecasting -----------------------
+#
+# The core works on a stack of n windows that share one image geometry: n
+# (H,) look-backs with one segment length under UVH, or n (d, H) ones under
+# MVH, with one horizon. The per-window functions are its n = 1 case.
 
 @dataclass
 class ReconstructLayout:
@@ -114,150 +129,202 @@ class ReconstructLayout:
         return self.lookback_cols + self.horizon_cols
 
 
-def _uvh_with_horizon(lookback: np.ndarray, seg_len: int, horizon: int,
-                      horizon_values: np.ndarray | None):
-    """UVH image of the look-back plus appended horizon columns.
+def _stacks(ndim: int, *arrays) -> list:
+    """The arrays as float64 stacks of n >= 1 windows of `ndim` - 1 dims,
+    alike in every dim but the last (time)."""
+    out = [np.asarray(a, dtype=np.float64) for a in arrays]
+    shapes = [a.shape for a in out]
+    if any(len(s) != ndim or s[:-1] != shapes[0][:-1] or s[0] < 1 for s in shapes):
+        raise ShapeMismatchError(f"expected non-empty stacks of {ndim - 1}-D windows that "
+                                 f"differ only in length, got shapes {shapes}")
+    return out
 
-    Horizon columns hold `horizon_values` (right-padded by repeating the
-    final value) when given, else repeat the last look-back column as a
-    neutral placeholder.
+
+def _checked(stack: np.ndarray) -> np.ndarray:
+    """The checks a GrayImage makes, over a stack of images."""
+    if min(stack.shape[1:]) < 1:
+        raise ShapeMismatchError(f"expected non-empty images, got shape {stack.shape[1:]}")
+    if not np.isfinite(stack).all():
+        raise ShapeMismatchError("image contains NaN/Inf")
+    return stack
+
+
+def _uvh_with_horizon(lookbacks: np.ndarray, seg_len: int, horizon: int,
+                      horizon_values: np.ndarray | None):
+    """UVH images of (n, H) look-backs plus appended horizon columns, as an
+    (n, seg_len, cols) stack and its layout.
+
+    Horizon columns hold `horizon_values` ((n, T'), right-padded by
+    repeating each row's final value) when given, else repeat the last
+    look-back column as a neutral placeholder.
     """
-    lb_img = imaging.uvh(lookback, seg_len)
+    lb = imaging.uvh_stack(lookbacks, seg_len)
     cols_h = math.ceil(horizon / seg_len)
     if horizon_values is None:
-        hz = np.tile(lb_img.pixels[:, -1:], (1, cols_h))
+        hz = np.repeat(lb[:, :, -1:], cols_h, axis=2)
     else:
-        need = cols_h * seg_len
-        v = np.asarray(horizon_values, dtype=np.float64)
-        if v.size < need:
-            v = np.concatenate([v, np.full(need - v.size, v[-1])])
-        hz = v[:need].reshape(cols_h, seg_len).T
-    full = np.concatenate([lb_img.pixels, hz], axis=1)
-    return GrayImage(full), ReconstructLayout(lb_img.width, cols_h)
+        n, need = lookbacks.shape[0], cols_h * seg_len
+        v = horizon_values
+        if v.shape[1] < need:
+            v = np.concatenate([v, np.repeat(v[:, -1:], need - v.shape[1], axis=1)], axis=1)
+        hz = v[:, :need].reshape(n, cols_h, seg_len).swapaxes(1, 2)
+    return np.concatenate([lb, hz], axis=2), ReconstructLayout(lb.shape[2], cols_h)
 
 
-def _mvh_with_horizon(lookback: np.ndarray, horizon: int,
+def _mvh_with_horizon(lookbacks: np.ndarray, horizon: int,
                       horizon_values: np.ndarray | None):
-    """MVH image of the (d, H) look-back plus `horizon` time columns holding
-    `horizon_values` when given, else the last look-back column repeated."""
-    lookback = np.atleast_2d(np.asarray(lookback, dtype=np.float64))
-    hz = (np.tile(lookback[:, -1:], (1, horizon)) if horizon_values is None
-          else np.atleast_2d(np.asarray(horizon_values, dtype=np.float64)))
-    full = np.concatenate([lookback, hz], axis=1)
-    return GrayImage(full), ReconstructLayout(lookback.shape[1], horizon)
+    """MVH images of (n, d, H) look-backs plus `horizon` time columns holding
+    `horizon_values` ((n, d, horizon)) when given, else each look-back's
+    last column repeated."""
+    hz = (np.repeat(lookbacks[:, :, -1:], horizon, axis=2) if horizon_values is None
+          else horizon_values)
+    return (np.concatenate([lookbacks, hz], axis=2),
+            ReconstructLayout(lookbacks.shape[2], horizon))
 
 
-def _reconstruct_sample(in_img: GrayImage, tgt_img: GrayImage,
-                        layout: ReconstructLayout, cfg: ModelConfig) -> ReconstructSample:
+def _reconstruct_samples(in_stack: np.ndarray, tgt_stack: np.ndarray,
+                         layout: ReconstructLayout, cfg: ModelConfig) -> list:
     """Framework-(d) training core shared by UVH and MVH.
 
-    Resize both images to S x S, standardize the input, scale the target by
-    the input's statistics (so the loss lives in the model's input space),
-    replicate, patchify, and mask the patch columns past the look-back
-    boundary.
+    Resize both (n, h, w) stacks to S x S, standardize each input image,
+    scale each target by its input's statistics (so the loss lives in the
+    model's input space), replicate, patchify, and mask the patch columns
+    past the look-back boundary. The n samples are views into one stacked
+    array each for patches and targets, and share one read-only mask.
     """
     S, P = cfg.image_size, cfg.patch_size
-    in_res = resize_bilinear(in_img, S, S)
-    tgt_res = resize_bilinear(tgt_img, S, S)
-    std = standardize_image(in_res)
-    mu, sigma = std.meta["mean"], std.meta["std"]
-    safe_sigma = sigma if sigma > 0 else 1.0
-    tgt_std = GrayImage((tgt_res.pixels - mu) / safe_sigma)
-    in_patches = patchify(replicate_channels(std), P)
-    tgt_patches = patchify(replicate_channels(tgt_std), P)
-    mask = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P)
-    return ReconstructSample(patches=in_patches.patches,
-                             target_patches=tgt_patches.patches,
-                             mask_rows=mask.row_mask(in_patches.patches.shape[0]))
+    std, mu, sigma, degenerate = standardize_stack(resize_stack(_checked(in_stack), S, S))
+    safe_sigma = np.where(degenerate, 1.0, sigma)[:, None, None]
+    tgt_std = (resize_stack(_checked(tgt_stack), S, S) - mu[:, None, None]) / safe_sigma
+    patches, targets = (np.concatenate([patchify_stack(_checked(x), P)] * 3, axis=-1)
+                        for x in (std, tgt_std))                 # three identical channels
+    mask_rows = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P
+                                    ).row_mask(patches.shape[1])
+    mask_rows.setflags(write=False)
+    return [ReconstructSample(patches=p, target_patches=t, mask_rows=mask_rows)
+            for p, t in zip(patches, targets)]
+
+
+def build_reconstruct_samples(lookbacks: np.ndarray, targets: np.ndarray,
+                              seg_len: int, cfg: ModelConfig) -> list:
+    """UVH training samples of (n, H) look-backs and their (n, T') targets,
+    all with one segment length: each input image has placeholder horizon
+    columns, each target image the true horizon."""
+    lookbacks, targets = _stacks(2, lookbacks, targets)
+    in_stack, layout = _uvh_with_horizon(lookbacks, seg_len, targets.shape[1], None)
+    tgt_stack, _ = _uvh_with_horizon(lookbacks, seg_len, targets.shape[1], targets)
+    return _reconstruct_samples(in_stack, tgt_stack, layout, cfg)
 
 
 def build_reconstruct_sample(lookback: np.ndarray, target: np.ndarray,
                              seg_len: int, cfg: ModelConfig) -> ReconstructSample:
-    """UVH training sample: the input image has placeholder horizon
-    columns, the target image the true horizon."""
-    horizon = np.asarray(target).size
-    in_img, layout = _uvh_with_horizon(lookback, seg_len, horizon, None)
-    tgt_img, _ = _uvh_with_horizon(lookback, seg_len, horizon, target)
-    return _reconstruct_sample(in_img, tgt_img, layout, cfg)
+    """:func:`build_reconstruct_samples` of one (H,) look-back."""
+    return build_reconstruct_samples(np.reshape(lookback, (1, -1)),
+                                     np.reshape(target, (1, -1)), seg_len, cfg)[0]
+
+
+def build_reconstruct_samples_mvh(lookbacks: np.ndarray, targets: np.ndarray,
+                                  cfg: ModelConfig) -> list:
+    """MVH training samples: each (d, H) look-back of an (n, d, H) stack is
+    extended by T' horizon columns (one per future time step) and masked
+    past the look-back boundary; `targets` is (n, d, T')."""
+    lookbacks, targets = _stacks(3, lookbacks, targets)
+    in_stack, layout = _mvh_with_horizon(lookbacks, targets.shape[2], None)
+    tgt_stack, _ = _mvh_with_horizon(lookbacks, targets.shape[2], targets)
+    return _reconstruct_samples(in_stack, tgt_stack, layout, cfg)
 
 
 def build_reconstruct_sample_mvh(lookback: np.ndarray, target: np.ndarray,
                                  cfg: ModelConfig) -> ReconstructSample:
-    """MVH training sample: the (d, H) matrix is extended by T' horizon
-    columns (one per future time step) and masked past the look-back
-    boundary."""
-    horizon = np.atleast_2d(target).shape[1]
-    in_img, layout = _mvh_with_horizon(lookback, horizon, None)
-    tgt_img, _ = _mvh_with_horizon(lookback, horizon, target)
-    return _reconstruct_sample(in_img, tgt_img, layout, cfg)
+    """:func:`build_reconstruct_samples_mvh` of one (d, H) look-back."""
+    return build_reconstruct_samples_mvh(np.atleast_2d(lookback)[None],
+                                         np.atleast_2d(target)[None], cfg)[0]
 
 
-def _reconstruct_horizon(img: GrayImage, layout: ReconstructLayout,
-                         params: ParamSet, cfg: ModelConfig) -> GrayImage:
+def _reconstruct_horizons(stack: np.ndarray, layout: ReconstructLayout,
+                          params: ParamSet, cfg: ModelConfig) -> np.ndarray:
     """Framework-(d) predict core shared by UVH and MVH.
 
-    Resize `img` (look-back columns, then horizon columns) to S x S,
-    standardize it, mask the patch columns past the look-back boundary,
-    reconstruct them from the gray (N, P*P) patches with
-    :func:`forward_reconstruct_gray`, and return the de-standardized S x S
-    image. A degenerate (constant) resized image has no scale to
-    de-standardize with: it is returned as is, so its constant is the
-    forecast, and the model is not run.
+    Resize each image of the (n, h, w) stack (look-back columns, then
+    horizon columns) to S x S, standardize it, mask the patch columns past
+    the look-back boundary, reconstruct them from the gray (n, N, P*P)
+    patches with one :func:`forward_reconstruct_gray` pass, and return the
+    de-standardized (n, S, S) images. A degenerate (constant) resized
+    image has no scale to de-standardize with: it is returned as is, so
+    its constant is the forecast, and the model does not see it.
     """
     if cfg.task != "forecast_reconstruct":
         raise RoutingError(
             f"forecast reconstruction requires task 'forecast_reconstruct', got {cfg.task!r}")
     S, P = cfg.image_size, cfg.patch_size
-    resized = resize_bilinear(img, S, S)
-    std = standardize_image(resized)
-    if std.meta["degenerate"]:
-        return resized
-    g = S // P
-    patches = std.pixels.reshape(g, P, g, P).swapaxes(1, 2).reshape(g * g, P * P)
     mask = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P)
-    out = forward_reconstruct_gray(patches, mask, params, cfg)
-    pixels = out.reshape(g, g, P, P).swapaxes(1, 2).reshape(S, S)
-    return GrayImage(pixels * std.meta["std"] + std.meta["mean"])
+    resized = resize_stack(_checked(stack), S, S)
+    std, mu, sigma, degenerate = standardize_stack(resized)
+    if degenerate.all():
+        return resized
+    live = ~degenerate if degenerate.any() else slice(None)     # a slice copies nothing
+    out = forward_reconstruct_gray(patchify_stack(std[live], P), mask, params, cfg)
+    resized[live] = (unpatchify_stack(out, P) * sigma[live, None, None]
+                     + mu[live, None, None])
+    return _checked(resized)
+
+
+def predict_forecasts(lookbacks: np.ndarray, L: int, horizon: int,
+                      params: ParamSet, cfg: ModelConfig,
+                      max_horizon_cols: int = MAX_HORIZON_COLS) -> np.ndarray:
+    """Framework-(d) forecasts of (n, H) look-backs that share the segment
+    length L: image, mask, reconstruct, invert; returns (n, horizon).
+
+    Pipeline: uvh -> append ceil(horizon/L) placeholder columns -> resize
+    to S x S -> standardize (recording mu/sigma) -> cut into gray P x P
+    patches -> one masked reconstruction pass over the stack, with the
+    model's three identical input channels folded into its weights ->
+    de-standardize -> resize back -> unstack -> first `horizon` recovered
+    values. A degenerate (constant) resized image forecasts its constant
+    without running the model.
+    """
+    lookbacks = _stacks(2, lookbacks)[0]
+    if L < 1:
+        raise InvalidLError(f"L must be >= 1, got {L}")
+    if math.ceil(horizon / L) > max_horizon_cols:
+        raise HorizonTooLongError(
+            f"horizon {horizon} needs {math.ceil(horizon / L)} columns "
+            f"(max {max_horizon_cols})")
+    in_stack, layout = _uvh_with_horizon(lookbacks, L, horizon, None)
+    out = _reconstruct_horizons(in_stack, layout, params, cfg)
+    back = resize_stack(out, L, layout.total_cols)
+    flat = back.swapaxes(1, 2).reshape(back.shape[0], -1)    # columns unstacked in order
+    start = flat.shape[1] - layout.horizon_cols * L           # the first horizon value
+    return flat[:, start:start + horizon]
 
 
 def predict_forecast(lookback: np.ndarray, L: int, horizon: int,
                      params: ParamSet, cfg: ModelConfig,
                      max_horizon_cols: int = MAX_HORIZON_COLS) -> np.ndarray:
-    """Framework-(d) forecast: image, mask, reconstruct, invert.
+    """:func:`predict_forecasts` of one (H,) look-back; returns (horizon,)."""
+    return predict_forecasts(np.reshape(lookback, (1, -1)), L, horizon, params, cfg,
+                             max_horizon_cols)[0]
 
-    Pipeline: uvh -> append ceil(horizon/L) placeholder columns -> resize
-    to S x S -> standardize (recording mu/sigma) -> cut into gray P x P
-    patches -> masked reconstruction, with the model's three identical
-    input channels folded into its weights -> de-standardize -> resize
-    back -> unstack -> first `horizon` recovered values. A degenerate
-    (constant) resized image forecasts its constant without running the
-    model.
+
+def predict_forecasts_mvh(lookbacks: np.ndarray, horizon: int, params: ParamSet,
+                          cfg: ModelConfig) -> np.ndarray:
+    """MVH mask-reconstruction forecasts of (n, d, H) look-backs; returns
+    (n, d, horizon).
+
+    Each look-back gets `horizon` placeholder time columns and runs
+    through the same core as :func:`predict_forecasts`; a forecast is the
+    horizon columns of its image resized back to (d, H + horizon).
     """
-    lookback = np.asarray(lookback, dtype=np.float64)
-    if math.ceil(horizon / L) > max_horizon_cols:
-        raise HorizonTooLongError(
-            f"horizon {horizon} needs {math.ceil(horizon / L)} columns "
-            f"(max {max_horizon_cols})")
-    in_img, layout = _uvh_with_horizon(lookback, L, horizon, None)
-    out = _reconstruct_horizon(in_img, layout, params, cfg)
-    back = resize_bilinear(out, L, layout.total_cols)
-    flat_len = lookback.size + layout.horizon_cols * L
-    values = imaging.uvh_inverse(back, flat_len)
-    return values[lookback.size:lookback.size + horizon]
+    in_stack, layout = _mvh_with_horizon(_stacks(3, lookbacks)[0], horizon, None)
+    out = _reconstruct_horizons(in_stack, layout, params, cfg)
+    return resize_stack(out, in_stack.shape[1], layout.total_cols)[:, :, layout.lookback_cols:]
 
 
 def predict_forecast_mvh(lookback: np.ndarray, horizon: int, params: ParamSet,
                          cfg: ModelConfig) -> np.ndarray:
-    """MVH mask-reconstruction forecast; returns a (d, horizon) matrix.
-
-    The (d, H) look-back gets `horizon` placeholder time columns and runs
-    through the same core as :func:`predict_forecast`; the forecast is the
-    horizon columns of the image resized back to (d, H + horizon).
-    """
-    in_img, layout = _mvh_with_horizon(lookback, horizon, None)
-    out = _reconstruct_horizon(in_img, layout, params, cfg)
-    back = resize_bilinear(out, in_img.height, layout.total_cols)
-    return back.pixels[:, layout.lookback_cols:]
+    """:func:`predict_forecasts_mvh` of one (d, H) look-back; returns
+    (d, horizon)."""
+    return predict_forecasts_mvh(np.atleast_2d(lookback)[None], horizon, params, cfg)[0]
 
 
 # --- one forecast window, either framework --------------------------------

@@ -236,16 +236,32 @@ def test_train_then_eval_forecast_layouts(ett_csv2, tmp_path, capsys, task, imag
     ('{"model": [1], "imaging": "uvh", "seg_len": null, "lookback": 24, "horizon": 4, "d": 1}',
      "malformed run config"),
     ('{"model": {"patch_size": 0}, "imaging": "uvh", "seg_len": null, "lookback": 24, '
-     '"horizon": 4, "d": 1}', "malformed run config: integer modulo by zero"),
+     '"horizon": 4, "d": 1}', "malformed run config: ModelConfig sizes must be >= 1, "
+                              "got patch_size=0"),
+    ('{"model": {"arch": "wolvm"}, "imaging": "uvh", "seg_len": "12", "lookback": 24, '
+     '"horizon": 4, "d": 1}', "seg_len must be null or an int >= 1, got '12'"),
+    ('{"model": {"arch": "wolvm"}, "imaging": "uvh", "seg_len": 0, "lookback": 24, '
+     '"horizon": 4, "d": 1}', "seg_len must be null or an int >= 1, got 0"),
+    ('{"model": {"arch": "wolvm"}, "imaging": "uvh", "seg_len": null, "lookback": 96.5, '
+     '"horizon": 4, "d": 1}', "lookback must be an int >= 1, got 96.5"),
+    ('{"model": {"arch": "wolvm"}, "imaging": "uvh", "seg_len": null, "lookback": 24, '
+     '"horizon": true, "d": 1}', "horizon must be an int >= 1, got True"),
+    ('{"model": {"arch": "wolvm"}, "imaging": "uvh", "seg_len": null, "lookback": 24, '
+     '"horizon": 4, "d": -2}', "d must be an int >= 1, got -2"),
+    ('{"model": {"arch": "wolvm"}, "imaging": 3, "seg_len": null, "lookback": 24, '
+     '"horizon": 4, "d": 1}', "imaging must be one of"),
+    ('{"model": {"arch": "wolvm"}, "imaging": "polar", "seg_len": null, "lookback": 24, '
+     '"horizon": 4, "d": 1}', "imaging must be one of"),
 ], ids=["not-json", "not-utf8", "json-list", "no-model", "no-seg-len", "unknown-field",
-        "model-not-object", "zero-patch"])
+        "model-not-object", "zero-patch", "seg-len-str", "seg-len-zero", "lookback-float",
+        "horizon-bool", "d-negative", "imaging-int", "imaging-unknown"])
 def test_eval_malformed_config_is_runtime_error(ett_csv, tmp_path, capsys, text, why):
     run = tmp_path / "run"
     run.mkdir()
     (run / "config.json").write_text(text, encoding="latin-1")
     assert main(["eval", "--run", str(run), "--input", ett_csv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and why in err
+    assert err.startswith(f"error: {run / 'config.json'}: ") and why in err
 
 
 # --- training defaults live in TrainConfig --------------------------------

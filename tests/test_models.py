@@ -5,12 +5,14 @@ from tsimg.alignment import ForecastMask, PatchSequence
 from tsimg.errors import (
     EmptyMaskError,
     LabelOutOfRangeError,
+    NonPositiveError,
     RoutingError,
     ShapeMismatchError,
 )
 from tsimg.models import (
     ARCHS,
     PASS_SAMPLES,
+    SIZE_FIELDS,
     TASKS,
     ClassifySample,
     ForecastSample,
@@ -287,6 +289,14 @@ def test_config_validation():
         ModelConfig(image_size=30, patch_size=8)
     with pytest.raises(ShapeMismatchError):
         ModelConfig(arch="resnet")
+
+
+@pytest.mark.parametrize("value", [0, -32])
+@pytest.mark.parametrize("field", SIZE_FIELDS)
+def test_config_rejects_non_positive_sizes(field, value):
+    # checked before the divisibility checks, which would divide by zero
+    with pytest.raises(NonPositiveError, match=f"{field}={value}"):
+        ModelConfig(**{field: value})
 
 
 def test_count_params_closed_form():

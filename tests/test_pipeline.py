@@ -10,7 +10,7 @@ from tsimg.alignment import (
     standardize_image,
     unpatchify,
 )
-from tsimg.errors import HorizonTooLongError, RoutingError, ShapeMismatchError
+from tsimg.errors import HorizonTooLongError, InvalidLError, RoutingError, ShapeMismatchError
 from tsimg.imaging import GrayImage, detect_period, uvh_inverse
 from tsimg.models import ModelConfig, forward_reconstruct, init_params, predict_linear
 from tsimg.pipeline import (
@@ -112,6 +112,19 @@ def test_predict_forecast_horizon_cap():
         predict_forecast(gen_periodic(24, 168), 24, 24 * 100, params, STUB_CFG)
 
 
+@pytest.mark.parametrize("L", [0, -3])
+def test_non_positive_segment_length_is_invalid_l(L):
+    params = init_params(STUB_CFG, 0)
+    lookback = gen_periodic(24, 168)
+    stack = np.stack([lookback, lookback + 1.0])
+    with pytest.raises(InvalidLError):
+        predict_forecast(lookback, L, 24, params, STUB_CFG)
+    with pytest.raises(InvalidLError):
+        pipeline.predict_forecasts(stack, L, 24, params, STUB_CFG)
+    with pytest.raises(InvalidLError):
+        pipeline.build_reconstruct_samples(stack, np.zeros((2, 24)), L, STUB_CFG)
+
+
 def test_predict_forecast_routing_guard():
     cfg = ModelConfig(arch="wolvm", task="forecast_linear", image_size=72,
                       patch_size=8, embed_dim=8, num_heads=2, horizon=24)
@@ -188,8 +201,9 @@ def test_predict_forecast_matches_three_channel_reference(arch):
     params["dec_b"] = np.random.default_rng(2).normal(size=params["dec_b"].shape)
     for seed, L, H in ((0, 24, 96), (1, 12, 100), (2, 17, 64)):
         lookback = gen_periodic(L, H, "composite", seed=seed, noise_std=0.1)
-        in_img, lay = pipeline._uvh_with_horizon(lookback, L, 24, None)
-        ref_img = _three_channel_image(in_img, lay.lookback_cols, lay.horizon_cols, params, cfg)
+        in_stack, lay = pipeline._uvh_with_horizon(lookback[None], L, 24, None)
+        ref_img = _three_channel_image(GrayImage(in_stack[0]), lay.lookback_cols,
+                                       lay.horizon_cols, params, cfg)
         ref = uvh_inverse(resize_bilinear(ref_img, L, lay.total_cols),
                           H + lay.horizon_cols * L)[H:H + 24]
         pred = predict_forecast(lookback, L, 24, params, cfg)

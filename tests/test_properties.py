@@ -1,7 +1,8 @@
 """Property tests for the alignment and imaging contracts: resize range
 and bitwise agreement with the reference formula, exact round trips, a
-non-empty forecast mask, the flat-spectrum threshold, and the sweep
-windows against the explicit slice formula."""
+non-empty forecast mask, the flat-spectrum threshold, the sweep windows
+against the explicit slice formula, and the stacked reconstruction core
+against a loop of single-window calls."""
 
 import math
 
@@ -17,8 +18,10 @@ from tsimg.alignment import (
     resize_bilinear,
     unpatchify,
 )
+from tsimg import pipeline
 from tsimg.evaluation import ForecastTask, _split_windows
 from tsimg.imaging import GrayImage, detect_period, uvh, uvh_inverse
+from tsimg.models import ModelConfig, init_params
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 side = st.integers(1, 24)
@@ -121,3 +124,73 @@ def test_split_windows_equals_slice_formula(T, lookback, horizon, stride, ratios
         for (g_lb, g_tg), (w_lb, w_tg) in zip(g_block, w_block):
             assert g_lb.dtype == g_tg.dtype == np.float64
             assert np.array_equal(g_lb, w_lb) and np.array_equal(g_tg, w_tg)
+
+
+# --- the stacked reconstruction core is a loop of single-window calls ------
+
+GEOMETRIES = [(16, 4), (16, 8), (32, 8)]          # (image_size, patch_size)
+
+
+def _model(S, P, arch):
+    cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=S,
+                      patch_size=P, embed_dim=8, num_heads=2, horizon=8)
+    params = init_params(cfg, S + P)
+    params["dec_b"] = np.random.default_rng(P).normal(size=params["dec_b"].shape)
+    return cfg, params
+
+
+MODELS = {(S, P, arch): _model(S, P, arch) for S, P in GEOMETRIES
+          for arch in ("wolvm", "minimae")}
+
+
+def _windows(rng, shape, flat):
+    """Random windows of (n, ...) `shape` at random levels and scales;
+    window i is one constant where flat[i]."""
+    x = rng.normal(size=shape) * rng.uniform(0.1, 10.0) + rng.normal()
+    x[flat] = rng.normal(size=(int(flat.sum()),) + (1,) * (len(shape) - 1))
+    return x
+
+
+def _assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for k in ("patches", "target_patches", "mask_rows"):
+            a, b = getattr(g, k), getattr(w, k)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+stack_cases = st.tuples(st.integers(1, 6), st.integers(4, 120), st.integers(1, 30),
+                        st.sampled_from(sorted(MODELS)), st.data())
+
+
+@given(stack_cases, st.integers(1, 30))
+def test_stacked_uvh_core_equals_single_window_loop(case, L):
+    n, H, horizon, key, data = case
+    cfg, params = MODELS[key]
+    flat = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    x = _windows(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                 (n, H + horizon), flat)
+    lb, tg = x[:, :H], x[:, H:]
+    _assert_same_samples(pipeline.build_reconstruct_samples(lb, tg, L, cfg),
+                         [pipeline.build_reconstruct_sample(a, b, L, cfg) for a, b in zip(lb, tg)])
+    got = pipeline.predict_forecasts(lb, L, horizon, params, cfg)
+    want = np.stack([pipeline.predict_forecast(a, L, horizon, params, cfg) for a in lb])
+    assert got.shape == (n, horizon) and np.array_equal(got, want)
+    assert np.all(got[flat] == lb[flat, :1])          # a flat window is persistence
+
+
+@given(stack_cases, st.integers(1, 4))
+def test_stacked_mvh_core_equals_single_window_loop(case, d):
+    n, H, horizon, key, data = case
+    cfg, params = MODELS[key]
+    flat = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    x = _windows(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                 (n, d, H + horizon), flat)
+    lb, tg = x[:, :, :H], x[:, :, H:]
+    _assert_same_samples(pipeline.build_reconstruct_samples_mvh(lb, tg, cfg),
+                         [pipeline.build_reconstruct_sample_mvh(a, b, cfg)
+                          for a, b in zip(lb, tg)])
+    got = pipeline.predict_forecasts_mvh(lb, horizon, params, cfg)
+    want = np.stack([pipeline.predict_forecast_mvh(a, horizon, params, cfg) for a in lb])
+    assert got.shape == (n, d, horizon) and np.array_equal(got, want)
+    assert np.all(got[flat] == lb[flat, :, :1])
