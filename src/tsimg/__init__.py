@@ -31,9 +31,7 @@ from .imaging import (
     wavelet_scalogram,
 )
 from .alignment import (
-    AlignedImage,
     ForecastMask,
-    PatchSequence,
     build_forecast_mask,
     patchify,
     replicate_channels,

@@ -1,52 +1,25 @@
-"""Input alignment: bilinear resize, per-image standardization, 3-channel
-replication, patchification, and the forecast mask layout.
+"""Input alignment: bilinear resize, per-image standardization,
+patchification, 3-channel replication, and the forecast mask layout.
 
-Resize, standardization and gray patchification work on (n, H, W) stacks
-of images that share one shape (:func:`resize_stack`,
-:func:`standardize_stack`, :func:`patchify_stack`);
+Resize and standardization work on (n, H, W) stacks of images that share
+one shape (:func:`resize_stack`, :func:`standardize_stack`);
 :func:`resize_bilinear` and :func:`standardize_image` are their n = 1
-wrappers on a :class:`GrayImage`.
+wrappers on a :class:`GrayImage`. A patch is a plain float64 array: one
+:func:`patchify` cuts an (n, S, S) stack into (n, N, P * P) gray patches,
+and :func:`replicate_channels` makes the model's three identical channels
+from them, just before the model.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IndivisiblePatchError, NotSquareError, ShapeMismatchError
 from .imaging import GrayImage
-
-
-@dataclass
-class AlignedImage:
-    """Three identical channels of a standardized square image."""
-
-    channels: np.ndarray          # (3, S, S)
-    source_size: tuple[int, int]
-    degenerate: bool = False
-
-    @property
-    def size(self) -> int:
-        return self.channels.shape[1]
-
-
-@dataclass
-class PatchSequence:
-    """Row-major sequence of flattened patches cut from an AlignedImage."""
-
-    patches: np.ndarray           # (N, 3 * P * P)
-    grid: tuple[int, int]
-    patch_size: int
-
-    def __post_init__(self):
-        n = self.grid[0] * self.grid[1]
-        if self.patches.shape != (n, 3 * self.patch_size ** 2):
-            raise ShapeMismatchError(
-                f"patches shape {self.patches.shape} inconsistent with "
-                f"grid {self.grid}, P={self.patch_size}")
 
 
 @dataclass
@@ -156,54 +129,33 @@ def standardize_image(img: GrayImage) -> GrayImage:
                                    "mean": float(mu[0]), "std": float(sigma[0])})
 
 
-def replicate_channels(img: GrayImage) -> AlignedImage:
-    """Duplicate a square gray image into three identical channels."""
-    if img.height != img.width:
-        raise NotSquareError(f"image is {img.height}x{img.width}")
-    ch = np.broadcast_to(img.pixels, (3,) + img.pixels.shape).copy()
-    return AlignedImage(channels=ch, source_size=(img.height, img.width),
-                        degenerate=bool(img.meta.get("degenerate", False)))
-
-
-def patchify(img: AlignedImage, P: int) -> PatchSequence:
-    """Cut an aligned image into non-overlapping P x P patches in row-major
-    order; each patch vector is channel-major, then row-major."""
-    S = img.size
-    if S % P != 0:
-        raise IndivisiblePatchError(f"image size {S} not divisible by patch size {P}")
-    g = S // P
-    # (3, g, P, g, P) -> (g, g, 3, P, P) -> (g*g, 3*P*P)
-    blocks = img.channels.reshape(3, g, P, g, P).transpose(1, 3, 0, 2, 4)
-    return PatchSequence(patches=blocks.reshape(g * g, 3 * P * P).copy(),
-                         grid=(g, g), patch_size=P)
-
-
-def unpatchify(seq: PatchSequence) -> AlignedImage:
-    """Exact inverse of :func:`patchify`."""
-    g_r, g_c = seq.grid
-    P = seq.patch_size
-    blocks = seq.patches.reshape(g_r, g_c, 3, P, P).transpose(2, 0, 3, 1, 4)
-    ch = blocks.reshape(3, g_r * P, g_c * P)
-    if ch.shape[1] != ch.shape[2]:
-        raise ShapeMismatchError("unpatchify produced a non-square image")
-    return AlignedImage(channels=ch.copy(), source_size=(ch.shape[1], ch.shape[2]))
-
-
-def patchify_stack(stack: np.ndarray, P: int) -> np.ndarray:
-    """Cut each image of an (n, S, S) gray stack into P x P patches in
-    row-major order: (n, N, P * P), each patch row-major."""
-    n, S, _ = stack.shape
+def patchify(stack: np.ndarray, P: int) -> np.ndarray:
+    """Cut each image of an (n, S, S) stack into non-overlapping P x P
+    patches in row-major order: (n, N, P * P), each patch row-major."""
+    n, S, W = stack.shape
+    if S != W:
+        raise NotSquareError(f"images are {S}x{W}")
     if S % P != 0:
         raise IndivisiblePatchError(f"image size {S} not divisible by patch size {P}")
     g = S // P
     return stack.reshape(n, g, P, g, P).swapaxes(2, 3).reshape(n, g * g, P * P)
 
 
-def unpatchify_stack(patches: np.ndarray, P: int) -> np.ndarray:
-    """Exact inverse of :func:`patchify_stack`."""
-    n, N, _ = patches.shape
+def unpatchify(patches: np.ndarray, P: int) -> np.ndarray:
+    """Exact inverse of :func:`patchify`: (n, N, P * P) -> (n, S, S)."""
+    n, N, F = patches.shape
     g = math.isqrt(N)
+    if g * g != N or F != P * P:
+        raise ShapeMismatchError(
+            f"{N} patches of {F} pixels do not tile a square image with P={P}")
     return patches.reshape(n, g, g, P, P).swapaxes(2, 3).reshape(n, g * P, g * P)
+
+
+def replicate_channels(patches: np.ndarray) -> np.ndarray:
+    """Three identical channels of (..., N, P * P) gray patches, as the
+    model's (..., N, 3 * P * P) input: each patch vector is channel-major,
+    then row-major."""
+    return np.concatenate([patches] * 3, axis=-1)
 
 
 def build_forecast_mask(lookback_cols: int, horizon_cols: int, S: int, P: int) -> ForecastMask:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,17 +26,7 @@ CHECKPOINT_MAGIC = b"TSIMGCKPT"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
-class DatasetManifest:
-    path: str
-    format: str = "ett_csv"           # ett_csv | labeled_windows_csv | synthetic
-    ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    variate_columns: list[str] | None = None
-    label_column: str | None = None
-    rejects: list[str] = field(default_factory=list)
-
-
-def load_ett_csv(path: str, manifest: DatasetManifest | None = None) -> MultivariateSeries:
+def load_ett_csv(path: str) -> MultivariateSeries:
     """ETT-style layout: header row, leading timestamp column, then numeric
     variate columns. Rows become time steps in file order."""
     rows = _read_rows(path)
@@ -45,33 +34,26 @@ def load_ett_csv(path: str, manifest: DatasetManifest | None = None) -> Multivar
     data_rows = rows[1:]
     if not data_rows:
         raise EmptyFileError(f"{path}: no data rows")
-    names = header[1:]
-    if manifest is not None and manifest.variate_columns:
-        keep = [header.index(c) for c in manifest.variate_columns]
-        names = manifest.variate_columns
-    else:
-        keep = list(range(1, len(header)))
     cols = []
     for line_no, row in enumerate(data_rows, start=2):
         if len(row) != len(header):
             raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
         vals = []
-        for j in keep:
+        for cell in row[1:]:
             try:
-                v = float(row[j])
+                v = float(cell)
             except ValueError:
                 raise NonNumericCellError(
-                    f"{path}: line {line_no}: non-numeric cell {row[j]!r}") from None
+                    f"{path}: line {line_no}: non-numeric cell {cell!r}") from None
             if not np.isfinite(v):
                 raise NonNumericCellError(f"{path}: line {line_no}: NaN/Inf cell")
             vals.append(v)
         cols.append(vals)
     values = np.asarray(cols, dtype=np.float64).T  # (d, T)
-    return MultivariateSeries(values, variate_names=list(names))
+    return MultivariateSeries(values, variate_names=header[1:])
 
 
-def load_labeled_windows_csv(path: str, d: int = 1,
-                             manifest: DatasetManifest | None = None) -> list[WindowSample]:
+def load_labeled_windows_csv(path: str, d: int = 1) -> list[WindowSample]:
     """Flat export: one row = flattened (d x T) sample followed by an
     integer label in the last cell."""
     rows = _read_rows(path)
@@ -235,15 +217,13 @@ RESULT_FIELDS = ("experiment_id", "axis_value", "mse", "mae", "accuracy",
                  "n_value", "seconds")
 
 
-def write_result_rows(path: str, rows: list[dict], append: bool = False) -> None:
-    """Append-only results table with the fixed experiment row schema."""
-    mode = "a" if append else "w"
-    write_header = not (append and Path(path).exists() and Path(path).stat().st_size > 0)
+def write_result_rows(path: str, rows: list[dict]) -> None:
+    """Results table with the fixed experiment row schema; fields a row
+    lacks are left empty."""
     try:
-        with open(path, mode, newline="") as fh:
+        with open(path, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
-            if write_header:
-                w.writeheader()
+            w.writeheader()
             for row in rows:
                 w.writerow({k: row.get(k, "") for k in RESULT_FIELDS})
     except OSError as e:

@@ -168,8 +168,8 @@ class SweepResult:
 
 
 def _split_windows(task: ForecastTask):
-    """Chronological train/val/test lists of 1-D (lookback, target) pairs;
-    a block too short for one window gives []."""
+    """Chronological train/val/test lists of 1-D (lookback, target) pairs
+    (read-only views); a block too short for one window gives []."""
     out = []
     for block in chronological_split(MultivariateSeries(task.series), task.ratios):
         try:
@@ -180,25 +180,25 @@ def _split_windows(task: ForecastTask):
     return out
 
 
-def _train_eval_reconstruct(task: ForecastTask, seg_len: int,
+def _train_eval_reconstruct(splits: list, seg_len: int,
                             model_cfg: ModelConfig, train_cfg: TrainConfig,
                             seed: int) -> tuple[float, float]:
-    """Train a framework-(d) forecaster with the given segment length and
-    return test (MSE, MAE) of the recovered forecasts. Every window of the
-    cell shares one image geometry, so each split is built, and the test
-    split forecast, by one stacked call."""
-    train_w, val_w, test_w = _split_windows(task)
-    if not train_w or not val_w or not test_w:
+    """Train a framework-(d) forecaster with the given segment length on
+    the train/val/test `splits` of :func:`_split_windows` and return test
+    (MSE, MAE) of the recovered forecasts. Every window of the cell shares
+    one image geometry, so each split is built, and the test split
+    forecast, by one stacked call."""
+    if not all(splits):
         raise ShapeMismatchError("task series too short for the requested windows")
-    cfg = replace(model_cfg, task="forecast_reconstruct", horizon=task.horizon)
     (train_lb, train_tg), (val_lb, val_tg), (test_lb, truth) = (
-        (np.stack([lb for lb, _ in w]), np.stack([tg for _, tg in w]))
-        for w in (train_w, val_w, test_w))
+        (np.stack([lb for lb, _ in w]), np.stack([tg for _, tg in w])) for w in splits)
+    horizon = truth.shape[1]
+    cfg = replace(model_cfg, task="forecast_reconstruct", horizon=horizon)
     train_s = build_reconstruct_samples(train_lb, train_tg, seg_len, cfg)
     val_s = build_reconstruct_samples(val_lb, val_tg, seg_len, cfg)
     params = init_params(cfg, seed=seed)
     params, _ = train(cfg, params, train_s, val_s, replace(train_cfg, seed=seed))
-    pred = predict_forecasts(test_lb, seg_len, task.horizon, params, cfg)
+    pred = predict_forecasts(test_lb, seg_len, horizon, params, cfg)
     return metric_mse(pred, truth), metric_mae(pred, truth)
 
 
@@ -217,12 +217,13 @@ def segment_sweep(task: ForecastTask, model_cfg: ModelConfig,
     reoccurrence n per segment length, and the paper-style zero-length
     estimate (mean of the MSEs at L and 2L when both are swept)."""
     axis, mses, maes, ns, secs = [], [], [], [], []
+    splits = _split_windows(task)
     for idx, i in enumerate(i_values):
         if (i * L) % k != 0:
             raise NonIntegerSegmentError(f"(i*L) % k != 0 for i={i}, k={k}, L={L}")
         seg = (i * L) // k
         t0 = time.perf_counter()
-        mse, mae = _train_eval_reconstruct(task, seg, model_cfg, train_cfg,
+        mse, mae = _train_eval_reconstruct(splits, seg, model_cfg, train_cfg,
                                            seed=train_cfg.seed ^ idx)
         secs.append(time.perf_counter() - t0)
         axis.append(seg)
@@ -247,14 +248,13 @@ def lookback_sweep(task: ForecastTask, model_cfg: ModelConfig,
         raise ShapeMismatchError("lengths must be increasing")
     axis, mses, maes, secs, skipped = [], [], [], [], []
     for idx, H in enumerate(lengths):
-        sub = replace(task, lookback=H)
-        splits = _split_windows(sub)
-        if any(not w for w in splits):
+        splits = _split_windows(replace(task, lookback=H))
+        if not all(splits):
             skipped.append((H, "series too short for this look-back length"))
             continue
         seg = uvh_seg_len(np.asarray(task.series)[:H], seg_len)
         t0 = time.perf_counter()
-        mse, mae = _train_eval_reconstruct(sub, seg, model_cfg, train_cfg,
+        mse, mae = _train_eval_reconstruct(splits, seg, model_cfg, train_cfg,
                                            seed=train_cfg.seed ^ idx)
         secs.append(time.perf_counter() - t0)
         axis.append(H)

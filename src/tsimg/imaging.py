@@ -49,9 +49,8 @@ class GrayImage:
 
 @dataclass
 class PeriodEstimate:
-    """Top-k candidate periods from the FFT amplitude spectrum."""
+    """The dominant period of the FFT amplitude spectrum."""
 
-    top_periods: list[int]
     chosen_L: int
     degenerate: bool = False
 
@@ -66,7 +65,7 @@ class GafContext:
     degenerate: bool = False
 
 
-def detect_period(x: np.ndarray, top_k: int = 3) -> PeriodEstimate:
+def detect_period(x: np.ndarray) -> PeriodEstimate:
     """Dominant-period detection via the FFT amplitude spectrum.
 
     Considers frequencies f in [1, T//2] (DC excluded), converts each to a
@@ -79,20 +78,16 @@ def detect_period(x: np.ndarray, top_k: int = 3) -> PeriodEstimate:
     T = x.size
     if T < 4:
         raise SeriesTooShortError(f"need T >= 4, got {T}")
-    if top_k < 1:
-        raise ShapeMismatchError("top_k >= 1 required")
     spec = np.abs(np.fft.rfft(x))
     fmax = T // 2
     amps = spec[1:fmax + 1]  # f = 1 .. T//2
     if amps.max() <= 1e-8:  # NaN compares False, so it never reads as flat
-        return PeriodEstimate(top_periods=[T], chosen_L=T, degenerate=True)
+        return PeriodEstimate(chosen_L=T, degenerate=True)
     # stable sort on -amplitude keeps lower f first among ties; quantize to
     # a relative 1e-9 so float noise cannot hide an exact-amplitude tie
     quantized = np.round(amps / amps.max(), 9)
-    order = np.argsort(-quantized, kind="stable")
-    freqs = order[:top_k] + 1
-    periods = [math.ceil(T / int(f)) for f in freqs]
-    return PeriodEstimate(top_periods=periods, chosen_L=periods[0])
+    f = int(np.argsort(-quantized, kind="stable")[0]) + 1
+    return PeriodEstimate(chosen_L=math.ceil(T / f))
 
 
 def uvh_stack(X: np.ndarray, L: int) -> np.ndarray:
@@ -268,8 +263,7 @@ def filterbank_spectrogram(x: np.ndarray, window_len: int | None = None,
     return GrayImage(np.log1p(fb @ mag))
 
 
-def lineplot_raster(x: np.ndarray, height: int = 64, width: int = 64,
-                    line_thickness: int = 1) -> GrayImage:
+def lineplot_raster(x: np.ndarray, height: int = 64, width: int = 64) -> GrayImage:
     """Binary raster of the series line plot (top row = max value).
 
     Consecutive points are joined with Bresenham segments; a constant
@@ -312,12 +306,6 @@ def lineplot_raster(x: np.ndarray, height: int = 64, width: int = 64,
     img[rows[0], cols[0]] = 1.0
     for i in range(T - 1):
         draw(rows[i], cols[i], rows[i + 1], cols[i + 1])
-    if line_thickness > 1:
-        thick = img.copy()
-        for k in range(1, line_thickness):
-            thick[k:, :] = np.maximum(thick[k:, :], img[:-k, :])
-            thick[:-k, :] = np.maximum(thick[:-k, :], img[k:, :])
-        img = thick
     return GrayImage(img)
 
 

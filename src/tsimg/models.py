@@ -26,12 +26,14 @@ projection runs only on visible rows (masked rows take the mask token),
 and the decoder and the masked MSE run only on the masked rows, gathered
 as body[mask]; their gradient is scattered back into zeros.
 
-Patches are three identical channels of one gray image (F = 3 * P * P).
+Patches are plain arrays cut by alignment.patchify. The model input is
+three identical channels of one gray image (F = 3 * P * P), made by
+alignment.replicate_channels.
 Training keeps all three. The forecast path runs forward_reconstruct_gray
 on the gray (n, N, P * P) patches of a forecast stack in one pass: the
 channel copies are folded into the weights (embed_w's channel blocks
 summed, dec_w's and dec_b's averaged), which gives the channel mean of
-forward_reconstruct up to rounding.
+forward_reconstruct, the three-channel reference, up to rounding.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import ForecastMask, PatchSequence
+from .alignment import ForecastMask
 from .errors import (
     EmptyMaskError,
     LabelOutOfRangeError,
@@ -336,16 +338,16 @@ def _encode_backward(d_body: np.ndarray, caches: tuple, params: ParamSet,
     backward_embed(backward_body(d_body, body_cache, params, grads), embed_cache, grads)
 
 
-def forward_reconstruct(seq: PatchSequence, mask: ForecastMask, params: ParamSet,
-                        cfg: ModelConfig) -> PatchSequence:
-    """Full framework-(d) forward on one image: masked tokens become the
-    mask token, the decoder regenerates only the masked patches, and
-    unmasked output patches are the inputs passed through untouched."""
-    mask_rows = mask.row_mask(seq.patches.shape[0])
-    body, _ = _encode(seq.patches[~mask_rows], params, cfg, mask_rows)
-    out = seq.patches.copy()
+def forward_reconstruct(patches: np.ndarray, mask: ForecastMask, params: ParamSet,
+                        cfg: ModelConfig) -> np.ndarray:
+    """Full framework-(d) forward on the (N, F) patches of one image: masked
+    tokens become the mask token, the decoder regenerates only the masked
+    patches, and unmasked patches are passed through untouched."""
+    mask_rows = mask.row_mask(patches.shape[0])
+    body, _ = _encode(patches[~mask_rows], params, cfg, mask_rows)
+    out = patches.copy()
     out[mask_rows] = body[mask_rows] @ params["dec_w"] + params["dec_b"]
-    return PatchSequence(patches=out, grid=seq.grid, patch_size=seq.patch_size)
+    return out
 
 
 def forward_reconstruct_gray(patches: np.ndarray, mask: ForecastMask, params: ParamSet,
@@ -353,12 +355,12 @@ def forward_reconstruct_gray(patches: np.ndarray, mask: ForecastMask, params: Pa
     """:func:`forward_reconstruct` on the (..., N, P*P) patches of gray
     images that share one mask, as one stacked pass.
 
-    Equal, up to rounding, to replicating each patch into three identical
-    channels, running forward_reconstruct and averaging the three output
-    channels. The copies are folded into the weights once per call
-    instead: the embedding uses the sum of embed_w's three channel blocks
-    and the decoder the mean of dec_w's and dec_b's, so a third of the
-    columns are embedded and decoded.
+    Equal, up to rounding, to :func:`~tsimg.alignment.replicate_channels`
+    followed by :func:`forward_reconstruct` (the three-channel reference),
+    with the three output channels averaged. The copies are folded into
+    the weights once per call instead: the embedding uses the sum of
+    embed_w's three channel blocks and the decoder the mean of dec_w's and
+    dec_b's, so a third of the columns are embedded and decoded.
     """
     F, D = params["embed_w"].shape
     P2 = patches.shape[-1]

@@ -11,6 +11,9 @@ twins take n windows that share one image geometry and resize,
 standardize, patchify and mask them as (n, ., .) arrays, with one model
 pass per forecast stack. :func:`build_reconstruct_sample`,
 :func:`predict_forecast` and their ``_mvh`` twins are the n = 1 case.
+
+Every path cuts patches with one :func:`~tsimg.alignment.patchify`; samples
+hold them replicated into the model's three channels, forecasts keep them gray.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ from . import imaging
 from .alignment import (
     build_forecast_mask,
     patchify,
-    patchify_stack,
     replicate_channels,
     resize_bilinear,
     resize_stack,
     standardize_image,
     standardize_stack,
-    unpatchify_stack,
+    unpatchify,
 )
 from .errors import HorizonTooLongError, InvalidLError, RoutingError, ShapeMismatchError
 from .imaging import GrayImage
@@ -80,8 +82,7 @@ def image_for_method(method: str, window: np.ndarray, L: int | None = None,
         return imaging.filterbank_spectrogram(
             x, kw.get("window_len"), kw.get("hop"), kw.get("n_filters", 32))
     if method == "lineplot":
-        return imaging.lineplot_raster(x, kw.get("height", 64), kw.get("width", 64),
-                                       kw.get("line_thickness", 1))
+        return imaging.lineplot_raster(x, kw.get("height", 64), kw.get("width", 64))
     raise ShapeMismatchError(f"unknown imaging method {method!r}")
 
 
@@ -92,10 +93,10 @@ def _per_image(block: np.ndarray, method: str):
 
 def _patches(x: np.ndarray, method: str, cfg: ModelConfig, L: int | None = None,
              **kw) -> np.ndarray:
-    """Framework-(b)/(c) input: `x` imaged, then resized, standardized,
-    replicated and cut into patches (the shared input alignment)."""
+    """Framework-(b)/(c) input: `x` imaged, then resized, standardized, cut
+    into patches and replicated (the shared input alignment)."""
     img = resize_bilinear(image_for_method(method, x, L=L, **kw), cfg.image_size, cfg.image_size)
-    return patchify(replicate_channels(standardize_image(img)), cfg.patch_size).patches
+    return replicate_channels(patchify(standardize_image(img).pixels[None], cfg.patch_size))[0]
 
 
 def build_classify_sample(window: WindowSample, method: str, cfg: ModelConfig,
@@ -188,7 +189,7 @@ def _reconstruct_samples(in_stack: np.ndarray, tgt_stack: np.ndarray,
 
     Resize both (n, h, w) stacks to S x S, standardize each input image,
     scale each target by its input's statistics (so the loss lives in the
-    model's input space), replicate, patchify, and mask the patch columns
+    model's input space), patchify, replicate, and mask the patch columns
     past the look-back boundary. The n samples are views into one stacked
     array each for patches and targets, and share one read-only mask.
     """
@@ -196,8 +197,7 @@ def _reconstruct_samples(in_stack: np.ndarray, tgt_stack: np.ndarray,
     std, mu, sigma, degenerate = standardize_stack(resize_stack(_checked(in_stack), S, S))
     safe_sigma = np.where(degenerate, 1.0, sigma)[:, None, None]
     tgt_std = (resize_stack(_checked(tgt_stack), S, S) - mu[:, None, None]) / safe_sigma
-    patches, targets = (np.concatenate([patchify_stack(_checked(x), P)] * 3, axis=-1)
-                        for x in (std, tgt_std))                 # three identical channels
+    patches, targets = (replicate_channels(patchify(_checked(x), P)) for x in (std, tgt_std))
     mask_rows = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P
                                     ).row_mask(patches.shape[1])
     mask_rows.setflags(write=False)
@@ -263,15 +263,14 @@ def _reconstruct_horizons(stack: np.ndarray, layout: ReconstructLayout,
     if degenerate.all():
         return resized
     live = ~degenerate if degenerate.any() else slice(None)     # a slice copies nothing
-    out = forward_reconstruct_gray(patchify_stack(std[live], P), mask, params, cfg)
-    resized[live] = (unpatchify_stack(out, P) * sigma[live, None, None]
+    out = forward_reconstruct_gray(patchify(std[live], P), mask, params, cfg)
+    resized[live] = (unpatchify(out, P) * sigma[live, None, None]
                      + mu[live, None, None])
     return _checked(resized)
 
 
 def predict_forecasts(lookbacks: np.ndarray, L: int, horizon: int,
-                      params: ParamSet, cfg: ModelConfig,
-                      max_horizon_cols: int = MAX_HORIZON_COLS) -> np.ndarray:
+                      params: ParamSet, cfg: ModelConfig) -> np.ndarray:
     """Framework-(d) forecasts of (n, H) look-backs that share the segment
     length L: image, mask, reconstruct, invert; returns (n, horizon).
 
@@ -286,10 +285,10 @@ def predict_forecasts(lookbacks: np.ndarray, L: int, horizon: int,
     lookbacks = _stacks(2, lookbacks)[0]
     if L < 1:
         raise InvalidLError(f"L must be >= 1, got {L}")
-    if math.ceil(horizon / L) > max_horizon_cols:
+    if math.ceil(horizon / L) > MAX_HORIZON_COLS:
         raise HorizonTooLongError(
             f"horizon {horizon} needs {math.ceil(horizon / L)} columns "
-            f"(max {max_horizon_cols})")
+            f"(max {MAX_HORIZON_COLS})")
     in_stack, layout = _uvh_with_horizon(lookbacks, L, horizon, None)
     out = _reconstruct_horizons(in_stack, layout, params, cfg)
     back = resize_stack(out, L, layout.total_cols)
@@ -299,11 +298,9 @@ def predict_forecasts(lookbacks: np.ndarray, L: int, horizon: int,
 
 
 def predict_forecast(lookback: np.ndarray, L: int, horizon: int,
-                     params: ParamSet, cfg: ModelConfig,
-                     max_horizon_cols: int = MAX_HORIZON_COLS) -> np.ndarray:
+                     params: ParamSet, cfg: ModelConfig) -> np.ndarray:
     """:func:`predict_forecasts` of one (H,) look-back; returns (horizon,)."""
-    return predict_forecasts(np.reshape(lookback, (1, -1)), L, horizon, params, cfg,
-                             max_horizon_cols)[0]
+    return predict_forecasts(np.reshape(lookback, (1, -1)), L, horizon, params, cfg)[0]
 
 
 def predict_forecasts_mvh(lookbacks: np.ndarray, horizon: int, params: ParamSet,

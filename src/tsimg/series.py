@@ -76,7 +76,8 @@ class SplitStats:
 
 def slide_windows(series: MultivariateSeries, lookback: int, horizon: int,
                   stride: int = 1) -> list[WindowSample]:
-    """Cut contiguous (lookback, target) pairs out of a series.
+    """Cut contiguous (lookback, target) pairs out of a series, as
+    read-only views into its values (nothing is copied).
 
     Raises EmptyResultError when the series is shorter than
     lookback + horizon.
@@ -88,13 +89,11 @@ def slide_windows(series: MultivariateSeries, lookback: int, horizon: int,
         raise EmptyResultError(
             f"series length {T} < lookback {lookback} + horizon {horizon}")
     n = (T - lookback - horizon) // stride + 1
-    out = []
-    for s in range(n):
-        start = s * stride
-        lb = series.values[:, start:start + lookback]
-        tg = series.values[:, start + lookback:start + lookback + horizon]
-        out.append(WindowSample(lookback=lb.copy(), target=tg.copy()))
-    return out
+    values = series.values.view()
+    values.flags.writeable = False
+    return [WindowSample(lookback=values[:, s:s + lookback],
+                         target=values[:, s + lookback:s + lookback + horizon])
+            for s in range(0, n * stride, stride)]
 
 
 def chronological_split(series: MultivariateSeries,

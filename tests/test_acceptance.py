@@ -4,8 +4,7 @@ single PASS/FAIL line with the pinned tolerance."""
 import numpy as np
 import pytest
 
-from tsimg.alignment import patchify, replicate_channels, resize_bilinear, standardize_image
-from tsimg.alignment import unpatchify
+from tsimg.alignment import patchify, resize_bilinear, standardize_image, unpatchify
 from tsimg.cli import main as cli_main
 from tsimg.dataio import load_checkpoint, save_checkpoint
 from tsimg.evaluation import (
@@ -137,8 +136,8 @@ def test_c3_round_trips(tmp_path):
     if gaf_err > 1e-9:
         ok, details = False, details + [f"gaf {gaf_err:.2e}"]
 
-    al = replicate_channels(GrayImage(rng.normal(size=(64, 64))))
-    if not np.array_equal(unpatchify(patchify(al, 8)).channels, al.channels):
+    stack = rng.normal(size=(2, 64, 64))
+    if not np.array_equal(unpatchify(patchify(stack, 8), 8), stack):
         ok, details = False, details + ["patchify"]
 
     params = {"a": rng.normal(size=(7, 3)), "b": rng.normal(size=11)}
@@ -291,8 +290,8 @@ def test_c8_trainability():
                         image_size=32, patch_size=8, embed_dim=32,
                         num_heads=4, horizon=24)
     mse_d, _ = _train_eval_reconstruct(
-        task, 24, cfg_d, TrainConfig(learning_rate=3e-3, batch_size=16,
-                                     max_epochs=300, patience=300, seed=0),
+        (tr_w, va_w, te_w), 24, cfg_d,
+        TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=300, patience=300, seed=0),
         seed=0)
 
     _report("C8 trainability (linear head MSE < 0.01; reconstruction "

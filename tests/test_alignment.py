@@ -72,35 +72,38 @@ def test_standardize_constant_with_inexact_mean_is_degenerate(S, v):
 
 
 def test_replicate_channels():
-    img = GrayImage(np.arange(16.0).reshape(4, 4))
-    al = replicate_channels(img)
-    assert al.channels.shape == (3, 4, 4)
-    assert np.array_equal(al.channels[0], al.channels[1])
-    assert np.array_equal(al.channels[1], al.channels[2])
-    assert np.array_equal(al.channels[0], img.pixels)
+    patches = np.arange(32.0).reshape(2, 4, 4)         # 2 images of 4 gray 2x2 patches
+    out = replicate_channels(patches)
+    assert out.shape == (2, 4, 12)
+    for c in range(3):
+        assert np.array_equal(out[..., 4 * c:4 * (c + 1)], patches)
 
 
-def test_replicate_channels_not_square():
+def test_patchify_not_square():
     with pytest.raises(NotSquareError):
-        replicate_channels(GrayImage(np.zeros((2, 3))))
+        patchify(np.zeros((1, 4, 8)), 4)
+
+
+def test_unpatchify_bad_geometry():
+    with pytest.raises(ShapeMismatchError):
+        unpatchify(np.zeros((1, 5, 4)), 2)             # 5 patches tile no square
+    with pytest.raises(ShapeMismatchError):
+        unpatchify(np.zeros((1, 4, 9)), 2)             # 9-pixel rows are not 2x2 patches
 
 
 def test_patchify_counts_and_round_trip():
     rng = np.random.default_rng(3)
-    for S, P in ((4, 2), (16, 8), (64, 8), (24, 6)):
-        al = replicate_channels(GrayImage(rng.normal(size=(S, S))))
-        seq = patchify(al, P)
+    for n, S, P in ((1, 4, 2), (3, 16, 8), (2, 64, 8), (1, 24, 6)):
+        x = rng.normal(size=(n, S, S))
+        patches = patchify(x, P)
         g = S // P
-        assert seq.grid == (g, g)
-        assert seq.patches.shape == (g * g, 3 * P * P)
-        back = unpatchify(seq)
-        assert np.array_equal(back.channels, al.channels)
+        assert patches.shape == (n, g * g, P * P)
+        assert np.array_equal(unpatchify(patches, P), x)
 
 
 def test_patchify_indivisible():
-    al = replicate_channels(GrayImage(np.zeros((6, 6))))
     with pytest.raises(IndivisiblePatchError):
-        patchify(al, 4)
+        patchify(np.zeros((1, 6, 6)), 4)
 
 
 def test_forecast_mask_symmetric_split():

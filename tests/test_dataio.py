@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tsimg.dataio import (
-    DatasetManifest,
     RESULT_FIELDS,
     load_ett_csv,
     load_labeled_windows_csv,
@@ -43,15 +42,6 @@ def test_load_ett_csv_basic(tmp_path):
     assert s.variate_names == ["HUFL", "HULL"]
     assert s.values.shape == (2, 2)
     assert np.array_equal(s.values[0], [5.8, 5.6])
-
-
-def test_load_ett_csv_column_subset(tmp_path):
-    p = _write(tmp_path / "d.csv",
-               "date,a,b,c\nt0,1,2,3\nt1,4,5,6\n")
-    m = DatasetManifest(path=p, variate_columns=["c", "a"])
-    s = load_ett_csv(p, m)
-    assert s.variate_names == ["c", "a"]
-    assert np.array_equal(s.values, [[3.0, 6.0], [1.0, 4.0]])
 
 
 def test_load_ett_csv_errors_cite_line(tmp_path):
@@ -173,17 +163,17 @@ def test_checkpoint_bad_magic(tmp_path):
 
 # --- results / history CSV ----------------------------------------------
 
-def test_write_result_rows_and_append(tmp_path):
+def test_write_result_rows_replaces_the_table(tmp_path):
     path = str(tmp_path / "r.csv")
-    write_result_rows(path, [{"experiment_id": "e1", "axis_value": 24,
-                              "mse": 0.5}])
-    write_result_rows(path, [{"experiment_id": "e1", "axis_value": 48,
-                              "mse": 0.25}], append=True)
+    write_result_rows(path, [{"experiment_id": "e1", "axis_value": 24, "mse": 0.5}])
+    write_result_rows(path, [{"experiment_id": "e1", "axis_value": 48, "mse": 0.25},
+                             {"experiment_id": "e1", "axis_value": 96}])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(RESULT_FIELDS)
     assert len(rows) == 3
-    assert rows[2][1] == "48"
+    assert rows[1][:3] == ["e1", "48", "0.25"]
+    assert rows[2][1:3] == ["96", ""]
 
 
 def test_write_history_csv_round_trips_floats(tmp_path):

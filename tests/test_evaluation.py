@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tsimg import evaluation
 from tsimg.errors import (
     DivByZeroError,
     NonIntegerSegmentError,
@@ -24,6 +25,7 @@ from tsimg.evaluation import (
     perturb,
     reoccurrence_brute_force,
     reoccurrence_n,
+    segment_sweep,
 )
 from tsimg.models import ModelConfig
 from tsimg.series import MultivariateSeries, gen_periodic
@@ -208,6 +210,27 @@ def test_forecast_task_ratios_must_sum_to_one(ratios):
     task = ForecastTask(series=np.arange(100.0), lookback=5, horizon=2, ratios=ratios)
     with pytest.raises(ShapeMismatchError, match="sum to 1"):
         _split_windows(task)
+
+
+def test_sweeps_split_the_series_once_per_task(monkeypatch):
+    calls = []
+
+    def counting(task):
+        calls.append(task.lookback)
+        return split_windows(task)
+
+    split_windows = evaluation._split_windows
+    monkeypatch.setattr(evaluation, "_split_windows", counting)
+    task = ForecastTask(series=gen_periodic(12, 600, "composite", noise_std=0.05),
+                        lookback=48, horizon=12, stride=16)
+    cfg = ModelConfig(arch="wolvm", task="forecast_reconstruct", image_size=16,
+                      patch_size=8, embed_dim=8, num_heads=2, horizon=12)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=1, patience=1, seed=0)
+    segment_sweep(task, cfg, tc, L=12, k=3, i_values=[2, 3, 4, 6])
+    assert calls == [48]
+    calls.clear()
+    res = lookback_sweep(task, cfg, tc, [24, 48, 200], seg_len=12)
+    assert res.axis == [24, 48] and calls == [24, 48, 200]
 
 
 def test_split_windows_short_block_is_empty():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsimg.alignment import ForecastMask, PatchSequence
+from tsimg.alignment import ForecastMask, replicate_channels
 from tsimg.errors import (
     EmptyMaskError,
     LabelOutOfRangeError,
@@ -168,33 +168,30 @@ def test_forecast_linear_head():
     assert np.array_equal(forward_forecast_linear(tokens, params), np.zeros(cfg.horizon))
 
 
-def _seq_and_mask(cfg, rng, masked):
-    N, F = cfg.n_patches, cfg.patch_dim
-    seq = PatchSequence(patches=rng.normal(size=(N, F)),
-                        grid=(cfg.grid_side, cfg.grid_side),
-                        patch_size=cfg.patch_size)
+def _patches_and_mask(cfg, rng, masked):
+    patches = rng.normal(size=(cfg.n_patches, cfg.patch_dim))
     mask = ForecastMask(masked_patch_indices=frozenset(masked), boundary_col=0)
-    return seq, mask
+    return patches, mask
 
 
 def test_reconstruct_empty_mask_pass_through():
     cfg = small_cfg("minimae", "forecast_reconstruct")
     params = init_params(cfg, 0)
     rng = np.random.default_rng(5)
-    seq, mask = _seq_and_mask(cfg, rng, [])
-    out = forward_reconstruct(seq, mask, params, cfg)
-    assert np.array_equal(out.patches, seq.patches)
+    patches, mask = _patches_and_mask(cfg, rng, [])
+    out = forward_reconstruct(patches, mask, params, cfg)
+    assert np.array_equal(out, patches)
 
 
 def test_reconstruct_unmasked_bitwise_pass_through():
     cfg = small_cfg("minimae", "forecast_reconstruct")
     params = init_params(cfg, 0)
     rng = np.random.default_rng(6)
-    seq, mask = _seq_and_mask(cfg, rng, [1, 3])
-    out = forward_reconstruct(seq, mask, params, cfg)
+    patches, mask = _patches_and_mask(cfg, rng, [1, 3])
+    out = forward_reconstruct(patches, mask, params, cfg)
     keep = [0, 2]
-    assert np.array_equal(out.patches[keep], seq.patches[keep])
-    assert not np.array_equal(out.patches[[1, 3]], seq.patches[[1, 3]])
+    assert np.array_equal(out[keep], patches[keep])
+    assert not np.array_equal(out[[1, 3]], patches[[1, 3]])
 
 
 def test_reconstruct_zero_decoder():
@@ -203,9 +200,9 @@ def test_reconstruct_zero_decoder():
     params["dec_w"][:] = 0.0
     params["dec_b"][:] = 0.0
     rng = np.random.default_rng(7)
-    seq, mask = _seq_and_mask(cfg, rng, range(cfg.n_patches))
-    out = forward_reconstruct(seq, mask, params, cfg)
-    assert np.all(out.patches == 0.0)
+    patches, mask = _patches_and_mask(cfg, rng, range(cfg.n_patches))
+    out = forward_reconstruct(patches, mask, params, cfg)
+    assert np.all(out == 0.0)
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -219,10 +216,9 @@ def test_reconstruct_gray_is_channel_mean_of_replicated(arch):
     params["dec_b"] = rng.normal(size=params["dec_b"].shape)
     P2 = cfg.patch_size ** 2
     gray = rng.normal(size=(cfg.n_patches, P2))
-    seq = PatchSequence(patches=np.tile(gray, (1, 3)),
-                        grid=(cfg.grid_side, cfg.grid_side), patch_size=cfg.patch_size)
     mask = ForecastMask(masked_patch_indices=frozenset({2, 3, 6, 7, 11, 15}), boundary_col=0)
-    ref = forward_reconstruct(seq, mask, params, cfg).patches.reshape(-1, 3, P2).mean(axis=1)
+    ref = forward_reconstruct(replicate_channels(gray), mask, params, cfg)
+    ref = ref.reshape(-1, 3, P2).mean(axis=1)
     out = forward_reconstruct_gray(gray, mask, params, cfg)
     assert out.shape == gray.shape
     assert np.max(np.abs(out - ref)) < 1e-12
@@ -352,10 +348,10 @@ def test_reconstruct_passes_unmasked_rows_bitwise(arch):
     params = init_params(cfg, 0)
     rng = np.random.default_rng(12)
     for masked in ([0], [1, 2], [0, 1, 3]):
-        seq, mask = _seq_and_mask(cfg, rng, masked)
-        out = forward_reconstruct(seq, mask, params, cfg)
+        patches, mask = _patches_and_mask(cfg, rng, masked)
+        out = forward_reconstruct(patches, mask, params, cfg)
         keep = [i for i in range(cfg.n_patches) if i not in masked]
-        assert np.array_equal(out.patches[keep], seq.patches[keep])
+        assert np.array_equal(out[keep], patches[keep])
 
 
 def test_attention_weights_batched_rows_sum_to_one():
@@ -394,10 +390,8 @@ def test_reconstruct_batch_loss_is_masked_mse(arch):
     cfg = small_cfg(arch, "forecast_reconstruct")
     params = init_params(cfg, 16)
     s = make_batch(cfg, np.random.default_rng(16), n=1)[0]
-    seq = PatchSequence(patches=s.patches, grid=(cfg.grid_side, cfg.grid_side),
-                        patch_size=cfg.patch_size)
     mask = ForecastMask(frozenset(np.flatnonzero(s.mask_rows).tolist()), boundary_col=0)
-    pred = forward_reconstruct(seq, mask, params, cfg).patches
+    pred = forward_reconstruct(s.patches, mask, params, cfg)
     assert batch_loss([s], params, cfg) == pytest.approx(
         masked_mse(pred, s.target_patches, s.mask_rows), rel=1e-12)
 

@@ -180,16 +180,17 @@ def test_trained_stub_free_round_trip_smoke():
 
 # --- the single-channel core against the three-channel model ---------------
 #
-# The reference runs the model as trained: the standardized image replicated
-# into three channels, patchified, reconstructed by forward_reconstruct,
-# unpatchified and averaged back to one channel.
+# The reference runs the model as trained: the standardized image
+# patchified, replicated into three channels, reconstructed by
+# forward_reconstruct, averaged back to one channel and unpatchified.
 
 def _three_channel_image(img, lookback_cols, horizon_cols, params, cfg):
     S, P = cfg.image_size, cfg.patch_size
     std = standardize_image(resize_bilinear(img, S, S))
-    seq = patchify(replicate_channels(std), P)
+    patches = replicate_channels(patchify(std.pixels[None], P))[0]
     mask = build_forecast_mask(lookback_cols, horizon_cols, S, P)
-    gray = unpatchify(forward_reconstruct(seq, mask, params, cfg)).channels.mean(axis=0)
+    out = forward_reconstruct(patches, mask, params, cfg)
+    gray = unpatchify(out.reshape(1, -1, 3, P * P).mean(axis=2), P)[0]
     return GrayImage(gray * std.meta["std"] + std.meta["mean"])
 
 

@@ -1,8 +1,8 @@
 """Property tests for the alignment and imaging contracts: resize range
-and bitwise agreement with the reference formula, exact round trips, a
-non-empty forecast mask, the flat-spectrum threshold, the sweep windows
-against the explicit slice formula, and the stacked reconstruction core
-against a loop of single-window calls."""
+and bitwise agreement with the reference formula, exact round trips, the
+patch layout and the sweep windows against the explicit slice formula, a
+non-empty forecast mask, the flat-spectrum threshold, and the stacked
+reconstruction core against a loop of single-window calls."""
 
 import math
 
@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsimg.alignment import (
-    AlignedImage,
     build_forecast_mask,
     patchify,
+    replicate_channels,
     resize_bilinear,
     unpatchify,
 )
@@ -69,12 +69,35 @@ def test_resize_same_size_is_exact_identity(src):
     assert np.array_equal(out, src)
 
 
-@given(st.integers(1, 8), st.integers(1, 6), st.data())
-def test_patchify_unpatchify_round_trip_bitwise(P, g, data):
-    S = P * g
-    ch = data.draw(arrays(np.float64, (3, S, S), elements=finite))
-    back = unpatchify(patchify(AlignedImage(channels=ch, source_size=(S, S)), P))
-    assert np.array_equal(back.channels, ch)
+# n images of a g x g grid of P x P patches
+patch_stacks = st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 8)).flatmap(
+    lambda ngp: st.tuples(arrays(np.float64, (ngp[0], ngp[1] * ngp[2], ngp[1] * ngp[2]),
+                                 elements=finite), st.just(ngp[2])))
+
+
+@given(patch_stacks)
+def test_patchify_unpatchify_round_trip_bitwise(stack_and_P):
+    x, P = stack_and_P
+    assert np.array_equal(unpatchify(patchify(x, P), P), x)
+
+
+@given(patch_stacks)
+def test_patchify_layout_equals_slice_formula(stack_and_P):
+    # patch k = r * g + c of image i is x[i, rP:(r+1)P, cP:(c+1)P] row-major;
+    # the model's input row is that patch once per channel, channel-major
+    x, P = stack_and_P
+    n, S, _ = x.shape
+    g = S // P
+    patches = patchify(x, P)
+    model_in = replicate_channels(patches)
+    assert patches.shape == (n, g * g, P * P)
+    assert model_in.shape == (n, g * g, 3 * P * P)
+    for i in range(n):
+        for k in range(g * g):
+            r, c = divmod(k, g)
+            ref = x[i, r * P:(r + 1) * P, c * P:(c + 1) * P].ravel()
+            assert np.array_equal(patches[i, k], ref)
+            assert np.array_equal(model_in[i, k], np.concatenate([ref, ref, ref]))
 
 
 @given(arrays(np.float64, st.integers(1, 300), elements=finite), st.integers(1, 50))

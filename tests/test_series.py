@@ -38,6 +38,17 @@ def test_slide_windows_covers_all_indices():
     assert seen == set(range(T))
 
 
+def test_slide_windows_are_read_only_views():
+    s = MultivariateSeries(np.arange(40.0).reshape(2, 20))
+    for w in slide_windows(s, lookback=5, horizon=3, stride=4):
+        for part in (w.lookback, w.target):
+            assert np.shares_memory(part, s.values)
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 1.0
+    assert s.values.flags.writeable
+
+
 def test_slide_windows_too_short():
     s = MultivariateSeries(np.arange(5.0)[None, :])
     with pytest.raises(EmptyResultError):
