@@ -34,6 +34,6 @@ for method, kw in RENDER_ARGS.items():
     img = image_for_method(method, x, **kw)
     path = OUT / f"{method}.pgm"
     write_pgm(img, str(path))
-    print(f"  {method:<10} -> {img.height:>3} x {img.width:<3}  {path.name}")
+    print(f"  {method:<10} -> {img.shape[0]:>3} x {img.shape[1]:<3}  {path.name}")
 
 print(f"\nimages written to {OUT}/ (any PGM viewer will open them)")

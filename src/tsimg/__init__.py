@@ -16,7 +16,6 @@ from .series import (
 )
 from .imaging import (
     GafContext,
-    GrayImage,
     PeriodEstimate,
     detect_period,
     filterbank_spectrogram,
@@ -31,7 +30,6 @@ from .imaging import (
     wavelet_scalogram,
 )
 from .alignment import (
-    ForecastMask,
     build_forecast_mask,
     patchify,
     replicate_channels,
@@ -40,7 +38,7 @@ from .alignment import (
     unpatchify,
 )
 from .models import ModelConfig, backward, init_params, validate_routing
-from .training import AdamState, TrainConfig, adam_step, cross_entropy, masked_mse, train
+from .training import AdamState, TrainConfig, adam_step, train
 from .evaluation import (
     ForecastTask,
     PerturbMode,

@@ -1,38 +1,36 @@
 """Input alignment: bilinear resize, per-image standardization,
 patchification, 3-channel replication, and the forecast mask layout.
 
-Resize and standardization work on (n, H, W) stacks of images that share
+An image is a float64 2-D array and a stack of images one (n, H, W)
+array; :func:`check_images` is the one check that a stack is non-empty and
+finite. Resize and standardization work on stacks of images that share
 one shape (:func:`resize_stack`, :func:`standardize_stack`);
 :func:`resize_bilinear` and :func:`standardize_image` are their n = 1
-wrappers on a :class:`GrayImage`. A patch is a plain float64 array: one
-:func:`patchify` cuts an (n, S, S) stack into (n, N, P * P) gray patches,
-and :func:`replicate_channels` makes the model's three identical channels
-from them, just before the model.
+case on one image. A patch is a plain float64 array: one :func:`patchify`
+cuts an (n, S, S) stack into (n, N, P * P) gray patches, and
+:func:`replicate_channels` makes the model's three identical channels from
+them, just before the model. A forecast mask is a read-only bool (N,)
+array over those patches.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IndivisiblePatchError, NotSquareError, ShapeMismatchError
-from .imaging import GrayImage
 
 
-@dataclass
-class ForecastMask:
-    """Patches whose column span overlaps the horizon region of the image."""
-
-    masked_patch_indices: frozenset[int]
-    boundary_col: int
-
-    def row_mask(self, n_patches: int) -> np.ndarray:
-        m = np.zeros(n_patches, dtype=bool)
-        m[list(self.masked_patch_indices)] = True
-        return m
+def check_images(stack: np.ndarray) -> np.ndarray:
+    """`stack` itself, once checked to be an (n, H, W) stack of non-empty,
+    finite images; raises ShapeMismatchError otherwise."""
+    if stack.ndim != 3 or min(stack.shape) < 1:
+        raise ShapeMismatchError(f"expected a stack of non-empty images, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ShapeMismatchError("image contains NaN/Inf")
+    return stack
 
 
 @functools.lru_cache(maxsize=256)
@@ -85,9 +83,9 @@ def _lerp(a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.nd
     return a
 
 
-def resize_bilinear(img: GrayImage, out_h: int, out_w: int) -> GrayImage:
+def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """:func:`resize_stack` of one image."""
-    return GrayImage(resize_stack(img.pixels[None], out_h, out_w)[0])
+    return resize_stack(img[None], out_h, out_w)[0]
 
 
 def standardize_stack(stack: np.ndarray):
@@ -102,7 +100,9 @@ def standardize_stack(stack: np.ndarray):
     std. A std that underflows to 0 is degenerate too. The stack is made
     C-contiguous first, so each image is reduced on its own as one run of
     H * W pixels, and its mean and std are bitwise those of the image
-    standardized alone.
+    standardized alone. A finite stack gives a finite result, or raises
+    ShapeMismatchError: a non-degenerate image whose mean or std is not
+    finite (its values overflow a float64 sum of squares) has no scale.
     """
     stack = np.ascontiguousarray(stack)
     n = stack.shape[0]
@@ -118,15 +118,15 @@ def standardize_stack(stack: np.ndarray):
         c /= np.where(degenerate, 1.0, sigma)[:, None, None]
     else:
         c /= sigma[:, None, None]
+    # a mean that is not finite makes the std so too
+    if not np.isfinite(sigma).all():
+        raise ShapeMismatchError("image std is not finite")
     return c, mu, sigma, degenerate
 
 
-def standardize_image(img: GrayImage) -> GrayImage:
-    """:func:`standardize_stack` of one image; meta holds "degenerate",
-    "mean" and "std"."""
-    std, mu, sigma, degenerate = standardize_stack(img.pixels[None])
-    return GrayImage(std[0], meta={"degenerate": bool(degenerate[0]),
-                                   "mean": float(mu[0]), "std": float(sigma[0])})
+def standardize_image(img: np.ndarray) -> np.ndarray:
+    """The standardized image of :func:`standardize_stack` of one image."""
+    return standardize_stack(img[None])[0][0]
 
 
 def patchify(stack: np.ndarray, P: int) -> np.ndarray:
@@ -158,8 +158,9 @@ def replicate_channels(patches: np.ndarray) -> np.ndarray:
     return np.concatenate([patches] * 3, axis=-1)
 
 
-def build_forecast_mask(lookback_cols: int, horizon_cols: int, S: int, P: int) -> ForecastMask:
-    """Mask every patch whose column span intersects the horizon region.
+def build_forecast_mask(lookback_cols: int, horizon_cols: int, S: int, P: int) -> np.ndarray:
+    """The read-only bool (N,) mask of the patches, in patchify order, whose
+    column span intersects the horizon region.
 
     The boundary column is the look-back/horizon split rescaled to the
     resized image width S, capped at S - 1 so that a horizon too narrow to
@@ -173,8 +174,8 @@ def build_forecast_mask(lookback_cols: int, horizon_cols: int, S: int, P: int) -
     total = lookback_cols + horizon_cols
     boundary = min(int(round(S * lookback_cols / total)), S - 1)
     g = S // P
-    masked = set()
-    for pc in range(g):
-        if (pc + 1) * P > boundary:  # column span [pc*P, (pc+1)*P) hits horizon
-            masked.update(pr * g + pc for pr in range(g))
-    return ForecastMask(masked_patch_indices=frozenset(masked), boundary_col=boundary)
+    mask = np.zeros((g, g), dtype=bool)
+    mask[:, boundary // P:] = True      # patch columns from the one holding the boundary
+    mask = mask.reshape(-1)             # row-major: patch pr * g + pc
+    mask.setflags(write=False)
+    return mask

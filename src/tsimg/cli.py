@@ -184,8 +184,8 @@ def cmd_render(args) -> int:
         height=args.height, width=args.width)
     dataio.write_pgm(img, args.out)
     sidecar = Path(args.out).with_suffix(".csv")
-    np.savetxt(sidecar, img.pixels, delimiter=",")
-    print(f"render method={args.method} height={img.height} width={img.width} "
+    np.savetxt(sidecar, img, delimiter=",")
+    print(f"render method={args.method} height={img.shape[0]} width={img.shape[1]} "
           f"out={args.out}")
     return 0
 

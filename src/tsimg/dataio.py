@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     VersionMismatchError,
 )
-from .imaging import GrayImage
+from .alignment import check_images
 from .series import MultivariateSeries, WindowSample
 
 CHECKPOINT_MAGIC = b"TSIMGCKPT"
@@ -93,10 +93,10 @@ def _read_rows(path: str) -> list[list[str]]:
 
 # --- PGM ----------------------------------------------------------------
 
-def write_pgm(img: GrayImage, path: str) -> None:
-    """Plain (P2) 16-bit PGM; pixels min-max scaled to [0, 65535] with the
-    original range recorded in a header comment for read-back."""
-    p = img.pixels
+def write_pgm(img: np.ndarray, path: str) -> None:
+    """Plain (P2) 16-bit PGM of a checked 2-D image; pixels min-max scaled
+    to [0, 65535], the original range recorded in a header comment."""
+    p = check_images(img[None])[0]
     lo, hi = float(p.min()), float(p.max())
     if hi == lo:
         scaled = np.zeros_like(p, dtype=np.int64)
@@ -104,7 +104,7 @@ def write_pgm(img: GrayImage, path: str) -> None:
         scaled = np.rint((p - lo) / (hi - lo) * 65535).astype(np.int64)
     lines = ["P2",
              f"# range {lo!r} {hi!r}",
-             f"{img.width} {img.height}",
+             f"{p.shape[1]} {p.shape[0]}",
              "65535"]
     lines += [" ".join(str(v) for v in row) for row in scaled]
     try:
@@ -113,7 +113,7 @@ def write_pgm(img: GrayImage, path: str) -> None:
         raise IoError(f"cannot write {path}: {e}") from None
 
 
-def read_pgm(path: str) -> GrayImage:
+def read_pgm(path: str) -> np.ndarray:
     """Read back a file written by :func:`write_pgm`, restoring the
     original dynamic range from the header comment."""
     try:
@@ -147,7 +147,7 @@ def read_pgm(path: str) -> GrayImage:
         arr = arr / maxval * (hi - lo) + lo
     elif lo is not None:
         arr = np.full(dims, lo)
-    return GrayImage(arr)
+    return check_images(arr[None])[0]
 
 
 # --- checkpoints --------------------------------------------------------

@@ -1,14 +1,15 @@
 """The eight time-series-to-image transforms plus FFT period detection.
 
-All transforms are deterministic and return a :class:`GrayImage`. Where a
-transform is used together with its inverse downstream (UVH, GAF diagonal),
-the inverse lives next to it here.
+All transforms are deterministic and return a float64 2-D ndarray whose
+row index is the vertical axis. Where a transform is used together with
+its inverse downstream (UVH, GAF diagonal), the inverse lives next to it
+here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,29 +23,6 @@ from .errors import (
     WindowTooLongError,
 )
 from .series import MultivariateSeries
-
-
-@dataclass
-class GrayImage:
-    """Single-channel real image; row index is the vertical axis."""
-
-    pixels: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 2 or min(self.pixels.shape) < 1:
-            raise ShapeMismatchError(f"expected 2-D image, got shape {self.pixels.shape}")
-        if not np.all(np.isfinite(self.pixels)):
-            raise ShapeMismatchError("image contains NaN/Inf")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
 
 
 @dataclass
@@ -103,29 +81,27 @@ def uvh_stack(X: np.ndarray, L: int) -> np.ndarray:
     return padded.reshape(n, cols, L).swapaxes(1, 2)
 
 
-def uvh(x: np.ndarray, L: int) -> GrayImage:
+def uvh(x: np.ndarray, L: int) -> np.ndarray:
     """:func:`uvh_stack` of one series."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    img = uvh_stack(x, L)[0]
-    return GrayImage(img.copy(), meta={"pad": img.size - x.size, "pad_value": float(x[0, 0])})
+    return uvh_stack(np.asarray(x, dtype=np.float64).reshape(1, -1), L)[0].copy()
 
 
-def uvh_inverse(img: GrayImage, original_length: int) -> np.ndarray:
+def uvh_inverse(img: np.ndarray, original_length: int) -> np.ndarray:
     """Unstack UVH columns in order and drop the left pad."""
-    total = img.height * img.width
+    total = img.size
     if total < original_length:
         raise LengthMismatchError(
             f"image holds {total} values < requested {original_length}")
-    flat = img.pixels.T.reshape(-1)
+    flat = img.T.reshape(-1)
     return flat[total - original_length:].copy()
 
 
-def mvh(X: MultivariateSeries) -> GrayImage:
+def mvh(X: MultivariateSeries) -> np.ndarray:
     """Multivariate heatmap: the (d, T) matrix rendered directly."""
-    return GrayImage(X.values.copy())
+    return X.values.copy()
 
 
-def gaf(x: np.ndarray) -> tuple[GrayImage, GafContext]:
+def gaf(x: np.ndarray) -> tuple[np.ndarray, GafContext]:
     """Gramian angular field (summation form).
 
     Min-max scales x to [0, 1], maps to angles phi = arccos(x_hat) and
@@ -141,23 +117,23 @@ def gaf(x: np.ndarray) -> tuple[GrayImage, GafContext]:
         xh = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
     comp = np.sqrt(np.clip(1.0 - xh * xh, 0.0, None))
     img = np.outer(xh, xh) - np.outer(comp, comp)
-    return GrayImage(img), GafContext(min=lo, max=hi, degenerate=degenerate)
+    return img, GafContext(min=lo, max=hi, degenerate=degenerate)
 
 
-def gaf_diag_inverse(img: GrayImage, ctx: GafContext) -> np.ndarray:
+def gaf_diag_inverse(img: np.ndarray, ctx: GafContext) -> np.ndarray:
     """Recover values from the GAF diagonal: G_ii = 2*x_hat_i^2 - 1.
 
     Output is bounded by [ctx.min, ctx.max] by construction; diagonal
     entries outside [-1, 1] (reconstruction drift) are clamped first.
     """
-    if img.height != img.width:
-        raise NotSquareError(f"image is {img.height}x{img.width}")
-    diag = np.clip(np.diagonal(img.pixels), -1.0, 1.0)
+    if img.ndim != 2 or img.shape[0] != img.shape[1]:
+        raise NotSquareError(f"image has shape {img.shape}")
+    diag = np.clip(np.diagonal(img), -1.0, 1.0)
     xh = np.sqrt((diag + 1.0) / 2.0)
     return ctx.min + xh * (ctx.max - ctx.min)
 
 
-def recurrence_plot(x: np.ndarray, embed_dim: int = 1, delay: int = 1) -> GrayImage:
+def recurrence_plot(x: np.ndarray, embed_dim: int = 1, delay: int = 1) -> np.ndarray:
     """Unthresholded recurrence plot: pairwise Euclidean distances between
     delay-embedded states."""
     x = np.asarray(x, dtype=np.float64)
@@ -167,11 +143,11 @@ def recurrence_plot(x: np.ndarray, embed_dim: int = 1, delay: int = 1) -> GrayIm
             f"embedding (dim={embed_dim}, delay={delay}) leaves no states for T={x.size}")
     states = np.stack([x[j * delay:j * delay + m] for j in range(embed_dim)], axis=1)
     diff = states[:, None, :] - states[None, :, :]
-    return GrayImage(np.sqrt((diff * diff).sum(axis=2)))
+    return np.sqrt((diff * diff).sum(axis=2))
 
 
 def stft_spectrogram(x: np.ndarray, window_len: int | None = None,
-                     hop: int | None = None) -> GrayImage:
+                     hop: int | None = None) -> np.ndarray:
     """Hann-windowed magnitude spectrogram with log(1+|S|) compression.
 
     Rows are frequencies (window_len//2 + 1 of them), columns are frames.
@@ -186,7 +162,7 @@ def stft_spectrogram(x: np.ndarray, window_len: int | None = None,
         raise WindowTooLongError(f"window {window_len} > series length {T}")
     if hop < 1:
         raise ShapeMismatchError("hop >= 1 required")
-    return GrayImage(np.log1p(_stft_magnitude(x, window_len, hop)))
+    return np.log1p(_stft_magnitude(x, window_len, hop))
 
 
 def _stft_magnitude(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
@@ -197,28 +173,32 @@ def _stft_magnitude(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
     return np.abs(np.fft.rfft(frames, axis=1)).T
 
 
-def morlet_fourier_period(scale: float, w0: float = 6.0) -> float:
+MORLET_W0 = 6.0    # centre frequency of the scalogram's Morlet wavelet
+
+
+def morlet_fourier_period(scale: float, w0: float = MORLET_W0) -> float:
     """Equivalent Fourier period of a Morlet wavelet at a given scale."""
     return 4.0 * np.pi * scale / (w0 + np.sqrt(2.0 + w0 * w0))
 
 
-def wavelet_scalogram(x: np.ndarray, num_scales: int = 32) -> GrayImage:
-    """Morlet CWT magnitude over dyadically spaced scales.
-
-    Row j uses scale s0 * 2^(j*dj); the scale list is stored in meta so
-    callers can map rows back to equivalent Fourier periods.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    T = x.size
+def wavelet_scales(T: int, num_scales: int) -> np.ndarray:
+    """The Morlet scales of :func:`wavelet_scalogram`'s rows for a length-T
+    series: geometric from Fourier period 2 up to period T / 2."""
     if num_scales < 1:
         raise ShapeMismatchError("num_scales >= 1 required")
-    w0 = 6.0
+    w0 = MORLET_W0
     s0 = 2.0 * (w0 + np.sqrt(2.0 + w0 * w0)) / (4.0 * np.pi)  # Fourier period 2
-    max_scale = max(s0, T / morlet_fourier_period(1.0, w0) / 2.0)
+    max_scale = max(s0, T / morlet_fourier_period(1.0) / 2.0)
     if num_scales == 1:
-        scales = np.array([s0])
-    else:
-        scales = s0 * (max_scale / s0) ** (np.arange(num_scales) / (num_scales - 1))
+        return np.array([s0])
+    return s0 * (max_scale / s0) ** (np.arange(num_scales) / (num_scales - 1))
+
+
+def wavelet_scalogram(x: np.ndarray, num_scales: int = 32) -> np.ndarray:
+    """Morlet CWT magnitude; row j uses scale j of :func:`wavelet_scales`."""
+    x = np.asarray(x, dtype=np.float64)
+    T = x.size
+    scales = wavelet_scales(T, num_scales)
     # frequency-domain CWT: conv with the wavelet = product of spectra
     xf = np.fft.fft(x)
     omega = 2.0 * np.pi * np.fft.fftfreq(T)
@@ -226,9 +206,9 @@ def wavelet_scalogram(x: np.ndarray, num_scales: int = 32) -> GrayImage:
     for j, s in enumerate(scales):
         # L2-normalized Morlet daughter in the frequency domain
         psi_hat = (np.pi ** -0.25) * np.sqrt(2 * np.pi * s) * \
-            np.exp(-0.5 * (s * omega - w0) ** 2) * (omega > 0)
+            np.exp(-0.5 * (s * omega - MORLET_W0) ** 2) * (omega > 0)
         out[j] = np.abs(np.fft.ifft(xf * np.conj(psi_hat)))
-    return GrayImage(out, meta={"scales": scales, "w0": w0})
+    return out
 
 
 def _triangular_filterbank(n_filters: int, n_bins: int) -> np.ndarray:
@@ -245,7 +225,7 @@ def _triangular_filterbank(n_filters: int, n_bins: int) -> np.ndarray:
 
 
 def filterbank_spectrogram(x: np.ndarray, window_len: int | None = None,
-                           hop: int | None = None, n_filters: int = 32) -> GrayImage:
+                           hop: int | None = None, n_filters: int = 32) -> np.ndarray:
     """Triangular filterbank energies over the STFT magnitudes,
     log-compressed; rows are filters."""
     x = np.asarray(x, dtype=np.float64)
@@ -260,10 +240,10 @@ def filterbank_spectrogram(x: np.ndarray, window_len: int | None = None,
         raise WindowTooLongError(f"window {window_len} > series length {T}")
     mag = _stft_magnitude(x, window_len, hop)
     fb = _triangular_filterbank(n_filters, mag.shape[0])
-    return GrayImage(np.log1p(fb @ mag))
+    return np.log1p(fb @ mag)
 
 
-def lineplot_raster(x: np.ndarray, height: int = 64, width: int = 64) -> GrayImage:
+def lineplot_raster(x: np.ndarray, height: int = 64, width: int = 64) -> np.ndarray:
     """Binary raster of the series line plot (top row = max value).
 
     Consecutive points are joined with Bresenham segments; a constant
@@ -306,7 +286,7 @@ def lineplot_raster(x: np.ndarray, height: int = 64, width: int = 64) -> GrayIma
     img[rows[0], cols[0]] = 1.0
     for i in range(T - 1):
         draw(rows[i], cols[i], rows[i + 1], cols[i + 1])
-    return GrayImage(img)
+    return img
 
 
 # canonical method names used by the CLI and routing checks

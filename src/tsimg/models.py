@@ -26,14 +26,15 @@ projection runs only on visible rows (masked rows take the mask token),
 and the decoder and the masked MSE run only on the masked rows, gathered
 as body[mask]; their gradient is scattered back into zeros.
 
-Patches are plain arrays cut by alignment.patchify. The model input is
-three identical channels of one gray image (F = 3 * P * P), made by
-alignment.replicate_channels.
-Training keeps all three. The forecast path runs forward_reconstruct_gray
-on the gray (n, N, P * P) patches of a forecast stack in one pass: the
-channel copies are folded into the weights (embed_w's channel blocks
-summed, dec_w's and dec_b's averaged), which gives the channel mean of
-forward_reconstruct, the three-channel reference, up to rounding.
+Patches are plain arrays cut by alignment.patchify, and a forecast mask
+is the read-only bool (N,) array of alignment.build_forecast_mask. The
+model input is three identical channels of one gray image (F = 3 * P * P),
+made by alignment.replicate_channels. Training keeps all three. The
+forecast path runs forward_reconstruct_gray on the gray (n, N, P * P)
+patches of a forecast stack in one pass: the channel copies are folded
+into the weights (embed_w's channel blocks summed, dec_w's and dec_b's
+averaged), which gives the channel mean of forward_reconstruct, the
+three-channel reference, up to rounding.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import ForecastMask
 from .errors import (
     EmptyMaskError,
     LabelOutOfRangeError,
@@ -155,10 +155,6 @@ def zeros_like_params(params: ParamSet) -> GradSet:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def count_params(params: ParamSet) -> int:
-    return sum(v.size for v in params.values())
-
-
 # --- patch embedding ----------------------------------------------------
 
 def forward_embed(patches: np.ndarray, params: ParamSet,
@@ -259,11 +255,6 @@ def forward_attention(tokens: np.ndarray, params: ParamSet, num_heads: int):
     return out.reshape(tokens.shape), cache
 
 
-def attention_weights(tokens: np.ndarray, params: ParamSet, num_heads: int) -> np.ndarray:
-    """(..., heads, N, N) row-stochastic attention matrix (diagnostics)."""
-    return forward_attention(tokens, params, num_heads)[1]["A"]
-
-
 def backward_attention(d_out: np.ndarray, cache: dict, params: ParamSet,
                        grads: GradSet) -> np.ndarray:
     x, xhat, inv_std, A = cache["x"], cache["xhat"], cache["inv_std"], cache["A"]
@@ -338,19 +329,27 @@ def _encode_backward(d_body: np.ndarray, caches: tuple, params: ParamSet,
     backward_embed(backward_body(d_body, body_cache, params, grads), embed_cache, grads)
 
 
-def forward_reconstruct(patches: np.ndarray, mask: ForecastMask, params: ParamSet,
+def _checked_mask(mask: np.ndarray, N: int) -> np.ndarray:
+    """A forecast mask, once checked to be a bool (N,) row mask."""
+    if mask.dtype != bool or mask.shape != (N,):
+        raise ShapeMismatchError(f"forecast mask of {mask.dtype} {mask.shape} for {N} patches")
+    return mask
+
+
+def forward_reconstruct(patches: np.ndarray, mask: np.ndarray, params: ParamSet,
                         cfg: ModelConfig) -> np.ndarray:
-    """Full framework-(d) forward on the (N, F) patches of one image: masked
-    tokens become the mask token, the decoder regenerates only the masked
-    patches, and unmasked patches are passed through untouched."""
-    mask_rows = mask.row_mask(patches.shape[0])
+    """Full framework-(d) forward on the (N, F) patches of one image and
+    its bool (N,) forecast mask: masked tokens become the mask token, the
+    decoder regenerates only the masked patches, and unmasked patches are
+    passed through untouched."""
+    mask_rows = _checked_mask(mask, patches.shape[0])
     body, _ = _encode(patches[~mask_rows], params, cfg, mask_rows)
     out = patches.copy()
     out[mask_rows] = body[mask_rows] @ params["dec_w"] + params["dec_b"]
     return out
 
 
-def forward_reconstruct_gray(patches: np.ndarray, mask: ForecastMask, params: ParamSet,
+def forward_reconstruct_gray(patches: np.ndarray, mask: np.ndarray, params: ParamSet,
                              cfg: ModelConfig) -> np.ndarray:
     """:func:`forward_reconstruct` on the (..., N, P*P) patches of gray
     images that share one mask, as one stacked pass.
@@ -368,7 +367,7 @@ def forward_reconstruct_gray(patches: np.ndarray, mask: ForecastMask, params: Pa
         raise ShapeMismatchError(
             f"embed_w {params['embed_w'].shape} and dec_w {params['dec_w'].shape} "
             f"do not fit three channels of {P2}-pixel patches")
-    mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | mask.row_mask(patches.shape[-2])
+    mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | _checked_mask(mask, patches.shape[-2])
     folded = dict(params, embed_w=params["embed_w"].reshape(3, P2, D).sum(axis=0))
     body, _ = _encode(patches[~mask_rows], folded, cfg, mask_rows)
     out = patches.copy()

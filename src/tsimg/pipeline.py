@@ -12,8 +12,12 @@ standardize, patchify and mask them as (n, ., .) arrays, with one model
 pass per forecast stack. :func:`build_reconstruct_sample`,
 :func:`predict_forecast` and their ``_mvh`` twins are the n = 1 case.
 
-Every path cuts patches with one :func:`~tsimg.alignment.patchify`; samples
-hold them replicated into the model's three channels, forecasts keep them gray.
+Images are float64 arrays, checked once per stack by
+:func:`~tsimg.alignment.check_images` where a non-finite value can first
+appear: on :func:`image_for_method`'s output and on the stacks of the
+reconstruction core. Every path cuts patches with one
+:func:`~tsimg.alignment.patchify`; samples hold them replicated into the
+model's three channels, forecasts keep them gray.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from . import imaging
 from .alignment import (
     build_forecast_mask,
+    check_images,
     patchify,
     replicate_channels,
     resize_bilinear,
@@ -35,7 +40,6 @@ from .alignment import (
     unpatchify,
 )
 from .errors import HorizonTooLongError, InvalidLError, RoutingError, ShapeMismatchError
-from .imaging import GrayImage
 from .models import (
     ClassifySample,
     ForecastSample,
@@ -56,34 +60,31 @@ def uvh_seg_len(lookback: np.ndarray, seg_len: int | None) -> int:
     return imaging.detect_period(lookback).chosen_L if seg_len is None else seg_len
 
 
-def image_for_method(method: str, window: np.ndarray, L: int | None = None,
-                     **kw) -> GrayImage:
-    """Render one look-back window with the named imaging method.
+def image_for_method(method: str, window: np.ndarray, *, L: int | None = None,
+                     embed_dim: int = 1, delay: int = 1, window_len: int | None = None,
+                     hop: int | None = None, num_scales: int = 32, n_filters: int = 32,
+                     height: int = 64, width: int = 64) -> np.ndarray:
+    """Render one look-back window with the named imaging method, as a
+    checked non-empty, finite image.
 
     `window` is (H,) for univariate methods and (d, H) for mvh. For uvh,
-    L defaults to the FFT-detected dominant period.
+    L defaults to the FFT-detected dominant period. Each method reads only
+    its own options; a misspelt one raises TypeError.
     """
-    if method == "mvh":
-        return imaging.mvh(MultivariateSeries(np.atleast_2d(window)))
     x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 1:
+    if method != "mvh" and x.ndim != 1:
         raise ShapeMismatchError(f"method {method!r} expects a univariate window")
-    if method == "uvh":
-        return imaging.uvh(x, uvh_seg_len(x, L))
-    if method == "gaf":
-        return imaging.gaf(x)[0]
-    if method == "rp":
-        return imaging.recurrence_plot(x, kw.get("embed_dim", 1), kw.get("delay", 1))
-    if method == "stft":
-        return imaging.stft_spectrogram(x, kw.get("window_len"), kw.get("hop"))
-    if method == "wavelet":
-        return imaging.wavelet_scalogram(x, kw.get("num_scales", 32))
-    if method == "filterbank":
-        return imaging.filterbank_spectrogram(
-            x, kw.get("window_len"), kw.get("hop"), kw.get("n_filters", 32))
-    if method == "lineplot":
-        return imaging.lineplot_raster(x, kw.get("height", 64), kw.get("width", 64))
-    raise ShapeMismatchError(f"unknown imaging method {method!r}")
+    render = {"mvh": lambda: imaging.mvh(MultivariateSeries(np.atleast_2d(x))),
+              "uvh": lambda: imaging.uvh(x, uvh_seg_len(x, L)),
+              "gaf": lambda: imaging.gaf(x)[0],
+              "rp": lambda: imaging.recurrence_plot(x, embed_dim, delay),
+              "stft": lambda: imaging.stft_spectrogram(x, window_len, hop),
+              "wavelet": lambda: imaging.wavelet_scalogram(x, num_scales),
+              "filterbank": lambda: imaging.filterbank_spectrogram(x, window_len, hop, n_filters),
+              "lineplot": lambda: imaging.lineplot_raster(x, height, width)}
+    if method not in render:
+        raise ShapeMismatchError(f"unknown imaging method {method!r}")
+    return check_images(render[method]()[None])[0]
 
 
 def _per_image(block: np.ndarray, method: str):
@@ -91,24 +92,23 @@ def _per_image(block: np.ndarray, method: str):
     return [block] if method == "mvh" else block
 
 
-def _patches(x: np.ndarray, method: str, cfg: ModelConfig, L: int | None = None,
-             **kw) -> np.ndarray:
+def _patches(x: np.ndarray, method: str, cfg: ModelConfig, L: int | None = None) -> np.ndarray:
     """Framework-(b)/(c) input: `x` imaged, then resized, standardized, cut
     into patches and replicated (the shared input alignment)."""
-    img = resize_bilinear(image_for_method(method, x, L=L, **kw), cfg.image_size, cfg.image_size)
-    return replicate_channels(patchify(standardize_image(img).pixels[None], cfg.patch_size))[0]
+    img = resize_bilinear(image_for_method(method, x, L=L), cfg.image_size, cfg.image_size)
+    return replicate_channels(patchify(standardize_image(img)[None], cfg.patch_size))[0]
 
 
 def build_classify_sample(window: WindowSample, method: str, cfg: ModelConfig,
-                          L: int | None = None, **kw) -> ClassifySample:
+                          L: int | None = None) -> ClassifySample:
     """Image each variate independently (single shared image for mvh)."""
-    seqs = [_patches(x, method, cfg, L, **kw) for x in _per_image(window.lookback, method)]
+    seqs = [_patches(x, method, cfg, L) for x in _per_image(window.lookback, method)]
     return ClassifySample(patch_seqs=seqs, label=window.class_label)
 
 
 def build_linear_sample(lookback: np.ndarray, target: np.ndarray, method: str,
-                        cfg: ModelConfig, L: int | None = None, **kw) -> ForecastSample:
-    return ForecastSample(patches=_patches(lookback, method, cfg, L, **kw),
+                        cfg: ModelConfig, L: int | None = None) -> ForecastSample:
+    return ForecastSample(patches=_patches(lookback, method, cfg, L),
                           target=np.asarray(target, dtype=np.float64).ravel())
 
 
@@ -139,15 +139,6 @@ def _stacks(ndim: int, *arrays) -> list:
         raise ShapeMismatchError(f"expected non-empty stacks of {ndim - 1}-D windows that "
                                  f"differ only in length, got shapes {shapes}")
     return out
-
-
-def _checked(stack: np.ndarray) -> np.ndarray:
-    """The checks a GrayImage makes, over a stack of images."""
-    if min(stack.shape[1:]) < 1:
-        raise ShapeMismatchError(f"expected non-empty images, got shape {stack.shape[1:]}")
-    if not np.isfinite(stack).all():
-        raise ShapeMismatchError("image contains NaN/Inf")
-    return stack
 
 
 def _uvh_with_horizon(lookbacks: np.ndarray, seg_len: int, horizon: int,
@@ -194,13 +185,11 @@ def _reconstruct_samples(in_stack: np.ndarray, tgt_stack: np.ndarray,
     array each for patches and targets, and share one read-only mask.
     """
     S, P = cfg.image_size, cfg.patch_size
-    std, mu, sigma, degenerate = standardize_stack(resize_stack(_checked(in_stack), S, S))
+    std, mu, sigma, degenerate = standardize_stack(resize_stack(check_images(in_stack), S, S))
     safe_sigma = np.where(degenerate, 1.0, sigma)[:, None, None]
-    tgt_std = (resize_stack(_checked(tgt_stack), S, S) - mu[:, None, None]) / safe_sigma
-    patches, targets = (replicate_channels(patchify(_checked(x), P)) for x in (std, tgt_std))
-    mask_rows = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P
-                                    ).row_mask(patches.shape[1])
-    mask_rows.setflags(write=False)
+    tgt_std = (resize_stack(check_images(tgt_stack), S, S) - mu[:, None, None]) / safe_sigma
+    patches, targets = (replicate_channels(patchify(check_images(x), P)) for x in (std, tgt_std))
+    mask_rows = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P)
     return [ReconstructSample(patches=p, target_patches=t, mask_rows=mask_rows)
             for p, t in zip(patches, targets)]
 
@@ -258,7 +247,7 @@ def _reconstruct_horizons(stack: np.ndarray, layout: ReconstructLayout,
             f"forecast reconstruction requires task 'forecast_reconstruct', got {cfg.task!r}")
     S, P = cfg.image_size, cfg.patch_size
     mask = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P)
-    resized = resize_stack(_checked(stack), S, S)
+    resized = resize_stack(check_images(stack), S, S)
     std, mu, sigma, degenerate = standardize_stack(resized)
     if degenerate.all():
         return resized
@@ -266,7 +255,7 @@ def _reconstruct_horizons(stack: np.ndarray, layout: ReconstructLayout,
     out = forward_reconstruct_gray(patchify(std[live], P), mask, params, cfg)
     resized[live] = (unpatchify(out, P) * sigma[live, None, None]
                      + mu[live, None, None])
-    return _checked(resized)
+    return check_images(resized)
 
 
 def predict_forecasts(lookbacks: np.ndarray, L: int, horizon: int,

@@ -122,7 +122,9 @@ def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,
     from the range, not from the std alone: the rounded mean of a constant
     variate can differ from the constant and leave a tiny nonzero std. The
     mean stored for a flagged variate is its first train value, so
-    :func:`destandardize` returns the constant exactly.
+    :func:`destandardize` returns the constant exactly. A non-constant
+    variate whose train mean or std is not finite (its values overflow a
+    float64 sum of squares) raises ShapeMismatchError: it has no scale.
     """
     if not (train.d == val.d == test.d):
         raise ShapeMismatchError("splits disagree on number of variates")
@@ -131,6 +133,8 @@ def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,
     std = v.std(axis=1)
     degenerate = (std == 0.0) | (v.max(axis=1, initial=-np.inf)
                                  == v.min(axis=1, initial=np.inf))
+    if not (degenerate | (np.isfinite(mean) & np.isfinite(std))).all():
+        raise ShapeMismatchError("train mean or std of a variate is not finite")
     if degenerate.any():
         mean[degenerate] = v[degenerate, 0]
     safe_std = np.where(degenerate, 1.0, std)

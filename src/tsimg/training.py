@@ -1,5 +1,5 @@
-"""Adam optimization, losses, and the train/validate loop with early
-stopping and best-epoch restoration."""
+"""Adam optimization and the train/validate loop with early stopping and
+best-epoch restoration."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyMaskError, LabelOutOfRangeError, NonPositiveError, ShapeMismatchError
+from .errors import NonPositiveError, ShapeMismatchError
 from .models import ModelConfig, ParamSet, backward, batch_loss, predict_class
 
 ADAM_BETA1 = 0.9
@@ -75,27 +75,6 @@ def adam_step(params: ParamSet, grads: dict, state: AdamState,
         m_hat = state.m[k] / bc1
         v_hat = state.v[k] / bc2
         p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """Numerically stable -log softmax(logits)[label]."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.size:
-        raise LabelOutOfRangeError(f"label {label} outside [0, {logits.size})")
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
-
-
-def masked_mse(pred_patches: np.ndarray, target_patches: np.ndarray,
-               mask_rows: np.ndarray) -> float:
-    """MSE over masked patch entries only."""
-    if pred_patches.shape != target_patches.shape:
-        raise ShapeMismatchError("pred/target patch shapes differ")
-    n_masked = int(mask_rows.sum())
-    if n_masked == 0:
-        raise EmptyMaskError("masked_mse requires at least one masked patch")
-    diff = (pred_patches - target_patches)[mask_rows]
-    return float(np.mean(diff * diff))
 
 
 def _validation_metric(val_data: list, params: ParamSet, cfg: ModelConfig) -> float:

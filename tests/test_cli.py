@@ -6,6 +6,7 @@ import pytest
 
 from tsimg.cli import main
 from tsimg.dataio import save_checkpoint
+from tsimg.imaging import IMAGING_METHODS
 from tsimg.models import ModelConfig, init_params
 from tsimg.series import gen_periodic
 
@@ -39,6 +40,33 @@ def test_render_writes_pgm(ett_csv, tmp_path, capsys):
     assert rc == 0
     assert out.exists() and out.with_suffix(".csv").exists()
     assert "method=uvh" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", IMAGING_METHODS)
+def test_render_every_method_agrees_on_its_size(method, ett_csv, tmp_path, capsys):
+    out = tmp_path / f"{method}.pgm"
+    rc = main(["render", "--input", ett_csv, "--method", method, "--window", "96",
+               "--out", str(out)])
+    assert rc == 0
+    printed = dict(kv.split("=") for kv in capsys.readouterr().out.split()[1:])
+    header = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    width, height = map(int, header[1].split())
+    sidecar = np.loadtxt(out.with_suffix(".csv"), delimiter=",", ndmin=2)
+    assert header[0] == "P2" and len(header) == 3 + height
+    assert (int(printed["height"]), int(printed["width"])) == (height, width)
+    assert sidecar.shape == (height, width) and np.all(np.isfinite(sidecar))
+
+
+def test_render_refuses_an_overflowing_image(tmp_path, capsys):
+    # pairwise distances of a 1e200-scale series overflow to inf
+    p = tmp_path / "big.csv"
+    x = gen_periodic(8, 64, "sine") * 1e200
+    p.write_text("date,a\n" + "".join(f"t{i},{float(v)!r}\n" for i, v in enumerate(x)))
+    out = tmp_path / "rp.pgm"
+    with np.errstate(over="ignore"):
+        rc = main(["render", "--input", str(p), "--method", "rp", "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert "NaN/Inf" in capsys.readouterr().err
 
 
 def test_render_missing_input_is_runtime_error(tmp_path):
@@ -159,7 +187,7 @@ def test_config_file_flags_win(ett_csv, tmp_path):
     assert rc == 0
     # --L 12 beat the config file: a period-12 series stacks into 12 rows
     from tsimg.dataio import read_pgm
-    assert read_pgm(str(out)).pixels.shape[0] == 12
+    assert read_pgm(str(out)).shape[0] == 12
 
 
 def test_config_file_applies_when_flag_absent(ett_csv, tmp_path):
@@ -170,7 +198,7 @@ def test_config_file_applies_when_flag_absent(ett_csv, tmp_path):
                "--method", "uvh", "--out", str(out)])
     assert rc == 0
     from tsimg.dataio import read_pgm
-    assert read_pgm(str(out)).pixels.shape[0] == 6
+    assert read_pgm(str(out)).shape[0] == 6
 
 
 def test_seed_env_default(ett_csv, tmp_path, monkeypatch):

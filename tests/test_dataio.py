@@ -22,9 +22,9 @@ from tsimg.errors import (
     LabelNotIntegerError,
     NonNumericCellError,
     ParseError,
+    ShapeMismatchError,
     VersionMismatchError,
 )
-from tsimg.imaging import GrayImage
 from tsimg.training import EpochRecord
 
 
@@ -90,20 +90,30 @@ def test_load_labeled_windows_errors(tmp_path):
 
 def test_pgm_round_trip_within_quantization(tmp_path):
     rng = np.random.default_rng(0)
-    img = GrayImage(rng.normal(size=(9, 13)) * 4.0 - 1.0)
+    img = rng.normal(size=(9, 13)) * 4.0 - 1.0
     path = str(tmp_path / "img.pgm")
     write_pgm(img, path)
     back = read_pgm(path)
-    span = img.pixels.max() - img.pixels.min()
-    assert back.pixels.shape == img.pixels.shape
-    assert np.max(np.abs(back.pixels - img.pixels)) <= span / 65535
+    span = img.max() - img.min()
+    assert back.shape == img.shape
+    assert np.max(np.abs(back - img)) <= span / 65535
 
 
 def test_pgm_constant_image(tmp_path):
-    img = GrayImage(np.full((4, 6), -2.5))
+    img = np.full((4, 6), -2.5)
     path = str(tmp_path / "c.pgm")
     write_pgm(img, path)
-    assert np.all(read_pgm(path).pixels == -2.5)
+    assert np.all(read_pgm(path) == -2.5)
+
+
+def test_pgm_refuses_images_it_cannot_write_or_read_back(tmp_path):
+    path = str(tmp_path / "x.pgm")
+    for bad in (np.array([[0.0, np.inf]]), np.array([[np.nan]]), np.zeros(4), np.zeros((0, 3))):
+        with pytest.raises(ShapeMismatchError):
+            write_pgm(bad, path)
+    _write(tmp_path / "nan.pgm", "P2\n# range nan nan\n2 1\n65535\n0 0\n")
+    with pytest.raises(ShapeMismatchError):
+        read_pgm(str(tmp_path / "nan.pgm"))
 
 
 def test_pgm_rejects_garbage(tmp_path):

@@ -8,7 +8,6 @@ from tsimg.errors import (
     WindowTooLongError,
 )
 from tsimg.imaging import (
-    GrayImage,
     detect_period,
     filterbank_spectrogram,
     gaf,
@@ -21,6 +20,7 @@ from tsimg.imaging import (
     uvh,
     uvh_inverse,
     wavelet_scalogram,
+    wavelet_scales,
     _triangular_filterbank,
 )
 from tsimg.series import MultivariateSeries, gen_periodic
@@ -62,16 +62,15 @@ def test_detect_period_tie_prefers_longer_period():
 
 def test_uvh_stacking():
     img = uvh(np.arange(1.0, 9.0), 4)
-    assert img.pixels.shape == (4, 2)
-    assert np.array_equal(img.pixels[:, 0], [1, 2, 3, 4])
-    assert np.array_equal(img.pixels[:, 1], [5, 6, 7, 8])
+    assert img.shape == (4, 2)
+    assert np.array_equal(img[:, 0], [1, 2, 3, 4])
+    assert np.array_equal(img[:, 1], [5, 6, 7, 8])
 
 
 def test_uvh_padding():
     img = uvh(np.arange(1.0, 8.0), 4)
-    assert img.pixels.shape == (4, 2)
-    assert img.meta["pad"] == 1
-    assert img.pixels[0, 0] == 1.0  # pad uses the first observed value
+    assert img.shape == (4, 2)
+    assert np.array_equal(img[:, 0], [1, 1, 2, 3])  # one pad, the first observed value
 
 
 def test_uvh_round_trip_random():
@@ -88,22 +87,21 @@ def test_uvh_round_trip_random():
 def test_mvh_identity_layout():
     v = np.arange(6.0).reshape(2, 3)
     img = mvh(MultivariateSeries(v))
-    assert np.array_equal(img.pixels, v)
+    assert np.array_equal(img, v)
 
 
 # --- GAF ----------------------------------------------------------------
 
 def test_gaf_extremes():
     img, ctx = gaf(np.array([0.0, 1.0]))
-    assert img.pixels[1, 1] == pytest.approx(1.0)    # x_hat = 1 -> cos(0)
-    assert img.pixels[0, 0] == pytest.approx(-1.0)   # x_hat = 0 -> cos(pi)
+    assert img[1, 1] == pytest.approx(1.0)    # x_hat = 1 -> cos(0)
+    assert img[0, 0] == pytest.approx(-1.0)   # x_hat = 0 -> cos(pi)
 
 
 def test_gaf_symmetry_range_diagonal():
     rng = np.random.default_rng(1)
     x = rng.normal(size=30)
-    img, ctx = gaf(x)
-    p = img.pixels
+    p, ctx = gaf(x)
     assert np.allclose(p, p.T)
     assert p.min() >= -1.0 - 1e-12 and p.max() <= 1.0 + 1e-12
     xh = (x - ctx.min) / (ctx.max - ctx.min)
@@ -114,7 +112,7 @@ def test_gaf_degenerate_midpoint():
     img, ctx = gaf(np.full(5, 3.0))
     assert ctx.degenerate
     # x_hat = 0.5 -> cos(2 arccos(.5)) = -0.5 on the diagonal
-    assert np.allclose(np.diagonal(img.pixels), -0.5)
+    assert np.allclose(np.diagonal(img), -0.5)
 
 
 def test_gaf_diag_inverse_round_trip():
@@ -127,23 +125,22 @@ def test_gaf_diag_inverse_round_trip():
 
 def test_gaf_diag_inverse_bounds():
     img, ctx = gaf(np.array([2.0, 5.0, 3.0]))
-    assert gaf_diag_inverse(GrayImage(np.eye(3)), ctx).max() == pytest.approx(5.0)
-    assert gaf_diag_inverse(GrayImage(-np.eye(3) * 1.0), ctx).min() == pytest.approx(2.0)
+    assert gaf_diag_inverse(np.eye(3), ctx).max() == pytest.approx(5.0)
+    assert gaf_diag_inverse(-np.eye(3) * 1.0, ctx).min() == pytest.approx(2.0)
     with pytest.raises(NotSquareError):
-        gaf_diag_inverse(GrayImage(np.zeros((2, 3))), ctx)
+        gaf_diag_inverse(np.zeros((2, 3)), ctx)
 
 
 # --- recurrence plot ----------------------------------------------------
 
 def test_rp_constant_series_zero():
     img = recurrence_plot(np.full(10, 2.0))
-    assert np.all(img.pixels == 0.0)
+    assert np.all(img == 0.0)
 
 
 def test_rp_symmetric_zero_diag():
     rng = np.random.default_rng(4)
-    img = recurrence_plot(rng.normal(size=20), embed_dim=3, delay=2)
-    p = img.pixels
+    p = recurrence_plot(rng.normal(size=20), embed_dim=3, delay=2)
     assert p.shape == (16, 16)
     assert np.allclose(p, p.T)
     assert np.all(np.diagonal(p) == 0.0)
@@ -152,7 +149,7 @@ def test_rp_symmetric_zero_diag():
 
 def test_rp_periodic_off_diagonal_zero():
     x = gen_periodic(8, 40, "sawtooth")
-    p = recurrence_plot(x, embed_dim=1, delay=1).pixels
+    p = recurrence_plot(x, embed_dim=1, delay=1)
     assert np.all(np.diagonal(p, offset=8) == 0.0)
 
 
@@ -165,8 +162,8 @@ def test_rp_embedding_too_large():
 
 def test_stft_shape_and_zero_input():
     img = stft_spectrogram(np.zeros(128), window_len=32, hop=16)
-    assert img.pixels.shape == (17, (128 - 32) // 16 + 1)
-    assert np.all(img.pixels == 0.0)
+    assert img.shape == (17, (128 - 32) // 16 + 1)
+    assert np.all(img == 0.0)
 
 
 def test_stft_pure_sine_dominant_row():
@@ -175,7 +172,7 @@ def test_stft_pure_sine_dominant_row():
     for bin_f in (4, 8, 16):
         x = np.sin(2 * np.pi * bin_f * t / win)
         img = stft_spectrogram(x, window_len=win, hop=32)
-        assert np.argmax(img.pixels.mean(axis=1)) == bin_f
+        assert np.argmax(img.mean(axis=1)) == bin_f
 
 
 def test_stft_window_too_long():
@@ -187,11 +184,11 @@ def test_stft_window_too_long():
 
 def test_wavelet_zero_and_linearity():
     z = wavelet_scalogram(np.zeros(64), num_scales=8)
-    assert np.all(z.pixels == 0.0)
+    assert np.all(z == 0.0)
     rng = np.random.default_rng(5)
     x = rng.normal(size=64)
-    a = wavelet_scalogram(x, num_scales=8).pixels
-    b = wavelet_scalogram(3.0 * x, num_scales=8).pixels
+    a = wavelet_scalogram(x, num_scales=8)
+    b = wavelet_scalogram(3.0 * x, num_scales=8)
     assert np.allclose(b, 3.0 * a, atol=1e-9)
 
 
@@ -199,8 +196,8 @@ def test_wavelet_sine_peaks_near_period():
     T, period = 512, 32
     x = np.sin(2 * np.pi * np.arange(T) / period)
     img = wavelet_scalogram(x, num_scales=32)
-    scales = img.meta["scales"]
-    best_row = int(np.argmax(img.pixels.mean(axis=1)))
+    scales = wavelet_scales(T, 32)
+    best_row = int(np.argmax(img.mean(axis=1)))
     expected = int(np.argmin(np.abs(
         np.array([morlet_fourier_period(s) for s in scales]) - period)))
     assert abs(best_row - expected) <= 1
@@ -210,8 +207,8 @@ def test_wavelet_sine_peaks_near_period():
 
 def test_filterbank_zero_input():
     img = filterbank_spectrogram(np.zeros(128), window_len=32, hop=16, n_filters=8)
-    assert img.pixels.shape[0] == 8
-    assert np.all(img.pixels == 0.0)
+    assert img.shape[0] == 8
+    assert np.all(img == 0.0)
 
 
 def test_filterbank_weights_positive():
@@ -224,7 +221,7 @@ def test_filterbank_sine_energy_location():
     bin_f = 16  # middle of the 33-bin axis
     x = np.sin(2 * np.pi * bin_f * np.arange(T) / win)
     img = filterbank_spectrogram(x, window_len=win, hop=32, n_filters=8)
-    best = int(np.argmax(img.pixels.mean(axis=1)))
+    best = int(np.argmax(img.mean(axis=1)))
     fb = _triangular_filterbank(8, win // 2 + 1)
     assert fb[best, bin_f] > 0.0  # winning filter covers the sine's bin
 
@@ -233,12 +230,12 @@ def test_filterbank_sine_energy_location():
 
 def test_lineplot_constant_midline():
     img = lineplot_raster(np.full(10, 7.0), height=9, width=12)
-    assert np.array_equal(np.nonzero(img.pixels.any(axis=1))[0], [4])
+    assert np.array_equal(np.nonzero(img.any(axis=1))[0], [4])
 
 
 def test_lineplot_binary_and_diagonal():
     img = lineplot_raster(np.array([0.0, 1.0]), height=8, width=8)
-    assert set(np.unique(img.pixels)) <= {0.0, 1.0}
-    assert img.pixels[7, 0] == 1.0 and img.pixels[0, 7] == 1.0
+    assert set(np.unique(img)) <= {0.0, 1.0}
+    assert img[7, 0] == 1.0 and img[0, 7] == 1.0
     # an 8-connected path exists: every column holds at least one pixel
-    assert np.all(img.pixels.any(axis=0))
+    assert np.all(img.any(axis=0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsimg.alignment import ForecastMask, replicate_channels
+from tsimg.alignment import replicate_channels
 from tsimg.errors import (
     EmptyMaskError,
     LabelOutOfRangeError,
@@ -19,10 +19,8 @@ from tsimg.models import (
     ModelConfig,
     ReconstructSample,
     argmax_class,
-    attention_weights,
     backward,
     batch_loss,
-    count_params,
     forward_attention,
     forward_body,
     forward_classify,
@@ -33,7 +31,6 @@ from tsimg.models import (
     init_params,
     validate_routing,
 )
-from tsimg.training import cross_entropy, masked_mse
 
 SMALL = dict(image_size=16, patch_size=8, embed_dim=8, num_heads=2,
              horizon=5, num_classes=3, num_variates=2)
@@ -168,10 +165,14 @@ def test_forecast_linear_head():
     assert np.array_equal(forward_forecast_linear(tokens, params), np.zeros(cfg.horizon))
 
 
+def _mask(n_patches, masked):
+    mask = np.zeros(n_patches, dtype=bool)
+    mask[list(masked)] = True
+    return mask
+
+
 def _patches_and_mask(cfg, rng, masked):
-    patches = rng.normal(size=(cfg.n_patches, cfg.patch_dim))
-    mask = ForecastMask(masked_patch_indices=frozenset(masked), boundary_col=0)
-    return patches, mask
+    return rng.normal(size=(cfg.n_patches, cfg.patch_dim)), _mask(cfg.n_patches, masked)
 
 
 def test_reconstruct_empty_mask_pass_through():
@@ -216,19 +217,18 @@ def test_reconstruct_gray_is_channel_mean_of_replicated(arch):
     params["dec_b"] = rng.normal(size=params["dec_b"].shape)
     P2 = cfg.patch_size ** 2
     gray = rng.normal(size=(cfg.n_patches, P2))
-    mask = ForecastMask(masked_patch_indices=frozenset({2, 3, 6, 7, 11, 15}), boundary_col=0)
+    mask = _mask(cfg.n_patches, {2, 3, 6, 7, 11, 15})
     ref = forward_reconstruct(replicate_channels(gray), mask, params, cfg)
     ref = ref.reshape(-1, 3, P2).mean(axis=1)
     out = forward_reconstruct_gray(gray, mask, params, cfg)
     assert out.shape == gray.shape
     assert np.max(np.abs(out - ref)) < 1e-12
-    keep = sorted(set(range(cfg.n_patches)) - mask.masked_patch_indices)
-    assert np.array_equal(out[keep], gray[keep])
+    assert np.array_equal(out[~mask], gray[~mask])
 
 
 def test_reconstruct_gray_rejects_mismatched_embed():
     cfg = small_cfg("minimae", "forecast_reconstruct")
-    mask = ForecastMask(masked_patch_indices=frozenset({1}), boundary_col=0)
+    mask = _mask(cfg.n_patches, {1})
     gray = np.zeros((cfg.n_patches, cfg.patch_size ** 2))
     other = ModelConfig(arch="minimae", task="forecast_reconstruct",
                         **dict(SMALL, patch_size=4))
@@ -236,6 +236,20 @@ def test_reconstruct_gray_rejects_mismatched_embed():
         forward_reconstruct_gray(gray, mask, init_params(other, 0), cfg)
     with pytest.raises(ShapeMismatchError):
         forward_reconstruct_gray(np.tile(gray, (1, 3)), mask, init_params(cfg, 0), cfg)
+
+
+def test_reconstruct_rejects_a_mask_that_does_not_fit():
+    cfg = small_cfg("minimae", "forecast_reconstruct")
+    params = init_params(cfg, 0)
+    patches = np.zeros((cfg.n_patches, cfg.patch_dim))
+    gray = np.zeros((2, cfg.n_patches, cfg.patch_size ** 2))
+    for bad in (_mask(cfg.n_patches + 1, {1}), _mask(cfg.n_patches - 1, {1}),
+                _mask(1, {0}), np.zeros((1, cfg.n_patches), dtype=bool),
+                np.arange(cfg.n_patches) % 2):          # an index list, not a bool mask
+        with pytest.raises(ShapeMismatchError):
+            forward_reconstruct(patches, bad, params, cfg)
+        with pytest.raises(ShapeMismatchError):
+            forward_reconstruct_gray(gray, bad, params, cfg)
 
 
 def test_reconstruct_loss_ignores_unmasked_targets():
@@ -298,7 +312,7 @@ def test_config_rejects_non_positive_sizes(field, value):
 def test_count_params_closed_form():
     cfg = ModelConfig(arch="wolvm", task="forecast_linear", image_size=64,
                       patch_size=8, embed_dim=64, num_heads=4, horizon=96)
-    n = count_params(init_params(cfg, 0))
+    n = sum(v.size for v in init_params(cfg, 0).values())
     F, D, N, Tp = 3 * 64, 64, 64, 96
     expected = (F * D + D) + (N * D) + (D * D + D) + (N * D * Tp + Tp)
     assert n == expected
@@ -358,10 +372,10 @@ def test_attention_weights_batched_rows_sum_to_one():
     cfg = small_cfg("lvm2attn", "forecast_linear")
     params = init_params(cfg, 0)
     tokens = np.random.default_rng(13).normal(size=(3, cfg.n_patches, cfg.embed_dim))
-    A = attention_weights(tokens, params, cfg.num_heads)
+    A = forward_attention(tokens, params, cfg.num_heads)[1]["A"]
     assert A.shape == (3, cfg.num_heads, cfg.n_patches, cfg.n_patches)
     assert np.max(np.abs(A.sum(axis=-1) - 1.0)) < 1e-12
-    single = attention_weights(tokens[1], params, cfg.num_heads)
+    single = forward_attention(tokens[1], params, cfg.num_heads)[1]["A"]
     assert np.allclose(A[1], single, rtol=0, atol=1e-15)
 
 
@@ -383,15 +397,26 @@ def test_batch_loss_past_one_pass_is_the_sample_mean():
     assert batch_loss(batch, params, cfg) == pytest.approx(np.mean(singles), rel=1e-12)
 
 
-# --- the batched losses against the reference losses in training ----------
+# --- the batched losses against per-sample reference losses ---------------
+
+def cross_entropy(logits, label):
+    """Reference loss: numerically stable -log softmax(logits)[label]."""
+    shifted = logits - logits.max()
+    return float(np.log(np.exp(shifted).sum()) - shifted[label])
+
+
+def masked_mse(pred_patches, target_patches, mask_rows):
+    """Reference loss: MSE over the masked patch entries only."""
+    diff = (pred_patches - target_patches)[mask_rows]
+    return float(np.mean(diff * diff))
+
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_reconstruct_batch_loss_is_masked_mse(arch):
     cfg = small_cfg(arch, "forecast_reconstruct")
     params = init_params(cfg, 16)
     s = make_batch(cfg, np.random.default_rng(16), n=1)[0]
-    mask = ForecastMask(frozenset(np.flatnonzero(s.mask_rows).tolist()), boundary_col=0)
-    pred = forward_reconstruct(s.patches, mask, params, cfg)
+    pred = forward_reconstruct(s.patches, s.mask_rows, params, cfg)
     assert batch_loss([s], params, cfg) == pytest.approx(
         masked_mse(pred, s.target_patches, s.mask_rows), rel=1e-12)
 

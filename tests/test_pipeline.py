@@ -7,11 +7,11 @@ from tsimg.alignment import (
     patchify,
     replicate_channels,
     resize_bilinear,
-    standardize_image,
+    standardize_stack,
     unpatchify,
 )
 from tsimg.errors import HorizonTooLongError, InvalidLError, RoutingError, ShapeMismatchError
-from tsimg.imaging import GrayImage, detect_period, uvh_inverse
+from tsimg.imaging import detect_period, uvh_inverse
 from tsimg.models import ModelConfig, forward_reconstruct, init_params, predict_linear
 from tsimg.pipeline import (
     build_classify_sample,
@@ -34,14 +34,23 @@ def test_image_for_method_dispatch():
                                        "n_filters": 4}),
                        ("lineplot", {})):
         img = image_for_method(method, x, **kw)
-        assert img.pixels.ndim == 2
+        assert img.ndim == 2 and img.dtype == np.float64
     with pytest.raises(ShapeMismatchError):
         image_for_method("polar", x)
 
 
+def test_image_for_method_rejects_unknown_options():
+    # an option no transform takes is refused, not silently dropped
+    x = gen_periodic(8, 64, "sine")
+    with pytest.raises(TypeError):
+        image_for_method("lineplot", x, line_thickness=3)
+    with pytest.raises(TypeError):
+        image_for_method("uvh", x, 8)                   # L is keyword-only
+
+
 def test_image_for_method_uvh_default_period():
     x = gen_periodic(8, 64, "sine")
-    assert image_for_method("uvh", x).pixels.shape == (8, 8)
+    assert image_for_method("uvh", x).shape == (8, 8)
 
 
 def test_build_classify_sample_per_variate():
@@ -66,6 +75,41 @@ def test_build_classify_sample_flat_window_is_zero(method, v):
     s = build_classify_sample(WindowSample(lookback=np.full((3, 96), v),
                                            class_label=0), method, cfg)
     assert all(np.all(p == 0.0) for p in s.patch_seqs)
+
+
+# --- overflowing windows are refused, not turned into zeros ---------------
+
+BIG_SINE = gen_periodic(8, 64, "sine") * 1e200
+
+
+def test_build_classify_sample_refuses_an_overflowing_transform():
+    # the recurrence plot of a 1e200-scale series holds inf distances
+    cfg = ModelConfig(arch="wolvm", task="classify", image_size=16, patch_size=8,
+                      embed_dim=8, num_heads=2, num_variates=1)
+    with np.errstate(over="ignore"), pytest.raises(ShapeMismatchError):
+        build_classify_sample(WindowSample(lookback=BIG_SINE[None], class_label=0), "rp", cfg)
+
+
+def test_uvh_window_whose_std_overflows_is_refused():
+    # its UVH image is finite, but the image std overflows to inf: dividing
+    # by it used to give all-zero patches and targets
+    cls = ModelConfig(arch="wolvm", task="classify", image_size=16, patch_size=8,
+                      embed_dim=8, num_heads=2, num_variates=1)
+    rec = ModelConfig(arch="minimae", task="forecast_reconstruct", image_size=16,
+                      patch_size=8, embed_dim=8, num_heads=2, horizon=8)
+    lookbacks = np.stack([gen_periodic(8, 64, "sine"), BIG_SINE])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ShapeMismatchError):
+            build_classify_sample(WindowSample(lookback=BIG_SINE[None], class_label=0),
+                                  "uvh", cls, L=8)
+        with pytest.raises(ShapeMismatchError):
+            build_reconstruct_sample(BIG_SINE, BIG_SINE[:8], 8, rec)
+        with pytest.raises(ShapeMismatchError):
+            pipeline.build_reconstruct_samples(lookbacks, lookbacks[:, :8], 8, rec)
+        with pytest.raises(ShapeMismatchError):
+            predict_forecast(BIG_SINE, 8, 8, init_params(rec, 0), rec)
+        with pytest.raises(ShapeMismatchError):
+            predict_forecast_mvh(lookbacks, 8, init_params(rec, 0), rec)
 
 
 def test_build_linear_sample_shapes():
@@ -186,12 +230,12 @@ def test_trained_stub_free_round_trip_smoke():
 
 def _three_channel_image(img, lookback_cols, horizon_cols, params, cfg):
     S, P = cfg.image_size, cfg.patch_size
-    std = standardize_image(resize_bilinear(img, S, S))
-    patches = replicate_channels(patchify(std.pixels[None], P))[0]
+    std, mu, sigma, _ = standardize_stack(resize_bilinear(img, S, S)[None])
+    patches = replicate_channels(patchify(std, P))[0]
     mask = build_forecast_mask(lookback_cols, horizon_cols, S, P)
     out = forward_reconstruct(patches, mask, params, cfg)
     gray = unpatchify(out.reshape(1, -1, 3, P * P).mean(axis=2), P)[0]
-    return GrayImage(gray * std.meta["std"] + std.meta["mean"])
+    return gray * sigma[0] + mu[0]
 
 
 @pytest.mark.parametrize("arch", ["wolvm", "lvm2attn", "minimae"])
@@ -203,7 +247,7 @@ def test_predict_forecast_matches_three_channel_reference(arch):
     for seed, L, H in ((0, 24, 96), (1, 12, 100), (2, 17, 64)):
         lookback = gen_periodic(L, H, "composite", seed=seed, noise_std=0.1)
         in_stack, lay = pipeline._uvh_with_horizon(lookback[None], L, 24, None)
-        ref_img = _three_channel_image(GrayImage(in_stack[0]), lay.lookback_cols,
+        ref_img = _three_channel_image(in_stack[0], lay.lookback_cols,
                                        lay.horizon_cols, params, cfg)
         ref = uvh_inverse(resize_bilinear(ref_img, L, lay.total_cols),
                           H + lay.horizon_cols * L)[H:H + 24]
@@ -211,9 +255,9 @@ def test_predict_forecast_matches_three_channel_reference(arch):
         assert pred.shape == (24,) and np.max(np.abs(pred - ref)) < 1e-12
 
     lookback = np.random.default_rng(3).normal(size=(3, 96)) + np.arange(3.0)[:, None]
-    in_img = GrayImage(np.concatenate([lookback, np.tile(lookback[:, -1:], (1, 24))], axis=1))
+    in_img = np.concatenate([lookback, np.tile(lookback[:, -1:], (1, 24))], axis=1)
     ref = resize_bilinear(_three_channel_image(in_img, 96, 24, params, cfg),
-                          3, 120).pixels[:, 96:]
+                          3, 120)[:, 96:]
     pred = predict_forecast_mvh(lookback, 24, params, cfg)
     assert pred.shape == (3, 24) and np.max(np.abs(pred - ref)) < 1e-12
 
@@ -248,7 +292,7 @@ def test_predict_forecast_narrow_horizon_uses_model(monkeypatch):
              for seed in (0, 1)]
     g = NARROW_CFG.grid_side
     assert len(seen) == 2
-    assert all(sorted(m.masked_patch_indices) == [r * g + g - 1 for r in range(g)]
+    assert all(np.flatnonzero(m).tolist() == [r * g + g - 1 for r in range(g)]
                for m in seen)
     assert not np.array_equal(preds[0], preds[1])
 
@@ -259,7 +303,7 @@ def test_predict_forecast_mvh_narrow_horizon_uses_model(monkeypatch):
     preds = [predict_forecast_mvh(lookback, 1, init_params(NARROW_CFG, seed), NARROW_CFG)
              for seed in (0, 1)]
     assert len(seen) == 2
-    assert all(len(m.masked_patch_indices) > 0 for m in seen)
+    assert all(m.any() for m in seen)
     assert preds[0].shape == (2, 1)
     assert not np.array_equal(preds[0], preds[1])
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from tsimg.errors import EmptyResultError, InvalidPeriodError, UnstableCoefficientError
+from tsimg.errors import (
+    EmptyResultError,
+    InvalidPeriodError,
+    ShapeMismatchError,
+    UnstableCoefficientError,
+)
 from tsimg.series import (
     MultivariateSeries,
     chronological_split,
@@ -74,6 +79,19 @@ def test_standardize_degenerate_variate():
     assert np.all(tr2.values[0] == 0.0)
     assert stats.degenerate.tolist() == [True, False]
 
+
+def test_standardize_refuses_a_variate_whose_scale_overflows():
+    # the sum of squares of a 1e200-scale sine overflows: its std reads inf,
+    # and dividing by it would turn every split of the variate into zeros
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = gen_periodic(8, 200, "sine") * 1e200
+        tr, va, te = chronological_split(MultivariateSeries(np.stack([x, x / 1e200])))
+        with pytest.raises(ShapeMismatchError):
+            standardize_by_train(tr, va, te)
+        # a constant variate has no scale to overflow: it still maps to zeros
+        flat = MultivariateSeries(np.stack([np.full(100, 1e307), np.arange(100.0)]))
+        tr2, _, _, stats = standardize_by_train(flat, flat, flat)
+    assert stats.degenerate.tolist() == [True, False] and np.all(tr2.values[0] == 0.0)
 
 
 @pytest.mark.parametrize("v", [0.1, 1 / 3, -1.3420444532864415])

@@ -3,21 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from tsimg.errors import (
-    EmptyMaskError,
-    LabelOutOfRangeError,
-    NonPositiveError,
-    ShapeMismatchError,
+from tsimg.errors import NonPositiveError, ShapeMismatchError
+from tsimg.training import AdamState, TrainConfig, adam_step, train
+from tsimg.models import (
+    ClassifySample,
+    ForecastSample,
+    ModelConfig,
+    ReconstructSample,
+    batch_loss,
+    init_params,
+    predict_linear,
 )
-from tsimg.training import (
-    AdamState,
-    TrainConfig,
-    adam_step,
-    cross_entropy,
-    masked_mse,
-    train,
-)
-from tsimg.models import ForecastSample, ModelConfig, init_params, predict_linear
 
 
 def test_adam_zero_gradient_no_move():
@@ -51,39 +47,47 @@ def test_adam_shape_mismatch():
         adam_step(params, {"w": np.zeros(4)}, state, lr=0.1)
 
 
+# --- the training losses: the models' batched losses on hand-set heads -----
+
+def _cross_entropy(logits, label):
+    """The classify loss of one sample under a zero head whose bias is
+    `logits`, so the logits do not depend on the input."""
+    cfg = ModelConfig(arch="wolvm", task="classify", image_size=8, patch_size=4,
+                      embed_dim=8, num_heads=2, num_classes=len(logits))
+    params = init_params(cfg, 0)
+    params["head_w"][:] = 0.0
+    params["head_b"][:] = logits
+    return batch_loss([ClassifySample([np.ones((cfg.n_patches, cfg.patch_dim))], label)],
+                      params, cfg)
+
+
 def test_cross_entropy_uniform_two_way():
-    assert cross_entropy(np.array([0.0, 0.0]), 0) == pytest.approx(math.log(2.0))
+    assert _cross_entropy(np.array([0.0, 0.0]), 0) == pytest.approx(math.log(2.0))
 
 
 def test_cross_entropy_shift_invariant_and_stable():
     logits = np.array([1.0, 3.0, -2.0])
-    a = cross_entropy(logits, 1)
-    b = cross_entropy(logits + 1000.0, 1)
+    a = _cross_entropy(logits, 1)
+    b = _cross_entropy(logits + 1000.0, 1)
     assert a == pytest.approx(b, abs=1e-9)
-    big = cross_entropy(np.array([1e4, 0.0]), 0)
+    big = _cross_entropy(np.array([1e4, 0.0]), 0)
     assert np.isfinite(big) and big == pytest.approx(0.0, abs=1e-9)
 
 
-def test_cross_entropy_label_range():
-    with pytest.raises(LabelOutOfRangeError):
-        cross_entropy(np.zeros(3), 3)
-    with pytest.raises(LabelOutOfRangeError):
-        cross_entropy(np.zeros(3), -1)
-
-
 def test_masked_mse_oracle():
-    pred = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    target = np.zeros((3, 2))
-    mask = np.array([True, False, True])
-    expected = (1 + 4 + 25 + 36) / 4.0
-    assert masked_mse(pred, target, mask) == pytest.approx(expected)
-
-
-def test_masked_mse_errors():
-    with pytest.raises(EmptyMaskError):
-        masked_mse(np.zeros((2, 2)), np.zeros((2, 2)), np.array([False, False]))
-    with pytest.raises(ShapeMismatchError):
-        masked_mse(np.zeros((2, 2)), np.zeros((3, 2)), np.array([True, False]))
+    # a zero decoder weight makes every masked row decode to dec_b
+    cfg = ModelConfig(arch="wolvm", task="forecast_reconstruct", image_size=4,
+                      patch_size=2, embed_dim=8, num_heads=2)
+    params = init_params(cfg, 0)
+    params["dec_w"][:] = 0.0
+    params["dec_b"][:] = np.arange(cfg.patch_dim)
+    target = np.zeros((cfg.n_patches, cfg.patch_dim))
+    target[2] = 1.0
+    mask = np.array([True, False, True, False])
+    sample = ReconstructSample(np.ones_like(target), target, mask)
+    row = np.arange(cfg.patch_dim)
+    expected = (np.sum(row ** 2) + np.sum((row - 1.0) ** 2)) / (2 * cfg.patch_dim)
+    assert batch_loss([sample], params, cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def _linear_task(n=48):
