@@ -17,6 +17,7 @@ from .errors import (
     EmbeddingTooLargeError,
     InvalidLError,
     LengthMismatchError,
+    NonPositiveError,
     NotSquareError,
     SeriesTooShortError,
     ShapeMismatchError,
@@ -137,6 +138,8 @@ def recurrence_plot(x: np.ndarray, embed_dim: int = 1, delay: int = 1) -> np.nda
     """Unthresholded recurrence plot: pairwise Euclidean distances between
     delay-embedded states."""
     x = np.asarray(x, dtype=np.float64)
+    if embed_dim < 1 or delay < 1:
+        raise NonPositiveError(f"embed_dim and delay must be >= 1, got {embed_dim} and {delay}")
     m = x.size - (embed_dim - 1) * delay
     if m < 1:
         raise EmbeddingTooLargeError(
@@ -152,21 +155,22 @@ def stft_spectrogram(x: np.ndarray, window_len: int | None = None,
 
     Rows are frequencies (window_len//2 + 1 of them), columns are frames.
     """
+    return np.log1p(_stft_magnitude(x, window_len, hop))
+
+
+def _stft_magnitude(x: np.ndarray, window_len: int | None, hop: int | None) -> np.ndarray:
+    """Hann-windowed |rfft| of each frame, (bins, frames). The window
+    defaults to min(64, T) steps and the hop to half the window."""
     x = np.asarray(x, dtype=np.float64)
     T = x.size
     if window_len is None:
         window_len = min(64, T)
     if hop is None:
         hop = max(1, window_len // 2)
+    if window_len < 1 or hop < 1:
+        raise NonPositiveError(f"window_len and hop must be >= 1, got {window_len} and {hop}")
     if window_len > T:
         raise WindowTooLongError(f"window {window_len} > series length {T}")
-    if hop < 1:
-        raise ShapeMismatchError("hop >= 1 required")
-    return np.log1p(_stft_magnitude(x, window_len, hop))
-
-
-def _stft_magnitude(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
-    """Hann-windowed |rfft| of each frame, (bins, frames)."""
     win = np.hanning(window_len)
     n_frames = (x.size - window_len) // hop + 1
     frames = np.stack([x[i * hop:i * hop + window_len] * win for i in range(n_frames)])
@@ -228,16 +232,8 @@ def filterbank_spectrogram(x: np.ndarray, window_len: int | None = None,
                            hop: int | None = None, n_filters: int = 32) -> np.ndarray:
     """Triangular filterbank energies over the STFT magnitudes,
     log-compressed; rows are filters."""
-    x = np.asarray(x, dtype=np.float64)
-    T = x.size
-    if window_len is None:
-        window_len = min(64, T)
-    if hop is None:
-        hop = max(1, window_len // 2)
     if n_filters < 1:
         raise ShapeMismatchError("n_filters >= 1 required")
-    if window_len > T:
-        raise WindowTooLongError(f"window {window_len} > series length {T}")
     mag = _stft_magnitude(x, window_len, hop)
     fb = _triangular_filterbank(n_filters, mag.shape[0])
     return np.log1p(fb @ mag)

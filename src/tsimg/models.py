@@ -13,7 +13,10 @@ Architectures (all share the patch-projection front end):
 
 Task heads: classification (mean-pool per variate, concat, linear),
 linear forecasting (flatten tokens, linear), and masked-patch
-reconstruction (linear decoder, loss on masked patches only).
+reconstruction (linear decoder, loss on masked patches only). One
+_forward runs embed, body and head; the training loss, predict_linear,
+predict_class and both reconstruct forwards all call it, so the model
+trained is the model predicted with.
 
 A batch runs as one forward and one backward pass over stacked arrays
 (batch_loss splits batches larger than PASS_SAMPLES): (B, N, F) patches
@@ -151,10 +154,6 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamSet:
     return p
 
 
-def zeros_like_params(params: ParamSet) -> GradSet:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 # --- patch embedding ----------------------------------------------------
 
 def forward_embed(patches: np.ndarray, params: ParamSet,
@@ -282,51 +281,37 @@ def backward_attention(d_out: np.ndarray, cache: dict, params: ParamSet,
     return d_tokens.reshape(d_out.shape)
 
 
-# --- heads --------------------------------------------------------------
+# --- the whole model: embed, body, task head -----------------------------
 
-def _head(feat: np.ndarray, params: ParamSet) -> np.ndarray:
-    if feat.shape[-1] != params["head_w"].shape[0]:
-        raise ShapeMismatchError(
-            f"feature dim {feat.shape[-1]} != head fan-in {params['head_w'].shape[0]}")
-    return feat @ params["head_w"] + params["head_b"]
+_HEAD_PARAMS = {"classify": ("head_w", "head_b"), "forecast_linear": ("head_w", "head_b"),
+               "forecast_reconstruct": ("dec_w", "dec_b")}
 
 
-def _pool_variates(body) -> np.ndarray:
-    """(..., V, N, D) body outputs -> (..., V * D) per-variate token means."""
-    pooled = np.asarray(body).mean(axis=-2)
-    return pooled.reshape(pooled.shape[:-2] + (-1,))
-
-
-def forward_classify(tokens_per_variate, params: ParamSet) -> np.ndarray:
-    """Mean-pool tokens per variate, concatenate, linear head -> logits.
-    Takes (..., V, N, D) tokens (or a list of V (N, D) arrays) and returns
-    (..., classes) logits."""
-    return _head(_pool_variates(tokens_per_variate), params)
-
-
-def argmax_class(logits: np.ndarray) -> int:
-    """Deterministic argmax; ties break toward the lower class index."""
-    return int(np.argmax(logits))
-
-
-def forward_forecast_linear(tokens: np.ndarray, params: ParamSet) -> np.ndarray:
-    """Flatten (..., N, D) tokens, linear head -> (..., horizon)."""
-    return _head(tokens.reshape(tokens.shape[:-2] + (-1,)), params)
-
-
-def _encode(patches: np.ndarray, params: ParamSet, cfg: ModelConfig,
-            mask_rows: np.ndarray | None = None):
-    """Embed (see forward_embed for the patches layout) and body ->
-    ((..., N, D) body outputs, caches)."""
-    tokens, embed_cache = forward_embed(patches, params, mask_rows)
+def _forward(x: np.ndarray, params: ParamSet, cfg: ModelConfig,
+             mask_rows: np.ndarray | None = None):
+    """Embed x (laid out as forward_embed takes it), run the body and the
+    task's linear head -> (output, head input, body, caches). The head input
+    and the output are, per task:
+      classify              (..., V * D) per-variate token means,
+                            concatenated -> (..., classes) logits
+      forecast_linear       (..., N * D) flattened tokens -> (..., horizon)
+      forecast_reconstruct  (M, D) masked body rows, sample-major ->
+                            (M, F) decoded patches
+    """
+    tokens, embed_cache = forward_embed(x, params, mask_rows)
     body, body_cache = forward_body(tokens, params, cfg)
-    return body, (embed_cache, body_cache)
-
-
-def _encode_backward(d_body: np.ndarray, caches: tuple, params: ParamSet,
-                     grads: GradSet) -> None:
-    embed_cache, body_cache = caches
-    backward_embed(backward_body(d_body, body_cache, params, grads), embed_cache, grads)
+    if cfg.task == "classify":
+        pooled = body.mean(axis=-2)
+        feat = pooled.reshape(pooled.shape[:-2] + (-1,))
+    elif cfg.task == "forecast_linear":
+        feat = body.reshape(body.shape[:-2] + (-1,))
+    else:
+        feat = body[mask_rows]
+    w, b = _HEAD_PARAMS[cfg.task]
+    if feat.shape[-1] != params[w].shape[0]:
+        raise ShapeMismatchError(
+            f"feature dim {feat.shape[-1]} != {w} fan-in {params[w].shape[0]}")
+    return feat @ params[w] + params[b], feat, body, (embed_cache, body_cache)
 
 
 def _checked_mask(mask: np.ndarray, N: int) -> np.ndarray:
@@ -343,9 +328,8 @@ def forward_reconstruct(patches: np.ndarray, mask: np.ndarray, params: ParamSet,
     decoder regenerates only the masked patches, and unmasked patches are
     passed through untouched."""
     mask_rows = _checked_mask(mask, patches.shape[0])
-    body, _ = _encode(patches[~mask_rows], params, cfg, mask_rows)
     out = patches.copy()
-    out[mask_rows] = body[mask_rows] @ params["dec_w"] + params["dec_b"]
+    out[mask_rows] = _forward(patches[~mask_rows], params, cfg, mask_rows)[0]
     return out
 
 
@@ -368,11 +352,11 @@ def forward_reconstruct_gray(patches: np.ndarray, mask: np.ndarray, params: Para
             f"embed_w {params['embed_w'].shape} and dec_w {params['dec_w'].shape} "
             f"do not fit three channels of {P2}-pixel patches")
     mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | _checked_mask(mask, patches.shape[-2])
-    folded = dict(params, embed_w=params["embed_w"].reshape(3, P2, D).sum(axis=0))
-    body, _ = _encode(patches[~mask_rows], folded, cfg, mask_rows)
+    folded = dict(params, embed_w=params["embed_w"].reshape(3, P2, D).sum(axis=0),
+                  dec_w=params["dec_w"].reshape(D, 3, P2).mean(axis=1),
+                  dec_b=params["dec_b"].reshape(3, P2).mean(axis=0))
     out = patches.copy()
-    out[mask_rows] = (body[mask_rows] @ params["dec_w"].reshape(D, 3, P2).mean(axis=1)
-                      + params["dec_b"].reshape(3, P2).mean(axis=0))
+    out[mask_rows] = _forward(patches[~mask_rows], folded, cfg, mask_rows)[0]
     return out
 
 
@@ -416,38 +400,26 @@ def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None
         n_classes = params["head_b"].shape[0]
         if labels.min() < 0 or labels.max() >= n_classes:
             raise LabelOutOfRangeError(f"labels {labels} outside [0, {n_classes})")
-        body, caches = _encode(x, params, cfg)                          # (B, V, N, D)
-        feat = _pool_variates(body)
-        shifted = _head(feat, params)
+        shifted, feat, body, caches = _forward(x, params, cfg)          # body (B, V, N, D)
         shifted -= shifted.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         loss = float(-log_probs[np.arange(B), labels].mean())
         if grads is None:
             return loss
-        d_logits = np.exp(log_probs)
-        d_logits[np.arange(B), labels] -= 1.0
-        d_logits /= B
-        grads["head_w"] += feat.T @ d_logits
-        grads["head_b"] += d_logits.sum(axis=0)
-        N, D = body.shape[-2:]
-        d_pooled = (d_logits @ params["head_w"].T).reshape(body.shape[:-2] + (1, D))
-        d_body = np.broadcast_to(d_pooled / N, body.shape)
+        d_out = np.exp(log_probs)
+        d_out[np.arange(B), labels] -= 1.0
+        d_out /= B
     elif cfg.task == "forecast_linear":
         x = _stack([s.patches for s in batch], "patches")               # (B, N, F)
         target = _stack([s.target for s in batch], "targets")
-        body, caches = _encode(x, params, cfg)
-        flat = body.reshape(B, -1)
-        pred = _head(flat, params)
+        pred, feat, body, caches = _forward(x, params, cfg)
         if pred.shape != target.shape:
             raise ShapeMismatchError(f"forecast {pred.shape} != target {target.shape}")
         err = pred - target
         loss = float(np.mean(err * err))
         if grads is None:
             return loss
-        d_pred = 2.0 * err / err.size
-        grads["head_w"] += flat.T @ d_pred
-        grads["head_b"] += d_pred.sum(axis=0)
-        d_body = (d_pred @ params["head_w"].T).reshape(body.shape)
+        d_out = 2.0 * err / err.size
     else:  # forecast_reconstruct: MSE on masked patch entries only
         mask = _stack([s.mask_rows for s in batch], "masks").astype(bool, copy=False)
         if any(s.patches.shape != s.target_patches.shape or s.patches.shape[0] != mask.shape[1]
@@ -459,21 +431,29 @@ def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None
         # gathered per sample: only visible inputs and masked targets are copied
         visible = np.concatenate([s.patches[~m] for s, m in zip(batch, mask)])
         target = np.concatenate([s.target_patches[m] for s, m in zip(batch, mask)])
-        body, caches = _encode(visible, params, cfg, mask)              # (B, N, D)
-        rows = body[mask]                                               # (M, D), sample-major
-        err = rows @ params["dec_w"] + params["dec_b"] - target
+        err, feat, body, caches = _forward(visible, params, cfg, mask)  # body (B, N, D)
+        err -= target
         # each sample's masked MSE, averaged over the batch: a row of sample
         # b weighs 1 / (B * n_b * F)
         w = np.repeat(1.0 / (B * n_masked * target.shape[1]), n_masked)[:, None]
         loss = float((w * err * err).sum())
         if grads is None:
             return loss
-        d_dec = 2.0 * w * err
-        grads["dec_w"] += rows.T @ d_dec
-        grads["dec_b"] += d_dec.sum(axis=0)
+        d_out = 2.0 * w * err
+    w_name, b_name = _HEAD_PARAMS[cfg.task]
+    grads[w_name] += feat.T @ d_out
+    grads[b_name] += d_out.sum(axis=0)
+    d_feat = d_out @ params[w_name].T
+    if cfg.task == "classify":                  # each token gets 1/N of its variate's mean
+        N, D = body.shape[-2:]
+        d_body = np.broadcast_to(d_feat.reshape(body.shape[:-2] + (1, D)) / N, body.shape)
+    elif cfg.task == "forecast_linear":
+        d_body = d_feat.reshape(body.shape)
+    else:
         d_body = np.zeros_like(body)
-        d_body[mask] = d_dec @ params["dec_w"].T
-    _encode_backward(d_body, caches, params, grads)
+        d_body[mask] = d_feat
+    embed_cache, body_cache = caches
+    backward_embed(backward_body(d_body, body_cache, params, grads), embed_cache, grads)
     return loss
 
 
@@ -495,17 +475,17 @@ def batch_loss(batch: list, params: ParamSet, cfg: ModelConfig) -> float:
 
 def backward(batch: list, params: ParamSet, cfg: ModelConfig):
     """Mean loss and analytic gradients over a batch."""
-    grads = zeros_like_params(params)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     return _finite(_loss(batch, params, cfg, grads)), grads
 
 
 def predict_linear(sample_patches: np.ndarray, params: ParamSet,
                    cfg: ModelConfig) -> np.ndarray:
-    body, _ = _encode(sample_patches, params, cfg)
-    return forward_forecast_linear(body, params)
+    """(..., N, F) patches -> (..., horizon) forecasts."""
+    return _forward(sample_patches, params, cfg)[0]
 
 
 def predict_class(patch_seqs: list[np.ndarray], params: ParamSet,
                   cfg: ModelConfig) -> int:
-    body, _ = _encode(_stack(patch_seqs, "variate patches"), params, cfg)
-    return argmax_class(forward_classify(body, params))
+    """The class of V (N, F) patch matrices; ties go to the lowest class."""
+    return int(np.argmax(_forward(_stack(patch_seqs, "variate patches"), params, cfg)[0]))

@@ -8,7 +8,7 @@ orientation travel with the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,11 +67,7 @@ class SplitStats:
 
     mean: np.ndarray                     # (d,)
     std: np.ndarray                      # (d,)
-    degenerate: np.ndarray = field(default=None)  # bool (d,), True where train is constant (default: std == 0)
-
-    def __post_init__(self):
-        if self.degenerate is None:
-            self.degenerate = self.std == 0.0
+    degenerate: np.ndarray               # bool (d,), True where train is constant
 
 
 def slide_windows(series: MultivariateSeries, lookback: int, horizon: int,

@@ -69,6 +69,20 @@ def test_render_refuses_an_overflowing_image(tmp_path, capsys):
     assert "NaN/Inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, flags", [
+    ("filterbank", ["--hop", "0"]), ("stft", ["--hop", "0"]),
+    ("stft", ["--window-len", "0"]), ("filterbank", ["--window-len", "0"]),
+    ("rp", ["--embed-dim", "0"]), ("rp", ["--delay", "0"]), ("rp", ["--delay", "-1"])])
+def test_render_nonpositive_transform_option_is_runtime_error(method, flags, ett_csv,
+                                                              tmp_path, capsys):
+    out = tmp_path / "img.pgm"
+    rc = main(["render", "--input", ett_csv, "--method", method, "--window", "100",
+               "--out", str(out), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_render_missing_input_is_runtime_error(tmp_path):
     rc = main(["render", "--input", str(tmp_path / "nope.csv"),
                "--method", "gaf", "--out", str(tmp_path / "o.pgm")])
@@ -167,6 +181,21 @@ def test_sweep_segment_writes_csv(tmp_path, capsys):
     text = (tmp_path / "sweep" / "sweep.csv").read_text()
     assert text.count("segment_sweep") == 2
     assert "cells=2" in capsys.readouterr().out
+
+
+def test_sweep_lookback_is_deterministic_and_reports_skips(tmp_path, capsys):
+    texts = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        rc = main(["sweep", "--kind", "lookback", "--lengths", "48,96,5000",
+                   "--synthetic-length", "1200", "--epochs", "1", "--patience", "1",
+                   "--stride", "16", "--image-size", "16", "--embed-dim", "8",
+                   "--heads", "2", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        assert "skip lookback=5000" in capsys.readouterr().err
+        texts.append((out / "sweep.csv").read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].count(b"lookback_sweep") == 2
 
 
 def test_lemma_subcommand(tmp_path, capsys):

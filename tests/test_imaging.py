@@ -3,6 +3,7 @@ import pytest
 
 from tsimg.errors import (
     EmbeddingTooLargeError,
+    NonPositiveError,
     NotSquareError,
     SeriesTooShortError,
     WindowTooLongError,
@@ -158,6 +159,12 @@ def test_rp_embedding_too_large():
         recurrence_plot(np.arange(5.0), embed_dim=3, delay=3)
 
 
+@pytest.mark.parametrize("embed_dim, delay", [(0, 1), (-2, 1), (2, 0), (1, 0), (2, -1)])
+def test_rp_rejects_nonpositive_embedding(embed_dim, delay):
+    with pytest.raises(NonPositiveError):
+        recurrence_plot(np.arange(20.0), embed_dim=embed_dim, delay=delay)
+
+
 # --- STFT ---------------------------------------------------------------
 
 def test_stft_shape_and_zero_input():
@@ -176,8 +183,17 @@ def test_stft_pure_sine_dominant_row():
 
 
 def test_stft_window_too_long():
-    with pytest.raises(WindowTooLongError):
-        stft_spectrogram(np.zeros(10), window_len=20)
+    for transform in (stft_spectrogram, filterbank_spectrogram):
+        with pytest.raises(WindowTooLongError):
+            transform(np.zeros(10), window_len=20)
+
+
+@pytest.mark.parametrize("transform", [stft_spectrogram, filterbank_spectrogram])
+@pytest.mark.parametrize("window_len, hop", [(0, None), (-4, None), (16, 0), (16, -1),
+                                             (None, 0)])
+def test_stft_front_end_rejects_nonpositive_window_or_hop(transform, window_len, hop):
+    with pytest.raises(NonPositiveError):
+        transform(np.zeros(100), window_len=window_len, hop=hop)
 
 
 # --- wavelet ------------------------------------------------------------

@@ -18,17 +18,16 @@ from tsimg.models import (
     ForecastSample,
     ModelConfig,
     ReconstructSample,
-    argmax_class,
     backward,
     batch_loss,
     forward_attention,
     forward_body,
-    forward_classify,
     forward_embed,
-    forward_forecast_linear,
     forward_reconstruct,
     forward_reconstruct_gray,
     init_params,
+    predict_class,
+    predict_linear,
     validate_routing,
 )
 
@@ -141,28 +140,36 @@ def test_attention_permutation_equivariance():
     assert np.allclose(out_p, out[perm], atol=1e-12)
 
 
+def _classify_patches(cfg, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(cfg.n_patches, cfg.patch_dim)) for _ in range(cfg.num_variates)]
+
+
 def test_classify_head_zero_weights():
     cfg = small_cfg("wolvm", "classify")
     params = init_params(cfg, 0)
     params["head_w"][:] = 0.0
     params["head_b"][:] = 0.0
-    tokens = [np.ones((4, cfg.embed_dim)) for _ in range(cfg.num_variates)]
-    assert np.array_equal(forward_classify(tokens, params), np.zeros(cfg.num_classes))
+    assert predict_class(_classify_patches(cfg, 4), params, cfg) == 0
 
 
 def test_argmax_tie_breaks_low():
-    assert argmax_class(np.array([1.0, 1.0, 0.0])) == 0
+    cfg = small_cfg("lvm2attn", "classify")
+    params = init_params(cfg, 0)
+    params["head_w"][:] = 0.0
+    params["head_b"][:] = [0.0, 1.0, 1.0]
+    assert predict_class(_classify_patches(cfg, 5), params, cfg) == 1
 
 
 def test_forecast_linear_head():
     cfg = small_cfg("wolvm", "forecast_linear")
     params = init_params(cfg, 0)
-    tokens = np.random.default_rng(4).normal(size=(cfg.n_patches, cfg.embed_dim))
-    out = forward_forecast_linear(tokens, params)
+    patches = np.random.default_rng(4).normal(size=(cfg.n_patches, cfg.patch_dim))
+    out = predict_linear(patches, params, cfg)
     assert out.shape == (cfg.horizon,)
     params["head_w"][:] = 0.0
     params["head_b"][:] = 0.0
-    assert np.array_equal(forward_forecast_linear(tokens, params), np.zeros(cfg.horizon))
+    assert np.array_equal(predict_linear(patches, params, cfg), np.zeros(cfg.horizon))
 
 
 def _mask(n_patches, masked):
@@ -428,6 +435,6 @@ def test_classify_batch_loss_is_cross_entropy(arch):
     s = make_batch(cfg, np.random.default_rng(17), n=1)[0]
     tokens, _ = forward_embed(np.stack(s.patch_seqs), params)
     body, _ = forward_body(tokens, params, cfg)
-    logits = forward_classify(body, params)
+    logits = body.mean(-2).reshape(-1) @ params["head_w"] + params["head_b"]
     assert batch_loss([s], params, cfg) == pytest.approx(
         cross_entropy(logits, s.label), rel=1e-12)
