@@ -3,11 +3,13 @@
 All transforms are deterministic and return a float64 2-D ndarray whose
 row index is the vertical axis. Where a transform is used together with
 its inverse downstream (UVH, GAF diagonal), the inverse lives next to it
-here.
+here. The wavelet's Morlet daughter spectra and the filterbank's filters
+come from small shape-keyed caches of read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -201,30 +203,34 @@ def wavelet_scales(T: int, num_scales: int) -> np.ndarray:
 def wavelet_scalogram(x: np.ndarray, num_scales: int = 32) -> np.ndarray:
     """Morlet CWT magnitude; row j uses scale j of :func:`wavelet_scales`."""
     x = np.asarray(x, dtype=np.float64)
-    T = x.size
-    scales = wavelet_scales(T, num_scales)
     # frequency-domain CWT: conv with the wavelet = product of spectra
-    xf = np.fft.fft(x)
+    return np.abs(np.fft.ifft(np.fft.fft(x) * _morlet_daughters(x.size, num_scales), axis=1))
+
+
+@functools.lru_cache(maxsize=8)
+def _morlet_daughters(T: int, num_scales: int) -> np.ndarray:
+    """Read-only complex (num_scales, T) conjugated daughter spectra."""
+    scales = wavelet_scales(T, num_scales)[:, None]
     omega = 2.0 * np.pi * np.fft.fftfreq(T)
-    out = np.empty((num_scales, T))
-    for j, s in enumerate(scales):
-        # L2-normalized Morlet daughter in the frequency domain
-        psi_hat = (np.pi ** -0.25) * np.sqrt(2 * np.pi * s) * \
-            np.exp(-0.5 * (s * omega - MORLET_W0) ** 2) * (omega > 0)
-        out[j] = np.abs(np.fft.ifft(xf * np.conj(psi_hat)))
-    return out
+    # L2-normalized Morlet daughter in the frequency domain
+    psi_hat = (np.pi ** -0.25) * np.sqrt(2 * np.pi * scales) * \
+        np.exp(-0.5 * (scales * omega - MORLET_W0) ** 2) * (omega > 0)
+    daughters = np.conj(psi_hat).astype(np.complex128)
+    daughters.setflags(write=False)
+    return daughters
 
 
+@functools.lru_cache(maxsize=8)
 def _triangular_filterbank(n_filters: int, n_bins: int) -> np.ndarray:
-    """Triangular filters evenly spaced over the linear frequency bins."""
-    points = np.linspace(0, n_bins - 1, n_filters + 2)
-    fb = np.zeros((n_filters, n_bins))
+    """Read-only (n_filters, n_bins) triangular filters evenly spaced over
+    the linear frequency bins."""
+    points = np.linspace(0, n_bins - 1, n_filters + 2)[:, None]
+    left, center, right = points[:-2], points[1:-1], points[2:]
     bins = np.arange(n_bins, dtype=np.float64)
-    for m in range(n_filters):
-        left, center, right = points[m], points[m + 1], points[m + 2]
-        up = (bins - left) / max(center - left, 1e-12)
-        down = (right - bins) / max(right - center, 1e-12)
-        fb[m] = np.clip(np.minimum(up, down), 0.0, None)
+    up = (bins - left) / np.maximum(center - left, 1e-12)
+    down = (right - bins) / np.maximum(right - center, 1e-12)
+    fb = np.clip(np.minimum(up, down), 0.0, None)
+    fb.setflags(write=False)
     return fb
 
 
@@ -239,50 +245,53 @@ def filterbank_spectrogram(x: np.ndarray, window_len: int | None = None,
     return np.log1p(fb @ mag)
 
 
+def check_series(x: np.ndarray) -> np.ndarray:
+    """`x` itself, once checked to be non-empty and finite."""
+    if x.size == 0:
+        raise ShapeMismatchError(f"expected a non-empty series, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ShapeMismatchError("series contains NaN/Inf")
+    return x
+
+
 def lineplot_raster(x: np.ndarray, height: int = 64, width: int = 64) -> np.ndarray:
     """Binary raster of the series line plot (top row = max value).
 
     Consecutive points are joined with Bresenham segments; a constant
-    series draws a horizontal midline.
+    series draws a horizontal midline. Its range must not overflow.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_series(np.asarray(x, dtype=np.float64))
     if height < 2 or width < 2:
         raise ShapeMismatchError("height, width >= 2 required")
     T = x.size
     lo, hi = float(x.min()), float(x.max())
+    if not math.isfinite(hi - lo):
+        raise ShapeMismatchError(f"series range [{lo}, {hi}] overflows")
     if hi == lo:
         rows = np.full(T, (height - 1) // 2)
     else:
         frac = (x - lo) / (hi - lo)
         rows = np.rint((1.0 - frac) * (height - 1)).astype(int)
-    if T == 1:
-        cols = np.array([0])
-    else:
-        cols = np.rint(np.arange(T) * (width - 1) / (T - 1)).astype(int)
+    cols = np.rint(np.arange(T) * (width - 1) / max(T - 1, 1)).astype(int)
+    points = np.stack([rows, cols])
     img = np.zeros((height, width))
-
-    def draw(r0, c0, r1, c1):
-        dr, dc = abs(r1 - r0), abs(c1 - c0)
-        sr = 1 if r0 < r1 else -1
-        sc = 1 if c0 < c1 else -1
-        err = dc - dr
-        r, c = r0, c0
-        while True:
-            img[r, c] = 1.0
-            if r == r1 and c == c1:
-                break
-            e2 = 2 * err
-            if e2 > -dr:
-                err -= dr
-                c += sc
-            if e2 < dc:
-                err += dc
-                r += sr
-
-    img[rows[0], cols[0]] = 1.0
-    for i in range(T - 1):
-        draw(rows[i], cols[i], rows[i + 1], cols[i + 1])
+    # a segment from each point to the next; the last point's is one pixel
+    img[_segment_pixels(points, np.diff(points, append=points[:, -1:]))] = 1.0
     return img
+
+
+def _segment_pixels(start: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the Bresenham segments from each (row, col) column of
+    `start` to start + delta, both ends included. In closed form, pixel k of
+    a segment of n = max(|dr|, |dc|) steps lies (2km + n - 1) // 2n steps
+    along an axis of delta m, in its direction: k along the major axis."""
+    n = np.abs(delta).max(axis=0)
+    counts = n + 1
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    n_k = np.repeat(np.maximum(n, 1), counts)  # a zero-length segment has only k = 0
+    d = np.repeat(delta, counts, axis=1)
+    return tuple(np.repeat(start, counts, axis=1)
+                 + np.sign(d) * ((2 * k * np.abs(d) + n_k - 1) // (2 * n_k)))
 
 
 # canonical method names used by the CLI and routing checks

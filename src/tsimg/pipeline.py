@@ -67,11 +67,11 @@ def image_for_method(method: str, window: np.ndarray, *, L: int | None = None,
     """Render one look-back window with the named imaging method, as a
     checked non-empty, finite image.
 
-    `window` is (H,) for univariate methods and (d, H) for mvh. For uvh,
-    L defaults to the FFT-detected dominant period. Each method reads only
-    its own options; a misspelt one raises TypeError.
+    `window` is a non-empty, finite (H,) array for univariate methods and
+    (d, H) for mvh. For uvh, L defaults to the FFT-detected dominant period.
+    Each method reads only its own options; a misspelt one raises TypeError.
     """
-    x = np.asarray(window, dtype=np.float64)
+    x = imaging.check_series(np.asarray(window, dtype=np.float64))
     if method != "mvh" and x.ndim != 1:
         raise ShapeMismatchError(f"method {method!r} expects a univariate window")
     render = {"mvh": lambda: imaging.mvh(MultivariateSeries(np.atleast_2d(x))),

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tsimg.errors import (
     EmbeddingTooLargeError,
     NonPositiveError,
     NotSquareError,
     SeriesTooShortError,
+    ShapeMismatchError,
     WindowTooLongError,
 )
 from tsimg.imaging import (
+    MORLET_W0,
     detect_period,
     filterbank_spectrogram,
     gaf,
@@ -22,6 +26,8 @@ from tsimg.imaging import (
     uvh_inverse,
     wavelet_scalogram,
     wavelet_scales,
+    _morlet_daughters,
+    _segment_pixels,
     _triangular_filterbank,
 )
 from tsimg.series import MultivariateSeries, gen_periodic
@@ -255,3 +261,142 @@ def test_lineplot_binary_and_diagonal():
     assert img[7, 0] == 1.0 and img[0, 7] == 1.0
     # an 8-connected path exists: every column holds at least one pixel
     assert np.all(img.any(axis=0))
+
+
+# --- loop oracles for the cached and closed-form transforms ---------------
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _wavelet_loop(x, num_scales):
+    """wavelet_scalogram as one ifft per scale, its daughter built per call."""
+    x = np.asarray(x, dtype=np.float64)
+    T = x.size
+    xf = np.fft.fft(x)
+    omega = 2.0 * np.pi * np.fft.fftfreq(T)
+    out = np.empty((num_scales, T))
+    for j, s in enumerate(wavelet_scales(T, num_scales)):
+        psi_hat = (np.pi ** -0.25) * np.sqrt(2 * np.pi * s) * \
+            np.exp(-0.5 * (s * omega - MORLET_W0) ** 2) * (omega > 0)
+        out[j] = np.abs(np.fft.ifft(xf * np.conj(psi_hat)))
+    return out
+
+
+def _filterbank_loop(n_filters, n_bins):
+    """_triangular_filterbank built one filter at a time."""
+    points = np.linspace(0, n_bins - 1, n_filters + 2)
+    fb = np.zeros((n_filters, n_bins))
+    bins = np.arange(n_bins, dtype=np.float64)
+    for m in range(n_filters):
+        left, center, right = points[m], points[m + 1], points[m + 2]
+        up = (bins - left) / max(center - left, 1e-12)
+        down = (right - bins) / max(right - center, 1e-12)
+        fb[m] = np.clip(np.minimum(up, down), 0.0, None)
+    return fb
+
+
+def _bresenham(r0, c0, r1, c1):
+    """The integer-error Bresenham loop over one segment: the pixels from
+    (r0, c0) to (r1, c1) in drawing order."""
+    dr, dc = abs(r1 - r0), abs(c1 - c0)
+    sr = 1 if r0 < r1 else -1
+    sc = 1 if c0 < c1 else -1
+    err = dc - dr
+    r, c = r0, c0
+    pixels = []
+    while True:
+        pixels.append((r, c))
+        if r == r1 and c == c1:
+            return pixels
+        e2 = 2 * err
+        if e2 > -dr:
+            err -= dr
+            c += sc
+        if e2 < dc:
+            err += dc
+            r += sr
+
+
+def _lineplot_loop(x, height, width):
+    """lineplot_raster with one Bresenham loop per segment."""
+    T = x.size
+    lo, hi = float(x.min()), float(x.max())
+    if hi == lo:
+        rows = np.full(T, (height - 1) // 2)
+    else:
+        rows = np.rint((1.0 - (x - lo) / (hi - lo)) * (height - 1)).astype(int)
+    cols = np.array([0]) if T == 1 else np.rint(np.arange(T) * (width - 1) / (T - 1)).astype(int)
+    img = np.zeros((height, width))
+    img[rows[0], cols[0]] = 1.0
+    for i in range(T - 1):
+        for r, c in _bresenham(int(rows[i]), int(cols[i]), int(rows[i + 1]), int(cols[i + 1])):
+            img[r, c] = 1.0
+    return img
+
+
+def _series(seed, T, scale, constant):
+    x = np.random.default_rng(seed).normal(size=T) * scale
+    return np.full(T, x[0]) if constant else x
+
+
+@given(st.integers(1, 800), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e4]), st.booleans())
+def test_wavelet_bitwise_equals_per_scale_loop(T, num_scales, seed, scale, constant):
+    x = _series(seed, T, scale, constant)
+    _assert_bitwise(wavelet_scalogram(x, num_scales), _wavelet_loop(x, num_scales))
+
+
+def test_filterbank_bitwise_equals_per_filter_loop():
+    for n_filters in range(1, 41):
+        for n_bins in range(1, 80):
+            _assert_bitwise(_triangular_filterbank(n_filters, n_bins),
+                            _filterbank_loop(n_filters, n_bins))
+
+
+def test_shape_caches_are_read_only_and_bounded():
+    for cached in (_morlet_daughters(96, 32), _triangular_filterbank(32, 33)):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+    for cache in (_morlet_daughters, _triangular_filterbank):
+        assert cache.cache_info().maxsize is not None
+        assert cache.cache_info().maxsize <= 8
+
+
+@pytest.mark.parametrize("transform", [wavelet_scalogram, filterbank_spectrogram])
+def test_cached_transforms_return_independent_writable_arrays(transform):
+    x = np.sin(np.arange(96) / 3.0)
+    a, b = transform(x), transform(x)
+    assert a.flags.writeable and b.flags.writeable
+    assert not np.shares_memory(a, b)
+    a += 1.0
+    _assert_bitwise(b, transform(x))
+
+
+def test_segment_pixels_match_bresenham_loop_exhaustively():
+    # every |dr|, |dc| < 80 in all four sign combinations, from a non-zero start
+    g = np.arange(-79, 80)
+    delta = np.stack([np.repeat(g, g.size), np.tile(g, g.size)])
+    start = np.stack([np.full(delta.shape[1], 7), np.full(delta.shape[1], -3)])
+    rows, cols = _segment_pixels(start, delta)
+    ends = np.cumsum(np.abs(delta).max(axis=0) + 1)
+    for i, (a, b) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
+        dr, dc = int(delta[0, i]), int(delta[1, i])
+        assert list(zip(rows[a:b].tolist(), cols[a:b].tolist())) == \
+            _bresenham(7, -3, 7 + dr, -3 + dc), (dr, dc)
+
+
+@given(st.integers(1, 400), st.integers(2, 300), st.integers(2, 300),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_lineplot_bitwise_equals_bresenham_loop(T, height, width, seed, constant):
+    x = _series(seed, T, 1.0, constant)
+    _assert_bitwise(lineplot_raster(x, height, width), _lineplot_loop(x, height, width))
+
+
+@pytest.mark.parametrize("x", [[0.0, np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [],
+                               [-1e308, 1e308]])
+def test_lineplot_rejects_non_finite_empty_or_overflowing_series(x):
+    with pytest.raises(ShapeMismatchError):
+        lineplot_raster(np.array(x))

@@ -48,6 +48,17 @@ def test_image_for_method_rejects_unknown_options():
         image_for_method("uvh", x, 8)                   # L is keyword-only
 
 
+@pytest.mark.parametrize("method", ["lineplot", "mvh", "uvh", "stft", "wavelet", "filterbank",
+                                    "gaf", "rp"])
+@pytest.mark.parametrize("window", [np.zeros(0), np.zeros((2, 0)),
+                                    np.r_[np.zeros(31), np.nan, np.zeros(32)],
+                                    np.r_[np.zeros(31), np.inf, np.zeros(32)],
+                                    np.r_[np.zeros(31), -np.inf, np.zeros(32)]])
+def test_image_for_method_rejects_empty_or_non_finite_windows(method, window):
+    with pytest.raises(ShapeMismatchError):
+        image_for_method(method, window)
+
+
 def test_image_for_method_uvh_default_period():
     x = gen_periodic(8, 64, "sine")
     assert image_for_method("uvh", x).shape == (8, 8)
