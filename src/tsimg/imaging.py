@@ -111,7 +111,7 @@ def gaf(x: np.ndarray) -> tuple[np.ndarray, GafContext]:
     returns the T x T matrix cos(phi_i + phi_j). A constant input has no
     range; every x_hat is set to the midpoint 0.5 and the context flagged.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_series(np.asarray(x, dtype=np.float64))
     lo, hi = float(x.min()), float(x.max())
     degenerate = hi == lo
     if degenerate:
@@ -139,7 +139,7 @@ def gaf_diag_inverse(img: np.ndarray, ctx: GafContext) -> np.ndarray:
 def recurrence_plot(x: np.ndarray, embed_dim: int = 1, delay: int = 1) -> np.ndarray:
     """Unthresholded recurrence plot: pairwise Euclidean distances between
     delay-embedded states."""
-    x = np.asarray(x, dtype=np.float64)
+    x = check_series(np.asarray(x, dtype=np.float64))
     if embed_dim < 1 or delay < 1:
         raise NonPositiveError(f"embed_dim and delay must be >= 1, got {embed_dim} and {delay}")
     m = x.size - (embed_dim - 1) * delay
@@ -163,7 +163,7 @@ def stft_spectrogram(x: np.ndarray, window_len: int | None = None,
 def _stft_magnitude(x: np.ndarray, window_len: int | None, hop: int | None) -> np.ndarray:
     """Hann-windowed |rfft| of each frame, (bins, frames). The window
     defaults to min(64, T) steps and the hop to half the window."""
-    x = np.asarray(x, dtype=np.float64)
+    x = check_series(np.asarray(x, dtype=np.float64))
     T = x.size
     if window_len is None:
         window_len = min(64, T)
@@ -202,7 +202,7 @@ def wavelet_scales(T: int, num_scales: int) -> np.ndarray:
 
 def wavelet_scalogram(x: np.ndarray, num_scales: int = 32) -> np.ndarray:
     """Morlet CWT magnitude; row j uses scale j of :func:`wavelet_scales`."""
-    x = np.asarray(x, dtype=np.float64)
+    x = check_series(np.asarray(x, dtype=np.float64))
     # frequency-domain CWT: conv with the wavelet = product of spectra
     return np.abs(np.fft.ifft(np.fft.fft(x) * _morlet_daughters(x.size, num_scales), axis=1))
 

@@ -1,9 +1,9 @@
 """The three trainable architectures and their analytic gradients.
 
-All parameters live in a flat dict (name -> float64 ndarray) so the Adam
-optimizer, checkpointing, and finite-difference checks can treat every
-architecture uniformly. Forward passes cache intermediates; backward passes
-consume them and add into a gradient dict with the same keys.
+Parameters are a dict (name -> float64 ndarray); training runs on a
+FlatSet of named views into one contiguous vector (flat_views). Forward
+passes cache intermediates; backward consumes them and adds into gradients
+with the same names, a FlatSet of views into one zeroed vector.
 
 Architectures (all share the patch-projection front end):
   wolvm     patch embed -> per-token linear layer
@@ -32,12 +32,10 @@ as body[mask]; their gradient is scattered back into zeros.
 Patches are plain arrays cut by alignment.patchify, and a forecast mask
 is the read-only bool (N,) array of alignment.build_forecast_mask. The
 model input is three identical channels of one gray image (F = 3 * P * P),
-made by alignment.replicate_channels. Training keeps all three. The
+made by alignment.replicate_channels. Training keeps all three; the
 forecast path runs forward_reconstruct_gray on the gray (n, N, P * P)
-patches of a forecast stack in one pass: the channel copies are folded
-into the weights (embed_w's channel blocks summed, dec_w's and dec_b's
-averaged), which gives the channel mean of forward_reconstruct, the
-three-channel reference, up to rounding.
+patches of a forecast stack in one pass, with the copies folded into the
+weights.
 """
 
 from __future__ import annotations
@@ -66,6 +64,22 @@ SIZE_FIELDS = ("image_size", "patch_size", "embed_dim", "num_heads", "horizon",
 
 ParamSet = dict  # name -> np.ndarray
 GradSet = dict
+
+
+class FlatSet(dict):
+    """A ParamSet whose arrays are views into one float64 vector, `.vector`."""
+
+
+def flat_views(vec: np.ndarray, like: ParamSet) -> FlatSet:
+    """Named views into the flat vector `vec`, in the order and shapes of `like`."""
+    views, start = FlatSet(), 0
+    for k, p in like.items():
+        views[k] = vec[start:start + p.size].reshape(p.shape)
+        start += p.size
+    if start != vec.size:
+        raise ShapeMismatchError(f"vector of {vec.size} values for {start} parameters")
+    views.vector = vec
+    return views
 
 
 @dataclass
@@ -145,12 +159,11 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamSet:
         p["mask_token"] = rng.normal(0.0, 0.02, size=D)
         p["dec_w"] = _xavier(rng, D, F)
         p["dec_b"] = np.zeros(F)
-    elif cfg.task == "forecast_linear":
-        p["head_w"] = _xavier(rng, N * D, cfg.horizon)
-        p["head_b"] = np.zeros(cfg.horizon)
     else:
-        p["head_w"] = _xavier(rng, cfg.num_variates * D, cfg.num_classes)
-        p["head_b"] = np.zeros(cfg.num_classes)
+        fan_in, out = ((N * D, cfg.horizon) if cfg.task == "forecast_linear"
+                       else (cfg.num_variates * D, cfg.num_classes))
+        p["head_w"] = _xavier(rng, fan_in, out)
+        p["head_b"] = np.zeros(out)
     return p
 
 
@@ -389,8 +402,8 @@ def _stack(arrays: list, what: str) -> np.ndarray:
 
 
 def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None) -> float:
-    """Mean loss of one stacked pass over the batch; when grads is a dict,
-    the gradients of that mean are added into it."""
+    """Mean loss of one stacked pass over the batch, which must be finite;
+    when grads is a dict, the gradients of that mean are added into it."""
     if not batch:
         raise ShapeMismatchError("batch is empty")
     B = len(batch)
@@ -404,8 +417,6 @@ def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None
         shifted -= shifted.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         loss = float(-log_probs[np.arange(B), labels].mean())
-        if grads is None:
-            return loss
         d_out = np.exp(log_probs)
         d_out[np.arange(B), labels] -= 1.0
         d_out /= B
@@ -417,8 +428,6 @@ def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None
             raise ShapeMismatchError(f"forecast {pred.shape} != target {target.shape}")
         err = pred - target
         loss = float(np.mean(err * err))
-        if grads is None:
-            return loss
         d_out = 2.0 * err / err.size
     else:  # forecast_reconstruct: MSE on masked patch entries only
         mask = _stack([s.mask_rows for s in batch], "masks").astype(bool, copy=False)
@@ -437,9 +446,11 @@ def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None
         # b weighs 1 / (B * n_b * F)
         w = np.repeat(1.0 / (B * n_masked * target.shape[1]), n_masked)[:, None]
         loss = float((w * err * err).sum())
-        if grads is None:
-            return loss
         d_out = 2.0 * w * err
+    if not np.isfinite(loss):
+        raise NonFiniteLossError(f"loss is {loss}")
+    if grads is None:
+        return loss
     w_name, b_name = _HEAD_PARAMS[cfg.task]
     grads[w_name] += feat.T @ d_out
     grads[b_name] += d_out.sum(axis=0)
@@ -457,12 +468,6 @@ def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None
     return loss
 
 
-def _finite(loss: float) -> float:
-    if not np.isfinite(loss):
-        raise NonFiniteLossError(f"loss is {loss}")
-    return loss
-
-
 def batch_loss(batch: list, params: ParamSet, cfg: ModelConfig) -> float:
     """Mean loss over a batch, forward only. Batches larger than
     PASS_SAMPLES (a whole validation set, say) run in several stacked
@@ -470,13 +475,13 @@ def batch_loss(batch: list, params: ParamSet, cfg: ModelConfig) -> float:
     if not batch:
         raise ShapeMismatchError("batch is empty")
     parts = [batch[i:i + PASS_SAMPLES] for i in range(0, len(batch), PASS_SAMPLES)]
-    return _finite(sum(_loss(p, params, cfg, None) * (len(p) / len(batch)) for p in parts))
+    return sum(_loss(p, params, cfg, None) * (len(p) / len(batch)) for p in parts)
 
 
 def backward(batch: list, params: ParamSet, cfg: ModelConfig):
     """Mean loss and analytic gradients over a batch."""
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    return _finite(_loss(batch, params, cfg, grads)), grads
+    grads = flat_views(np.zeros(sum(p.size for p in params.values())), params)
+    return _loss(batch, params, cfg, grads), grads
 
 
 def predict_linear(sample_patches: np.ndarray, params: ParamSet,

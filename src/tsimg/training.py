@@ -1,16 +1,18 @@
 """Adam optimization and the train/validate loop with early stopping and
-best-epoch restoration."""
+best-epoch restoration. Training keeps one contiguous float64 vector each
+for the parameters, the gradients, Adam's m and v and the best-epoch
+snapshot; the model reads the first two by name through models.flat_views,
+and an Adam step is a few whole-vector ufunc calls."""
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonPositiveError, ShapeMismatchError
-from .models import ModelConfig, ParamSet, backward, batch_loss, predict_class
+from .models import ModelConfig, ParamSet, backward, batch_loss, flat_views, predict_class
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -37,15 +39,15 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam's step count and moments for one flat vector, and scratch for a step."""
+    t: int
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray = field(repr=False)
 
     @classmethod
-    def init(cls, params: ParamSet) -> "AdamState":
-        return cls(t=0,
-                   m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+    def init(cls, params: np.ndarray) -> "AdamState":
+        return cls(0, np.zeros(params.size), np.zeros(params.size), np.empty((2, params.size)))
 
 
 @dataclass
@@ -59,77 +61,70 @@ class EpochRecord:
 History = list  # of EpochRecord
 
 
-def adam_step(params: ParamSet, grads: dict, state: AdamState,
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float) -> None:
-    """One in-place Adam update with bias correction."""
+    """One bias-corrected Adam update of a flat parameter vector, in place and
+    in the operand order of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g
+    and p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)."""
+    if grads.shape != params.shape or state.m.shape != params.shape:
+        raise ShapeMismatchError(f"grads {grads.shape}, moments {state.m.shape} != {params.shape}")
     state.t += 1
-    t = state.t
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ShapeMismatchError(f"grad shape {g.shape} != param shape {p.shape} for {k!r}")
-        state.m[k] = ADAM_BETA1 * state.m[k] + (1 - ADAM_BETA1) * g
-        state.v[k] = ADAM_BETA2 * state.v[k] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v, (num, den) = state.m, state.v, state.scratch
+    m *= ADAM_BETA1
+    m += np.multiply(grads, 1 - ADAM_BETA1, out=num)
+    v *= ADAM_BETA2
+    np.multiply(grads, 1 - ADAM_BETA2, out=num)
+    v += np.multiply(num, grads, out=num)
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=den), out=den)
+    den += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=num)
+    num *= lr
+    params -= np.divide(num, den, out=num)
 
 
 def _validation_metric(val_data: list, params: ParamSet, cfg: ModelConfig) -> float:
     """Accuracy for classification (higher better), mean loss otherwise
     (lower better)."""
     if cfg.task == "classify":
-        correct = sum(predict_class(s.patch_seqs, params, cfg) == s.label
-                      for s in val_data)
-        return correct / len(val_data)
+        return sum(predict_class(s.patch_seqs, params, cfg) == s.label
+                   for s in val_data) / len(val_data)
     return batch_loss(val_data, params, cfg)
-
-
-def _improved(metric: float, best: float, cfg: ModelConfig) -> bool:
-    if cfg.task == "classify":
-        return metric > best
-    return metric < best
 
 
 def train(model_cfg: ModelConfig, params: ParamSet, train_data: list,
           val_data: list, cfg: TrainConfig) -> tuple[ParamSet, History]:
-    """Seeded mini-batch Adam loop; restores the best-validation
-    parameters on exit and stops after `patience` consecutive
-    non-improving epochs."""
+    """Seeded mini-batch Adam loop on a float64 copy of `params` packed into
+    one vector; stops after `patience` consecutive non-improving epochs,
+    writes the best-validation epoch's values into the caller's arrays and
+    returns the caller's dict. A non-finite loss raises NonFiniteLossError
+    and leaves the caller's arrays at their entry values."""
     if not train_data or not val_data:
         raise ShapeMismatchError("train and val data must be non-empty")
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState.init(params)
+    live = flat_views(np.concatenate([p.ravel() for p in params.values()], dtype=np.float64),
+                      params)
+    state = AdamState.init(live.vector)
     history: History = []
-    best_metric = -np.inf if model_cfg.task == "classify" else np.inf
-    best_params = copy.deepcopy(params)
-    bad_epochs = 0
-    n = len(train_data)
+    sign = 1.0 if model_cfg.task == "classify" else -1.0   # accuracy rises, loss falls
+    best, best_epoch, best_score = live.vector.copy(), -1, -np.inf
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
-        order = rng.permutation(n)
+        order = rng.permutation(len(train_data))
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, cfg.batch_size):
+        starts = range(0, len(train_data), cfg.batch_size)
+        for start in starts:
             batch = [train_data[i] for i in order[start:start + cfg.batch_size]]
-            loss, grads = backward(batch, params, model_cfg)
-            adam_step(params, grads, state, cfg.learning_rate)
+            loss, grads = backward(batch, live, model_cfg)
+            adam_step(live.vector, grads.vector, state, cfg.learning_rate)
             epoch_loss += loss
-            n_batches += 1
-        metric = _validation_metric(val_data, params, model_cfg)
-        history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss / n_batches,
-                                   val_metric=metric,
-                                   seconds=time.perf_counter() - t0))
-        if _improved(metric, best_metric, model_cfg):
-            best_metric = metric
-            best_params = copy.deepcopy(params)
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
-    for k in params:
-        params[k][...] = best_params[k]
+        metric = _validation_metric(val_data, live, model_cfg)
+        history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss / len(starts),
+                                   val_metric=metric, seconds=time.perf_counter() - t0))
+        if sign * metric > best_score:
+            best_score, best_epoch = sign * metric, epoch
+            np.copyto(best, live.vector)
+        elif epoch - best_epoch >= cfg.patience:
+            break
+    for k, p in flat_views(best, params).items():
+        params[k][...] = p
     return params, history

@@ -400,3 +400,13 @@ def test_lineplot_bitwise_equals_bresenham_loop(T, height, width, seed, constant
 def test_lineplot_rejects_non_finite_empty_or_overflowing_series(x):
     with pytest.raises(ShapeMismatchError):
         lineplot_raster(np.array(x))
+
+
+@pytest.mark.parametrize("transform", [gaf, recurrence_plot, stft_spectrogram,
+                                       wavelet_scalogram, filterbank_spectrogram])
+@pytest.mark.parametrize("x", [[], [0.0, np.nan], [0.0, np.inf, 1.0], [-np.inf, 0.0]])
+def test_transforms_reject_empty_or_non_finite_series(transform, x):
+    # gaf([0, nan]) and wavelet_scalogram([0, inf, 1]) used to return
+    # all-NaN images, and an empty series died in numpy
+    with pytest.raises(ShapeMismatchError):
+        transform(np.array(x))

@@ -1,10 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tsimg.errors import NonPositiveError, ShapeMismatchError
-from tsimg.training import AdamState, TrainConfig, adam_step, train
+from tsimg.errors import NonFiniteLossError, NonPositiveError, ShapeMismatchError
+from tsimg.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    TrainConfig,
+    adam_step,
+    train,
+)
 from tsimg.models import (
     ClassifySample,
     ForecastSample,
@@ -17,34 +28,72 @@ from tsimg.models import (
 
 
 def test_adam_zero_gradient_no_move():
-    params = {"w": np.array([1.0, -2.0, 3.0])}
+    params = np.array([1.0, -2.0, 3.0])
     state = AdamState.init(params)
-    adam_step(params, {"w": np.zeros(3)}, state, lr=0.1)
-    assert np.array_equal(params["w"], [1.0, -2.0, 3.0])
+    adam_step(params, np.zeros(3), state, lr=0.1)
+    assert np.array_equal(params, [1.0, -2.0, 3.0])
 
 
 def test_adam_first_step_magnitude():
     # with bias correction, the first step is ~lr * sign(g)
-    params = {"w": np.array([0.0])}
+    params = np.array([0.0])
     state = AdamState.init(params)
-    adam_step(params, {"w": np.array([5.0])}, state, lr=0.01)
-    assert params["w"][0] == pytest.approx(-0.01, rel=1e-6)
+    adam_step(params, np.array([5.0]), state, lr=0.01)
+    assert params[0] == pytest.approx(-0.01, rel=1e-6)
 
 
 def test_adam_descends_quadratic():
-    params = {"w": np.array([10.0])}
+    params = np.array([10.0])
     state = AdamState.init(params)
     for _ in range(2000):
-        g = {"w": 2.0 * params["w"]}
-        adam_step(params, g, state, lr=0.05)
-    assert abs(params["w"][0]) < 1e-2
+        adam_step(params, 2.0 * params, state, lr=0.05)
+    assert abs(params[0]) < 1e-2
 
 
 def test_adam_shape_mismatch():
-    params = {"w": np.zeros(3)}
+    params = np.zeros(3)
     state = AdamState.init(params)
     with pytest.raises(ShapeMismatchError):
-        adam_step(params, {"w": np.zeros(4)}, state, lr=0.1)
+        adam_step(params, np.zeros(4), state, lr=0.1)
+
+
+def oracle_adam_step(params, grads, state, lr):
+    """The per-tensor Adam loop over dicts that the whole-vector step
+    replaced; `state` is {"t": int, "m": dict, "v": dict}."""
+    state["t"] += 1
+    t = state["t"]
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for k, p in params.items():
+        g = grads[k]
+        state["m"][k] = ADAM_BETA1 * state["m"][k] + (1 - ADAM_BETA1) * g
+        state["v"][k] = ADAM_BETA2 * state["v"][k] + (1 - ADAM_BETA2) * g * g
+        m_hat = state["m"][k] / bc1
+        v_hat = state["v"][k] / bc2
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+@given(st.lists(st.lists(st.integers(1, 4), min_size=0, max_size=3), min_size=1, max_size=5),
+       st.integers(1, 30), st.floats(1e-6, 10.0), st.integers(0, 2**32 - 1))
+def test_adam_step_bitwise_equals_per_tensor_oracle(shapes, steps, lr, seed):
+    rng = np.random.default_rng(seed)
+    params = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    oracle_state = {"t": 0, "m": {k: np.zeros_like(p) for k, p in params.items()},
+                    "v": {k: np.zeros_like(p) for k, p in params.items()}}
+    state = AdamState.init(flat)
+    for _ in range(steps):
+        # zeros, unit-scale values and values near 1e150 (whose squares stay finite)
+        g = rng.normal(size=flat.size) * rng.choice([0.0, 1.0, 1e150], size=flat.size)
+        grads, start = {}, 0
+        for k, p in params.items():
+            grads[k] = g[start:start + p.size].reshape(p.shape).copy()
+            start += p.size
+        oracle_adam_step(params, grads, oracle_state, lr)
+        adam_step(flat, g, state, lr)
+        expected = np.concatenate([p.ravel() for p in params.values()])
+        assert flat.tobytes() == expected.tobytes()
+    assert state.t == oracle_state["t"] == steps
 
 
 # --- the training losses: the models' batched losses on hand-set heads -----
@@ -126,6 +175,44 @@ def test_train_early_stop_and_best_restore():
     best = min(r.val_metric for r in history)
     from tsimg.models import batch_loss
     assert batch_loss(data[16:], params, cfg) == pytest.approx(best)
+
+
+def test_train_updates_the_callers_arrays_and_returns_its_dict():
+    cfg, data = _linear_task(n=20)
+    params = init_params(cfg, 2)
+    arrays = dict(params)
+    entry = {k: p.copy() for k, p in params.items()}
+    out, _ = train(cfg, params, data[:16], data[16:],
+                   TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=3, seed=2))
+    assert out is params
+    assert all(out[k] is arrays[k] for k in arrays)
+    assert not all(np.array_equal(out[k], entry[k]) for k in entry)
+
+
+def test_train_best_epoch_restore_is_bitwise():
+    cfg, data = _linear_task(n=20)
+    # the bouncing run of test_train_early_stop_and_best_restore
+    tc = TrainConfig(learning_rate=5.0, batch_size=8, max_epochs=50, patience=2, seed=2)
+    stopped, history = train(cfg, init_params(cfg, 2), data[:16], data[16:], tc)
+    best_epoch = min(history, key=lambda r: r.val_metric).epoch
+    assert len(history) < tc.max_epochs and best_epoch < len(history) - 1
+    fresh, _ = train(cfg, init_params(cfg, 2), data[:16], data[16:],
+                     replace(tc, max_epochs=best_epoch + 1))
+    for k in stopped:
+        assert stopped[k].tobytes() == fresh[k].tobytes(), k
+
+
+def test_train_non_finite_loss_leaves_entry_values():
+    cfg, data = _linear_task(n=20)
+    params = init_params(cfg, 2)
+    entry = {k: p.copy() for k, p in params.items()}
+    # the first step moves every parameter by about 1e200, so the forward
+    # of the second batch overflows
+    tc = TrainConfig(learning_rate=1e200, batch_size=8, max_epochs=3, seed=2)
+    with pytest.raises(NonFiniteLossError), np.errstate(over="ignore", invalid="ignore"):
+        train(cfg, params, data[:16], data[16:], tc)
+    for k in entry:
+        assert np.array_equal(params[k], entry[k]), k
 
 
 def test_train_empty_data_rejected():
