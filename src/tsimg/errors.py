@@ -13,7 +13,7 @@ class TsimgError(Exception):
 # --- series / windowing -------------------------------------------------
 
 class EmptyResultError(TsimgError):
-    """Series too short to produce a single window."""
+    """Series too short to produce a single window, or a metric of no values."""
 
 
 class InvalidPeriodError(TsimgError):

@@ -25,29 +25,31 @@ from .training import TrainConfig, train
 
 # --- metrics ------------------------------------------------------------
 
-def metric_mse(pred: np.ndarray, truth: np.ndarray) -> float:
+def _error(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """pred - truth, as float64 arrays of one non-empty shape."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ShapeMismatchError(f"shapes {pred.shape} vs {truth.shape}")
-    d = pred - truth
+    if pred.size == 0:
+        raise EmptyResultError("a metric of empty input is undefined")
+    return pred - truth
+
+
+def metric_mse(pred: np.ndarray, truth: np.ndarray) -> float:
+    d = _error(pred, truth)
     return float(np.mean(d * d))
 
 
 def metric_mae(pred: np.ndarray, truth: np.ndarray) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ShapeMismatchError(f"shapes {pred.shape} vs {truth.shape}")
-    return float(np.mean(np.abs(pred - truth)))
+    return float(np.mean(np.abs(_error(pred, truth))))
 
 
 def metric_accuracy(preds: list[int], labels: list[int]) -> float:
     if len(preds) != len(labels):
         raise ShapeMismatchError("preds/labels length mismatch")
-    if not preds:
-        from .errors import TsimgError
-        raise TsimgError("accuracy of empty input is undefined")
+    if len(preds) == 0:
+        raise EmptyResultError("accuracy of empty input is undefined")
     return sum(int(p == l) for p, l in zip(preds, labels)) / len(preds)
 
 

@@ -85,8 +85,9 @@ def uvh_stack(X: np.ndarray, L: int) -> np.ndarray:
 
 
 def uvh(x: np.ndarray, L: int) -> np.ndarray:
-    """:func:`uvh_stack` of one series."""
-    return uvh_stack(np.asarray(x, dtype=np.float64).reshape(1, -1), L)[0].copy()
+    """:func:`uvh_stack` of one non-empty, finite series."""
+    x = check_series(np.asarray(x, dtype=np.float64))
+    return uvh_stack(x.reshape(1, -1), L)[0].copy()
 
 
 def uvh_inverse(img: np.ndarray, original_length: int) -> np.ndarray:

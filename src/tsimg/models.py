@@ -31,11 +31,12 @@ as body[mask]; their gradient is scattered back into zeros.
 
 Patches are plain arrays cut by alignment.patchify, and a forecast mask
 is the read-only bool (N,) array of alignment.build_forecast_mask. The
-model input is three identical channels of one gray image (F = 3 * P * P),
-made by alignment.replicate_channels. Training keeps all three; the
-forecast path runs forward_reconstruct_gray on the gray (n, N, P * P)
-patches of a forecast stack in one pass, with the copies folded into the
-weights.
+model input is three identical channels of one gray image (F = 3 * P * P):
+classify and linear samples hold all three (alignment.replicate_channels).
+Reconstruction samples and forecasts stay gray (N, P * P): _gray_embed sums
+embed_w's three channel blocks for them, each block gets the one (exact)
+gray gradient, and the decoder scores its three channels against the gray
+target.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ def backward_embed(d_tokens: np.ndarray, cache: dict, grads: GradSet) -> None:
     else:
         grads["mask_token"] += d_tokens[mask_rows].sum(axis=0)
         d_proj = d_tokens[~mask_rows]
-    grads["embed_w"] += cache["rows"].T @ d_proj
+    g = cache["rows"].T @ d_proj
+    grads["embed_w"].reshape((-1,) + g.shape)[:] += g    # gray rows feed all 3 blocks
     grads["embed_b"] += d_proj.sum(axis=0)
 
 
@@ -346,6 +348,14 @@ def forward_reconstruct(patches: np.ndarray, mask: np.ndarray, params: ParamSet,
     return out
 
 
+def _gray_embed(params: ParamSet, P2: int) -> dict:
+    """`params` with embed_w's three channel blocks summed, to embed gray P2-pixel patches."""
+    F, D = params["embed_w"].shape
+    if F != 3 * P2:
+        raise ShapeMismatchError(f"gray patch width {P2}, expected embed_w fan-in / 3 = {F / 3:g}")
+    return dict(params, embed_w=params["embed_w"].reshape(3, P2, D).sum(axis=0))
+
+
 def forward_reconstruct_gray(patches: np.ndarray, mask: np.ndarray, params: ParamSet,
                              cfg: ModelConfig) -> np.ndarray:
     """:func:`forward_reconstruct` on the (..., N, P*P) patches of gray
@@ -355,18 +365,16 @@ def forward_reconstruct_gray(patches: np.ndarray, mask: np.ndarray, params: Para
     followed by :func:`forward_reconstruct` (the three-channel reference),
     with the three output channels averaged. The copies are folded into
     the weights once per call instead: the embedding uses the sum of
-    embed_w's three channel blocks and the decoder the mean of dec_w's and
-    dec_b's, so a third of the columns are embedded and decoded.
+    embed_w's three channel blocks (as in training) and the decoder the mean
+    of dec_w's and dec_b's, so a third of the columns are embedded and decoded.
     """
-    F, D = params["embed_w"].shape
-    P2 = patches.shape[-1]
-    if F != 3 * P2 or params["dec_w"].shape != (D, F):
+    folded = _gray_embed(params, patches.shape[-1])
+    P2, D = folded["embed_w"].shape
+    if params["dec_w"].shape != (D, 3 * P2):
         raise ShapeMismatchError(
-            f"embed_w {params['embed_w'].shape} and dec_w {params['dec_w'].shape} "
-            f"do not fit three channels of {P2}-pixel patches")
+            f"dec_w {params['dec_w'].shape} does not fit three channels of {P2}-pixel patches")
     mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | _checked_mask(mask, patches.shape[-2])
-    folded = dict(params, embed_w=params["embed_w"].reshape(3, P2, D).sum(axis=0),
-                  dec_w=params["dec_w"].reshape(D, 3, P2).mean(axis=1),
+    folded.update(dec_w=params["dec_w"].reshape(D, 3, P2).mean(axis=1),
                   dec_b=params["dec_b"].reshape(3, P2).mean(axis=0))
     out = patches.copy()
     out[mask_rows] = _forward(patches[~mask_rows], folded, cfg, mask_rows)[0]
@@ -389,8 +397,8 @@ class ForecastSample:
 
 @dataclass
 class ReconstructSample:
-    patches: np.ndarray             # (N, F) input (horizon region placeholder)
-    target_patches: np.ndarray      # (N, F) ground truth in the same scale
+    patches: np.ndarray             # gray (N, P*P) input (horizon region placeholder)
+    target_patches: np.ndarray      # gray (N, P*P) ground truth in the same scale
     mask_rows: np.ndarray           # bool (N,)
 
 
@@ -430,21 +438,21 @@ def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None
         loss = float(np.mean(err * err))
         d_out = 2.0 * err / err.size
     else:  # forecast_reconstruct: MSE on masked patch entries only
+        x = _stack([s.patches for s in batch], "patches")               # gray (B, N, P*P)
+        target = _stack([s.target_patches for s in batch], "target patches")
         mask = _stack([s.mask_rows for s in batch], "masks").astype(bool, copy=False)
-        if any(s.patches.shape != s.target_patches.shape or s.patches.shape[0] != mask.shape[1]
-               for s in batch):
+        if x.ndim != 3 or x.shape != target.shape or x.shape[:2] != mask.shape:
             raise ShapeMismatchError("patches, target patches and mask rows differ")
         n_masked = mask.sum(axis=1)
         if not n_masked.all():
             raise EmptyMaskError("reconstruction loss needs >= 1 masked patch per sample")
-        # gathered per sample: only visible inputs and masked targets are copied
-        visible = np.concatenate([s.patches[~m] for s, m in zip(batch, mask)])
-        target = np.concatenate([s.target_patches[m] for s, m in zip(batch, mask)])
-        err, feat, body, caches = _forward(visible, params, cfg, mask)  # body (B, N, D)
-        err -= target
+        err, feat, body, caches = _forward(x[~mask], _gray_embed(params, x.shape[2]), cfg,
+                                           mask)                        # body (B, N, D)
+        err3 = err.reshape(len(err), 3, -1)     # each decoded channel against the gray target
+        err3 -= target[mask][:, None]
         # each sample's masked MSE, averaged over the batch: a row of sample
         # b weighs 1 / (B * n_b * F)
-        w = np.repeat(1.0 / (B * n_masked * target.shape[1]), n_masked)[:, None]
+        w = np.repeat(1.0 / (B * n_masked * err.shape[1]), n_masked)[:, None]
         loss = float((w * err * err).sum())
         d_out = 2.0 * w * err
     if not np.isfinite(loss):

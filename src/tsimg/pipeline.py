@@ -16,8 +16,8 @@ Images are float64 arrays, checked once per stack by
 :func:`~tsimg.alignment.check_images` where a non-finite value can first
 appear: on :func:`image_for_method`'s output and on the stacks of the
 reconstruction core. Every path cuts patches with one
-:func:`~tsimg.alignment.patchify`; samples hold them replicated into the
-model's three channels, forecasts keep them gray.
+:func:`~tsimg.alignment.patchify`; classify and linear samples hold them
+replicated into the model's three channels, the rest keep them gray.
 """
 
 from __future__ import annotations
@@ -180,15 +180,15 @@ def _reconstruct_samples(in_stack: np.ndarray, tgt_stack: np.ndarray,
 
     Resize both (n, h, w) stacks to S x S, standardize each input image,
     scale each target by its input's statistics (so the loss lives in the
-    model's input space), patchify, replicate, and mask the patch columns
-    past the look-back boundary. The n samples are views into one stacked
-    array each for patches and targets, and share one read-only mask.
+    model's input space), patchify (gray), and mask the patch columns past
+    the look-back boundary. The n samples are views into one stacked array
+    each for gray patches and targets, and share one read-only mask.
     """
     S, P = cfg.image_size, cfg.patch_size
     std, mu, sigma, degenerate = standardize_stack(resize_stack(check_images(in_stack), S, S))
     safe_sigma = np.where(degenerate, 1.0, sigma)[:, None, None]
     tgt_std = (resize_stack(check_images(tgt_stack), S, S) - mu[:, None, None]) / safe_sigma
-    patches, targets = (replicate_channels(patchify(check_images(x), P)) for x in (std, tgt_std))
+    patches, targets = (patchify(check_images(x), P) for x in (std, tgt_std))
     mask_rows = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P)
     return [ReconstructSample(patches=p, target_patches=t, mask_rows=mask_rows)
             for p, t in zip(patches, targets)]

@@ -73,12 +73,12 @@ def _grad_batch(cfg, rng, n=2):
     if cfg.task == "forecast_linear":
         return [ForecastSample(rng.normal(size=(N, F)),
                                rng.normal(size=cfg.horizon)) for _ in range(n)]
-    out = []
+    out = []                                    # reconstruction samples are gray
     for _ in range(n):
         m = np.zeros(N, bool)
         m[rng.choice(N, N // 2, replace=False)] = True
-        out.append(ReconstructSample(rng.normal(size=(N, F)),
-                                     rng.normal(size=(N, F)), m))
+        out.append(ReconstructSample(rng.normal(size=(N, F // 3)),
+                                     rng.normal(size=(N, F // 3)), m))
     return out
 
 

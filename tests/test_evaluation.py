@@ -6,6 +6,7 @@ import pytest
 from tsimg import evaluation
 from tsimg.errors import (
     DivByZeroError,
+    EmptyResultError,
     NonIntegerSegmentError,
     NonPositiveError,
     ShapeMismatchError,
@@ -67,6 +68,15 @@ def test_metric_shape_mismatch():
         metric_mse(np.zeros(3), np.zeros(4))
     with pytest.raises(ShapeMismatchError):
         metric_accuracy([1, 2], [1])
+
+
+@pytest.mark.parametrize("metric, empty", [(metric_mse, []), (metric_mse, np.zeros((2, 0))),
+                                           (metric_mae, []), (metric_mae, np.zeros((2, 0))),
+                                           (metric_accuracy, [])])
+def test_metric_of_empty_input_raises(metric, empty):
+    # metric_mse and metric_mae used to return nan with a RuntimeWarning
+    with pytest.raises(EmptyResultError):
+        metric(empty, empty)
 
 
 def test_metric_accuracy_values():

@@ -402,6 +402,14 @@ def test_lineplot_rejects_non_finite_empty_or_overflowing_series(x):
         lineplot_raster(np.array(x))
 
 
+@pytest.mark.parametrize("x, L", [([], 4), ([0.0, np.nan, 1.0, 2.0], 2), ([1.0, -np.inf], 1)])
+def test_uvh_rejects_empty_or_non_finite_series(x, L):
+    # uvh([], 4) used to return a (4, 0) image and uvh([0, nan, 1, 2], 2)
+    # an image holding the NaN
+    with pytest.raises(ShapeMismatchError):
+        uvh(np.array(x), L)
+
+
 @pytest.mark.parametrize("transform", [gaf, recurrence_plot, stft_spectrogram,
                                        wavelet_scalogram, filterbank_spectrogram])
 @pytest.mark.parametrize("x", [[], [0.0, np.nan], [0.0, np.inf, 1.0], [-np.inf, 0.0]])

@@ -48,12 +48,12 @@ def make_batch(cfg, rng, n=2):
     if cfg.task == "forecast_linear":
         return [ForecastSample(rng.normal(size=(N, F)), rng.normal(size=cfg.horizon))
                 for _ in range(n)]
-    out = []
+    out = []                                    # reconstruction samples are gray
     for _ in range(n):
         m = np.zeros(N, bool)
         m[rng.choice(N, N // 2, replace=False)] = True
-        out.append(ReconstructSample(rng.normal(size=(N, F)),
-                                     rng.normal(size=(N, F)), m))
+        out.append(ReconstructSample(rng.normal(size=(N, F // 3)),
+                                     rng.normal(size=(N, F // 3)), m))
     return out
 
 
@@ -420,12 +420,69 @@ def masked_mse(pred_patches, target_patches, mask_rows):
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_reconstruct_batch_loss_is_masked_mse(arch):
+    # the three-channel reference: gray patches and targets replicated
     cfg = small_cfg(arch, "forecast_reconstruct")
     params = init_params(cfg, 16)
     s = make_batch(cfg, np.random.default_rng(16), n=1)[0]
-    pred = forward_reconstruct(s.patches, s.mask_rows, params, cfg)
+    pred = forward_reconstruct(replicate_channels(s.patches), s.mask_rows, params, cfg)
     assert batch_loss([s], params, cfg) == pytest.approx(
-        masked_mse(pred, s.target_patches, s.mask_rows), rel=1e-12)
+        masked_mse(pred, replicate_channels(s.target_patches), s.mask_rows), rel=1e-12)
+
+
+def _three_channel_loss(batch, params, cfg, grads):
+    """The reconstruction loss as it was before training went gray: each
+    sample replicated into three channels, its visible rows and masked
+    targets gathered per sample, every 3 * P * P column embedded, and the
+    batch's mean masked MSE backpropagated by hand."""
+    from tsimg.models import _forward, backward_body
+    B = len(batch)
+    mask = np.stack([s.mask_rows for s in batch])
+    visible = np.concatenate([replicate_channels(s.patches)[~s.mask_rows] for s in batch])
+    target = np.concatenate([replicate_channels(s.target_patches)[s.mask_rows]
+                             for s in batch])
+    err, feat, body, (_, body_cache) = _forward(visible, params, cfg, mask)
+    err -= target
+    n_masked = mask.sum(axis=1)
+    w = np.repeat(1.0 / (B * n_masked * target.shape[1]), n_masked)[:, None]
+    d_out = 2.0 * w * err
+    grads["dec_w"] += feat.T @ d_out
+    grads["dec_b"] += d_out.sum(axis=0)
+    d_body = np.zeros_like(body)
+    d_body[mask] = d_out @ params["dec_w"].T
+    d_tokens = backward_body(d_body, body_cache, params, grads)
+    grads["pos"] += d_tokens.sum(axis=0)
+    grads["mask_token"] += d_tokens[mask].sum(axis=0)
+    d_proj = d_tokens[~mask]
+    grads["embed_w"] += visible.T @ d_proj
+    grads["embed_b"] += d_proj.sum(axis=0)
+    return float((w * err * err).sum())
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_gray_backward_matches_three_channel_oracle(arch):
+    cfg = small_cfg(arch, "forecast_reconstruct")
+    params = init_params(cfg, 18)
+    params["dec_b"] = np.random.default_rng(18).normal(size=params["dec_b"].shape)
+    batch = _equivalence_batch(cfg, np.random.default_rng(18))
+    loss, grads = backward(batch, params, cfg)
+    want = {k: np.zeros_like(p) for k, p in params.items()}
+    assert loss == pytest.approx(_three_channel_loss(batch, params, cfg, want), rel=1e-12)
+    for k in params:
+        scale = np.max(np.abs(want[k]))
+        assert np.max(np.abs(grads[k] - want[k])) <= 1e-12 * scale, k
+    blocks = grads["embed_w"].reshape(3, cfg.patch_size ** 2, cfg.embed_dim)
+    assert np.array_equal(blocks[0], blocks[1]) and np.array_equal(blocks[0], blocks[2])
+
+
+def test_three_channel_reconstruct_sample_is_refused():
+    cfg = small_cfg("minimae", "forecast_reconstruct")
+    params = init_params(cfg, 0)
+    s = make_batch(cfg, np.random.default_rng(19), n=1)[0]
+    three = ReconstructSample(replicate_channels(s.patches),
+                              replicate_channels(s.target_patches), s.mask_rows)
+    for run in (backward, batch_loss):
+        with pytest.raises(ShapeMismatchError, match="expected embed_w fan-in / 3 = 64"):
+            run([three], params, cfg)
 
 
 @pytest.mark.parametrize("arch", ARCHS)

@@ -193,7 +193,7 @@ def test_build_reconstruct_sample_mask_and_targets():
     target = gen_periodic(L, 168 + 24, "sine")[168:] + 1.0  # differ from placeholder
     s = build_reconstruct_sample(lookback, target, L, STUB_CFG)
     n = STUB_CFG.n_patches
-    assert s.patches.shape == (n, STUB_CFG.patch_dim)
+    assert s.patches.shape == s.target_patches.shape == (n, STUB_CFG.patch_size ** 2)
     assert s.mask_rows.shape == (n,)
     # boundary col = round(72*7/8) = 63 lies inside patch column 7 of 9,
     # so patch columns 7 and 8 are masked
@@ -220,7 +220,8 @@ def test_build_reconstruct_sample_mvh_shapes():
     rng = np.random.default_rng(4)
     s = build_reconstruct_sample_mvh(rng.normal(size=(8, 16)),
                                      rng.normal(size=(8, 8)), STUB_CFG)
-    assert s.patches.shape == (STUB_CFG.n_patches, STUB_CFG.patch_dim)
+    assert s.patches.shape == s.target_patches.shape == (STUB_CFG.n_patches,
+                                                         STUB_CFG.patch_size ** 2)
     assert s.mask_rows.any() and not s.mask_rows.all()
 
 
@@ -386,8 +387,9 @@ def test_forecast_samples_match_builders(task, method, seg_len):
         want = [build_linear_sample(lb, tg, method, cfg, L=seg_len)
                 for lb, tg in zip(w.lookback, w.target)]
     assert len(got) == (1 if method == "mvh" else 3)
+    width = cfg.patch_size ** 2 if task == "forecast_reconstruct" else cfg.patch_dim
     for g, s in zip(got, want):
-        assert g.patches.shape == (cfg.n_patches, cfg.patch_dim)
+        assert g.patches.shape == (cfg.n_patches, width)
         assert vars(g).keys() == vars(s).keys()
         assert all(np.array_equal(vars(g)[k], vars(s)[k]) for k in vars(s))
     if task == "forecast_linear":

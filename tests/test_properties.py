@@ -1,8 +1,9 @@
 """Property tests for the alignment and imaging contracts: resize range
 and bitwise agreement with the reference formula, exact round trips, the
 patch layout and the sweep windows against the explicit slice formula, a
-non-empty forecast mask, the flat-spectrum threshold, and the stacked
-reconstruction core against a loop of single-window calls."""
+non-empty forecast mask, the flat-spectrum threshold, the stacked
+reconstruction core against a loop of single-window calls, and the gray
+reconstruction loss of a batch with mixed masks."""
 
 import math
 
@@ -21,7 +22,7 @@ from tsimg.alignment import (
 from tsimg import pipeline
 from tsimg.evaluation import ForecastTask, _split_windows
 from tsimg.imaging import detect_period, uvh, uvh_inverse
-from tsimg.models import ModelConfig, init_params
+from tsimg.models import ModelConfig, ReconstructSample, backward, batch_loss, init_params
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 side = st.integers(1, 24)
@@ -217,3 +218,27 @@ def test_stacked_mvh_core_equals_single_window_loop(case, d):
     want = np.stack([pipeline.predict_forecast_mvh(a, horizon, params, cfg) for a in lb])
     assert got.shape == (n, d, horizon) and np.array_equal(got, want)
     assert np.all(got[flat] == lb[flat, :, :1])
+
+
+GRAY_CFG = ModelConfig(arch="lvm2attn", task="forecast_reconstruct", image_size=16,
+                       patch_size=4, embed_dim=8, num_heads=2)
+GRAY_PARAMS = init_params(GRAY_CFG, 5)
+
+
+@given(st.lists(st.lists(st.booleans(), min_size=GRAY_CFG.n_patches,
+                         max_size=GRAY_CFG.n_patches).filter(any), min_size=1, max_size=6),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_gray_batch_loss_is_size_weighted_mean_of_parts(masks, cut, seed):
+    # every sample weighs the same whatever its number of masked rows, so
+    # a batch's loss is the size-weighted mean of its parts' losses
+    rng = np.random.default_rng(seed)
+    shape = (GRAY_CFG.n_patches, GRAY_CFG.patch_size ** 2)
+    batch = [ReconstructSample(rng.normal(size=shape), rng.normal(size=shape), np.array(m))
+             for m in masks]
+    loss = batch_loss(batch, GRAY_PARAMS, GRAY_CFG)
+    assert backward(batch, GRAY_PARAMS, GRAY_CFG)[0] == loss
+    singles = [batch_loss([s], GRAY_PARAMS, GRAY_CFG) for s in batch]
+    assert math.isclose(loss, np.mean(singles), rel_tol=1e-12)
+    parts = [p for p in (batch[:cut], batch[cut:]) if p]
+    weighted = sum(len(p) * batch_loss(p, GRAY_PARAMS, GRAY_CFG) for p in parts) / len(batch)
+    assert math.isclose(loss, weighted, rel_tol=1e-12)

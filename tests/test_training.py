@@ -130,11 +130,11 @@ def test_masked_mse_oracle():
     params = init_params(cfg, 0)
     params["dec_w"][:] = 0.0
     params["dec_b"][:] = np.arange(cfg.patch_dim)
-    target = np.zeros((cfg.n_patches, cfg.patch_dim))
+    target = np.zeros((cfg.n_patches, cfg.patch_size ** 2))     # gray: one channel
     target[2] = 1.0
     mask = np.array([True, False, True, False])
     sample = ReconstructSample(np.ones_like(target), target, mask)
-    row = np.arange(cfg.patch_dim)
+    row = np.arange(cfg.patch_dim)              # all three decoded channels are scored
     expected = (np.sum(row ** 2) + np.sum((row - 1.0) ** 2)) / (2 * cfg.patch_dim)
     assert batch_loss([sample], params, cfg) == pytest.approx(expected, rel=1e-12)
 
