@@ -1,7 +1,9 @@
 """Subcommand front-end binding the library into the experiment recipes.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error. Diagnostics go to
-stderr; stdout carries machine-readable summaries only.
+Exit codes: 0 success, 1 runtime failure, 2 usage error, such as a bad flag or
+config-file value. Diagnostics go to stderr; stdout carries machine-readable
+summaries only. An option takes its flag, else its `--config` line (parsed as
+that flag), else `TSIMG_SEED` (for `--seed`) or the built-in default.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import dataio, evaluation, imaging, models, pipeline, series, training
-from .errors import EmptyResultError, ParseError, ShapeMismatchError, TsimgError
+from .errors import EmptyResultError, ParseError, RoutingError, ShapeMismatchError, TsimgError
 from .models import ModelConfig, init_params
 from .training import TrainConfig, train
 
@@ -28,8 +30,10 @@ PERTURB_FLAGS = {"sf-all": "sf_all", "sf-half": "sf_half",
                  "ex-half": "ex_half", "masking": "masking"}
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TSIMG_SEED", "0"))
+def _int_list(text: str) -> str:
+    """`text` itself, once each comma-separated item has parsed as an int."""
+    [int(v) for v in text.split(",")]  # a ValueError here is argparse's usage error
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--batch-size", type=int, default=32)
     t.add_argument("--epochs", type=int)
     t.add_argument("--patience", type=int)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=int, default=os.environ.get("TSIMG_SEED", "0"))
 
     e = sub.add_parser("eval", help="evaluate a trained run on the test split")
     e.add_argument("--run", required=True, help="output directory of `tsimg train`")
     e.add_argument("--input", required=True)
     e.add_argument("--split", default="test", choices=["test", "val"])
     e.add_argument("--perturb", choices=sorted(PERTURB_FLAGS))
-    e.add_argument("--seed", type=int, default=None)
+    e.add_argument("--seed", type=int, default=os.environ.get("TSIMG_SEED", "0"))
     e.add_argument("--out")
 
     s = sub.add_parser("sweep", help="segment-length or look-back sweep")
@@ -95,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--stride", type=int, default=8)
     s.add_argument("--L", type=int, default=24)
     s.add_argument("--k", type=int, default=6)
-    s.add_argument("--i-values", default="1,2,3,4,5,6,7,8,9,10,11,12")
-    s.add_argument("--lengths", default="48,96,192,336,720,1152,1728,2304")
+    s.add_argument("--i-values", type=_int_list, default="1,2,3,4,5,6,7,8,9,10,11,12")
+    s.add_argument("--lengths", type=_int_list, default="48,96,192,336,720,1152,1728,2304")
     s.add_argument("--arch", default="minimae", choices=models.ARCHS)
     s.add_argument("--image-size", type=int, default=32)
     s.add_argument("--patch-size", type=int, default=8)
@@ -106,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--batch-size", type=int, default=32)
     s.add_argument("--epochs", type=int, default=5)
     s.add_argument("--patience", type=int, default=5)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=os.environ.get("TSIMG_SEED", "0"))
     s.add_argument("--out", required=True)
 
     l = sub.add_parser("lemma", help="verify the segment-reoccurrence closed form")
@@ -117,10 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Line-oriented `key = value` overrides; explicit flags win."""
-    if not args.config:
-        return
+def _with_config_lines(argv: list[str], args: argparse.Namespace) -> list[str]:
+    """`argv` with the config file's `key = value` lines as `--key=value` right after the
+    subcommand, so given flags win; other keys and `None` (unset in a run record) are skipped."""
+    tokens = []
     text = Path(args.config).read_text()
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -130,24 +134,12 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
             raise TsimgError(f"{args.config}: line {line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if f"--{key}" in argv or not hasattr(args, dest):
-            continue
-        current = getattr(args, dest)
-        if isinstance(current, bool):
-            value = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        elif current is None:
-            # unset optionals: guess the narrowest numeric type
-            for cast in (int, float):
-                try:
-                    value = cast(value)
-                    break
-                except ValueError:
-                    continue
-        setattr(args, dest, value)
+        if dest not in ("command", "config") and hasattr(args, dest) and value != "None":
+            tokens.append(f"--{dest.replace('_', '-')}={value}")
+    at = 0
+    while argv[at].startswith("-"):  # only --config, as `--config=X` or `--config X`, comes first
+        at += 1 if "=" in argv[at] else 2
+    return argv[:at + 1] + tokens + argv[at + 1:]
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -162,21 +154,15 @@ def _write_run_metadata(out_dir: Path, args: argparse.Namespace) -> None:
     (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
 
 
-def _seed_of(args) -> int:
-    return args.seed if getattr(args, "seed", None) is not None else _default_seed()
-
-
 # --- subcommand bodies --------------------------------------------------
 
 def cmd_render(args) -> int:
     mts = dataio.load_ett_csv(args.input)
     if not 0 <= args.variate < mts.d:
         raise TsimgError(f"variate {args.variate} outside [0, {mts.d})")
-    if args.method == "mvh":
-        window = mts.values[:, :args.window] if args.window else mts.values
-    else:
-        row = mts.values[args.variate]
-        window = row[:args.window] if args.window else row
+    if args.window is not None and args.window < 1:
+        raise TsimgError(f"window must be >= 1, got {args.window}")
+    window = (mts.values if args.method == "mvh" else mts.values[args.variate])[..., :args.window]
     img = pipeline.image_for_method(
         args.method, window, L=args.L, window_len=args.window_len, hop=args.hop,
         n_filters=args.n_filters, num_scales=args.num_scales,
@@ -205,14 +191,12 @@ def _load_forecast_windows(path: str, lookback: int, horizon: int):
 def cmd_train(args) -> int:
     task = TASK_FLAGS[args.task]
     models.validate_routing(task, args.imaging)
-    seed = _seed_of(args)
     out_dir = Path(args.out)
-    args.seed = seed
     _write_run_metadata(out_dir, args)
     given = {k: v for k, v in (("max_epochs", args.epochs), ("patience", args.patience))
              if v is not None}
     make_tc = TrainConfig.for_classification if task == "classify" else TrainConfig
-    tc = make_tc(learning_rate=args.lr, batch_size=args.batch_size, seed=seed, **given)
+    tc = make_tc(learning_rate=args.lr, batch_size=args.batch_size, seed=args.seed, **given)
     cfg = ModelConfig(arch=args.arch, task=task, image_size=args.image_size,
                       patch_size=args.patch_size, embed_dim=args.embed_dim,
                       num_heads=args.heads)
@@ -223,7 +207,7 @@ def cmd_train(args) -> int:
                                   num_variates=1 if args.imaging == "mvh" else args.d)
         samples = [pipeline.build_classify_sample(w, args.imaging, cfg, L=args.seg_len)
                    for w in raw]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         order = rng.permutation(len(samples))
         n_train = max(1, int(0.7 * len(samples)))
         n_val = max(1, int(0.1 * len(samples)))
@@ -240,13 +224,13 @@ def cmd_train(args) -> int:
             return [s for w in wins
                     for s in pipeline.forecast_samples(w, args.imaging, cfg, args.seg_len)]
         train_s, val_s = samples(tr_w), samples(va_w)
-    params = init_params(cfg, seed=seed)
+    params = init_params(cfg, seed=args.seed)
     params, history = train(cfg, params, train_s, val_s, tc)
     dataio.save_checkpoint(params, str(out_dir / "checkpoint.bin"))
     meta = {"model": dataclasses.asdict(cfg),
             "imaging": args.imaging, "seg_len": args.seg_len,
             "lookback": args.lookback, "horizon": args.horizon,
-            "d": args.d, "seed": seed}
+            "d": args.d, "seed": args.seed}
     (out_dir / "config.json").write_text(json.dumps(meta, indent=2) + "\n")
     dataio.write_history_csv(str(out_dir / "history.csv"), history)
     print(f"train task={task} arch={args.arch} imaging={args.imaging} "
@@ -305,8 +289,7 @@ def cmd_eval(args) -> int:
     meta, cfg = _read_run_config(run_dir / "config.json")
     params = dataio.load_checkpoint(str(run_dir / "checkpoint.bin"))
     _check_checkpoint(params, cfg)
-    seed = _seed_of(args)
-    mode = (evaluation.PerturbMode(PERTURB_FLAGS[args.perturb], seed=seed)
+    mode = (evaluation.PerturbMode(PERTURB_FLAGS[args.perturb], seed=args.seed)
             if args.perturb else None)
 
     def maybe_perturb(block: np.ndarray) -> np.ndarray:
@@ -349,8 +332,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seed = _seed_of(args)
-    args.seed = seed
     out_dir = Path(args.out)
     _write_run_metadata(out_dir, args)
     if args.input:
@@ -358,7 +339,7 @@ def cmd_sweep(args) -> int:
         x = mts.values[args.variate]
     else:
         x = series.gen_periodic(args.synthetic_period, args.synthetic_length,
-                                args.waveform, seed=seed, noise_std=args.noise)
+                                args.waveform, seed=args.seed, noise_std=args.noise)
     task = evaluation.ForecastTask(series=x, lookback=args.lookback,
                                    horizon=args.horizon, stride=args.stride)
     mc = ModelConfig(arch=args.arch, task="forecast_reconstruct",
@@ -366,7 +347,7 @@ def cmd_sweep(args) -> int:
                      embed_dim=args.embed_dim, num_heads=args.heads,
                      horizon=args.horizon)
     tc = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                     max_epochs=args.epochs, patience=args.patience, seed=seed)
+                     max_epochs=args.epochs, patience=args.patience, seed=args.seed)
     if args.kind == "segment":
         i_values = [int(v) for v in args.i_values.split(",")]
         res = evaluation.segment_sweep(task, mc, tc, args.L, args.k, i_values)
@@ -418,14 +399,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv)  # required flags must be given on the command line
+        if args.config:
+            args = parser.parse_args(_with_config_lines(argv, args))
+        return COMMANDS[args.command](args)
     except SystemExit as e:
         return int(e.code) if e.code else 0
-    try:
-        _apply_config_file(args, argv)
-        return COMMANDS[args.command](args)
     except TsimgError as e:
-        from .errors import RoutingError
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, RoutingError) else 1
     except OSError as e:

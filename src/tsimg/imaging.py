@@ -47,7 +47,7 @@ class GafContext:
 
 
 def detect_period(x: np.ndarray) -> PeriodEstimate:
-    """Dominant-period detection via the FFT amplitude spectrum.
+    """Dominant period of a non-empty, finite series via its FFT amplitude spectrum.
 
     Considers frequencies f in [1, T//2] (DC excluded), converts each to a
     period ceil(T/f), and picks the max-amplitude frequency. Amplitude ties
@@ -55,14 +55,14 @@ def detect_period(x: np.ndarray) -> PeriodEstimate:
     spectrum (every amplitude <= 1e-8, as for a constant input) yields
     f=1, L=T with the degenerate flag set.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_series(np.asarray(x, dtype=np.float64))
     T = x.size
     if T < 4:
         raise SeriesTooShortError(f"need T >= 4, got {T}")
     spec = np.abs(np.fft.rfft(x))
     fmax = T // 2
     amps = spec[1:fmax + 1]  # f = 1 .. T//2
-    if amps.max() <= 1e-8:  # NaN compares False, so it never reads as flat
+    if amps.max() <= 1e-8:
         return PeriodEstimate(chosen_L=T, degenerate=True)
     # stable sort on -amplitude keeps lower f first among ties; quantize to
     # a relative 1e-9 so float noise cannot hide an exact-amplitude tie

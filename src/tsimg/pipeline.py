@@ -71,11 +71,11 @@ def image_for_method(method: str, window: np.ndarray, *, L: int | None = None,
     (d, H) for mvh. For uvh, L defaults to the FFT-detected dominant period.
     Each method reads only its own options; a misspelt one raises TypeError.
     """
-    x = np.asarray(window, dtype=np.float64)  # checked for uvh below; the rest check their own
+    x = np.asarray(window, dtype=np.float64)  # each method checks its own series
     if method != "mvh" and x.ndim != 1:
         raise ShapeMismatchError(f"method {method!r} expects a univariate window")
     render = {"mvh": lambda: imaging.mvh(MultivariateSeries(np.atleast_2d(x))),
-              "uvh": lambda: imaging.uvh(x, uvh_seg_len(imaging.check_series(x), L)),
+              "uvh": lambda: imaging.uvh(x, uvh_seg_len(x, L)),
               "gaf": lambda: imaging.gaf(x)[0],
               "rp": lambda: imaging.recurrence_plot(x, embed_dim, delay),
               "stft": lambda: imaging.stft_spectrogram(x, window_len, hop),

@@ -72,7 +72,8 @@ def test_render_refuses_an_overflowing_image(tmp_path, capsys):
 @pytest.mark.parametrize("method, flags", [
     ("filterbank", ["--hop", "0"]), ("stft", ["--hop", "0"]),
     ("stft", ["--window-len", "0"]), ("filterbank", ["--window-len", "0"]),
-    ("rp", ["--embed-dim", "0"]), ("rp", ["--delay", "0"]), ("rp", ["--delay", "-1"])])
+    ("rp", ["--embed-dim", "0"]), ("rp", ["--delay", "0"]), ("rp", ["--delay", "-1"]),
+    ("uvh", ["--window", "0"]), ("mvh", ["--window", "-200"])])
 def test_render_nonpositive_transform_option_is_runtime_error(method, flags, ett_csv,
                                                               tmp_path, capsys):
     out = tmp_path / "img.pgm"
@@ -221,13 +222,86 @@ def test_config_file_flags_win(ett_csv, tmp_path):
 
 def test_config_file_applies_when_flag_absent(ett_csv, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("L = 6\n")
+    # render has no --kind, and the subcommand comes from the command line: both skipped
+    cfg.write_text("kind = segment\ncommand = sweep\nL = 6\n")
     out = tmp_path / "img.pgm"
     rc = main(["--config", str(cfg), "render", "--input", ett_csv,
                "--method", "uvh", "--out", str(out)])
     assert rc == 0
     from tsimg.dataio import read_pgm
     assert read_pgm(str(out)).shape[0] == 6
+
+
+def test_config_file_loses_to_a_flag_however_spelt(ett_csv, tmp_path, monkeypatch):
+    import tsimg.cli as cli
+    from tsimg.dataio import read_pgm
+    from tsimg.training import EpochRecord
+    monkeypatch.setattr(cli, "train", lambda cfg, params, *_: (
+        params, [EpochRecord(epoch=0, train_loss=1.0, val_metric=1.0, seconds=0.0)]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seg_len = 12\nL = 6\n")
+    run = tmp_path / "run"
+    assert main(["--config", str(cfg), "train", "--task", "forecast-linear",
+                 "--imaging", "uvh", "--arch", "wolvm", "--input", ett_csv,
+                 "--out", str(run), "--lookback", "24", "--horizon", "4",
+                 "--image-size", "16", "--embed-dim", "8", "--heads", "2",
+                 "--seg-len", "6"]) == 0
+    assert json.loads((run / "config.json").read_text())["seg_len"] == 6
+    out = tmp_path / "img.pgm"
+    assert main(["--config", str(cfg), "render", "--input", ett_csv,
+                 "--method", "uvh", "--L=12", "--out", str(out)]) == 0
+    assert read_pgm(str(out)).shape[0] == 12
+
+
+@pytest.mark.parametrize("config,env,argv", [
+    ("height = abc", None, ["render", "--input", "x.csv", "--method", "lineplot", "--out", "o"]),
+    ("L = 12.5", None, ["render", "--input", "x.csv", "--method", "uvh", "--out", "o"]),
+    ("split = train", None, ["eval", "--run", "r", "--input", "x.csv"]),
+    ("perturb = foo", None, ["eval", "--run", "r", "--input", "x.csv"]),
+    (None, "abc", ["train", "--task", "classify", "--arch", "wolvm", "--imaging", "gaf",
+                   "--input", "x.csv", "--out", "o"]),
+    (None, "abc", ["eval", "--run", "r", "--input", "x.csv"]),
+    (None, "abc", ["sweep", "--kind", "segment", "--out", "o"]),
+    (None, None, ["sweep", "--kind", "segment", "--i-values", "1,x", "--out", "o"]),
+    (None, None, ["sweep", "--kind", "lookback", "--lengths", "48,", "--out", "o"]),
+], ids=["height-abc", "L-float", "split-choice", "perturb-choice", "seed-env-train",
+        "seed-env-eval", "seed-env-sweep", "i-values", "lengths"])
+def test_bad_config_env_or_list_value_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                     config, env, argv):
+    monkeypatch.chdir(tmp_path)
+    if env is not None:
+        monkeypatch.setenv("TSIMG_SEED", env)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv = ["--config", "run.cfg", *argv]
+    assert main(argv) == 2
+    assert "error: argument --" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == (["run.cfg"] if config else [])
+
+
+def test_config_string_value_stays_a_string(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("out = 7\n")
+    assert main(["--config", "run.cfg", "lemma", "--k", "2", "--i-max", "3"]) == 0
+    assert (tmp_path / "7").read_text().count("lemma") == 3
+
+
+def test_resolved_config_reproduces_the_run(ett_csv, tmp_path):
+    required = ["train", "--task", "forecast-reconstruct", "--imaging", "uvh",
+                "--arch", "minimae", "--input", ett_csv]
+    assert main([*required, "--out", str(tmp_path / "run1"), "--lookback", "24",
+                 "--horizon", "4", "--seg-len", "12", "--image-size", "16",
+                 "--embed-dim", "8", "--heads", "2", "--lr", "0.003",
+                 "--epochs", "2", "--seed", "5"]) == 0
+    assert main(["--config", str(tmp_path / "run1" / "resolved_config.txt"), *required,
+                 "--out", str(tmp_path / "run2")]) == 0
+    runs = [tmp_path / "run1", tmp_path / "run2"]
+    ckpts = [(r / "checkpoint.bin").read_bytes() for r in runs]
+    assert ckpts[0] == ckpts[1]
+    lines = [(r / "resolved_config.txt").read_text().splitlines() for r in runs]
+    differ = [(a, b) for a, b in zip(*lines) if a != b]
+    assert len(lines[0]) == len(lines[1])
+    assert differ == [(f"out = {runs[0]}", f"out = {runs[1]}")]
 
 
 def test_seed_env_default(ett_csv, tmp_path, monkeypatch):

@@ -58,6 +58,19 @@ def test_detect_period_too_short():
         detect_period(np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_detect_period_refuses_non_finite(bad):
+    x = gen_periodic(24, 96, "sine")
+    x[40] = bad
+    with pytest.raises(ShapeMismatchError, match="NaN/Inf"):
+        detect_period(x)
+
+
+def test_detect_period_refuses_empty():
+    with pytest.raises(ShapeMismatchError, match="non-empty"):
+        detect_period(np.array([]))
+
+
 def test_detect_period_tie_prefers_longer_period():
     # two equal-amplitude sinusoids at bin frequencies 4 and 8 over T=64
     t = np.arange(64)
