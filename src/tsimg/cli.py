@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import dataio, evaluation, imaging, models, pipeline, series, training
-from .errors import EmptyResultError, ParseError, RoutingError, ShapeMismatchError, TsimgError
+from .errors import ParseError, RoutingError, ShapeMismatchError, TsimgError
 from .models import ModelConfig, init_params
 from .training import TrainConfig, train
 
@@ -142,15 +142,11 @@ def _with_config_lines(argv: list[str], args: argparse.Namespace) -> list[str]:
     return argv[:at + 1] + tokens + argv[at + 1:]
 
 
-def _resolved_config(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "config"}
-    cfg["version"] = __version__
-    return cfg
-
-
 def _write_run_metadata(out_dir: Path, args: argparse.Namespace) -> None:
+    """The run record: every option but `--config`, sorted, then the version."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"{k.replace('_', '-')} = {v}" for k, v in _resolved_config(args).items()]
+    items = [(k, v) for k, v in sorted(vars(args).items()) if k != "config"]
+    lines = [f"{k.replace('_', '-')} = {v}" for k, v in items + [("version", __version__)]]
     (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -160,8 +156,8 @@ def cmd_render(args) -> int:
     mts = dataio.load_ett_csv(args.input)
     if not 0 <= args.variate < mts.d:
         raise TsimgError(f"variate {args.variate} outside [0, {mts.d})")
-    if args.window is not None and args.window < 1:
-        raise TsimgError(f"window must be >= 1, got {args.window}")
+    if args.window is not None and not 1 <= args.window <= mts.length:
+        raise TsimgError(f"window must be in [1, {mts.length}], got {args.window}")
     window = (mts.values if args.method == "mvh" else mts.values[args.variate])[..., :args.window]
     img = pipeline.image_for_method(
         args.method, window, L=args.L, window_len=args.window_len, hop=args.hop,
@@ -176,23 +172,18 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _load_forecast_windows(path: str, lookback: int, horizon: int):
-    """Standardized train/val/test (d, H) windows of an ETT CSV, and d."""
+def _load_forecast_windows(path: str, lookback: int, horizon: int) -> list:
+    """Standardized train/val/test (look-backs, targets) stacks of an ETT CSV,
+    (n, d, lookback) and (n, d, horizon); a split too short gives n = 0."""
     mts = dataio.load_ett_csv(path)
-    tr, va, te, _ = series.standardize_by_train(*series.chronological_split(mts))
-    def windows(split):
-        try:
-            return series.slide_windows(split, lookback, horizon)
-        except EmptyResultError:
-            return []
-    return (windows(tr), windows(va), windows(te)), mts.d
+    splits = series.standardize_by_train(*series.chronological_split(mts))[:3]
+    return [series.window_stacks(split, lookback, horizon) for split in splits]
 
 
 def cmd_train(args) -> int:
     task = TASK_FLAGS[args.task]
     models.validate_routing(task, args.imaging)
     out_dir = Path(args.out)
-    _write_run_metadata(out_dir, args)
     given = {k: v for k, v in (("max_epochs", args.epochs), ("patience", args.patience))
              if v is not None}
     make_tc = TrainConfig.for_classification if task == "classify" else TrainConfig
@@ -214,18 +205,17 @@ def cmd_train(args) -> int:
         train_s = [samples[i] for i in order[:n_train]]
         val_s = [samples[i] for i in order[n_train:n_train + n_val]]
     else:
-        (tr_w, va_w, _), d = _load_forecast_windows(args.input, args.lookback, args.horizon)
-        if not tr_w or not va_w:
+        tr, va, _ = _load_forecast_windows(args.input, args.lookback, args.horizon)
+        if not len(tr[0]) or not len(va[0]):
             raise TsimgError("input series too short for the requested windows")
         # the linear head of an MVH window forecasts all d variates at once
         flat = task == "forecast_linear" and args.imaging == "mvh"
-        cfg = dataclasses.replace(cfg, horizon=args.horizon * (d if flat else 1))
-        def samples(wins):
-            return [s for w in wins
-                    for s in pipeline.forecast_samples(w, args.imaging, cfg, args.seg_len)]
-        train_s, val_s = samples(tr_w), samples(va_w)
+        cfg = dataclasses.replace(cfg, horizon=args.horizon * (tr[0].shape[1] if flat else 1))
+        train_s, val_s = (pipeline.forecast_samples(*split, args.imaging, cfg, args.seg_len)
+                          for split in (tr, va))
     params = init_params(cfg, seed=args.seed)
     params, history = train(cfg, params, train_s, val_s, tc)
+    _write_run_metadata(out_dir, args)
     dataio.save_checkpoint(params, str(out_dir / "checkpoint.bin"))
     meta = {"model": dataclasses.asdict(cfg),
             "imaging": args.imaging, "seg_len": args.seg_len,
@@ -312,16 +302,13 @@ def cmd_eval(args) -> int:
         rows.append({"experiment_id": "eval", "accuracy": repr(acc)})
         print(f"eval accuracy={acc!r} perturb={args.perturb}")
     else:
-        (_, va_w, te_w), _ = _load_forecast_windows(args.input, meta["lookback"],
-                                                    meta["horizon"])
-        wins = te_w if args.split == "test" else va_w
-        if not wins:
+        _, va, te = _load_forecast_windows(args.input, meta["lookback"], meta["horizon"])
+        lookbacks, truth = te if args.split == "test" else va
+        if not len(lookbacks):
             raise TsimgError("no evaluation windows for this split")
-        pred = np.stack([pipeline.forecast_window(maybe_perturb(w.lookback), meta["imaging"],
-                                                  meta["horizon"], params, cfg,
-                                                  seg_len=meta["seg_len"])
-                         for w in wins])
-        truth = np.stack([w.target for w in wins])
+        lookbacks = np.stack([maybe_perturb(lb) for lb in lookbacks])
+        pred = pipeline.forecast_windows(lookbacks, meta["imaging"], meta["horizon"], params,
+                                         cfg, seg_len=meta["seg_len"])
         mse = evaluation.metric_mse(pred, truth)
         mae = evaluation.metric_mae(pred, truth)
         rows.append({"experiment_id": "eval", "mse": repr(mse), "mae": repr(mae)})
@@ -333,7 +320,6 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
-    _write_run_metadata(out_dir, args)
     if args.input:
         mts = dataio.load_ett_csv(args.input)
         x = mts.values[args.variate]
@@ -365,6 +351,7 @@ def cmd_sweep(args) -> int:
                 for a, m, ma in zip(res.axis, res.mse, res.mae)]
         for H, reason in res.skipped:
             print(f"skip lookback={H}: {reason}", file=sys.stderr)
+    _write_run_metadata(out_dir, args)
     dataio.write_result_rows(str(out_dir / "sweep.csv"), rows)
     print(f"cell seconds: {' '.join(f'{s:.3f}' for s in res.seconds)}",
           file=sys.stderr)

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -38,17 +39,7 @@ def load_ett_csv(path: str) -> MultivariateSeries:
     for line_no, row in enumerate(data_rows, start=2):
         if len(row) != len(header):
             raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
-        vals = []
-        for cell in row[1:]:
-            try:
-                v = float(cell)
-            except ValueError:
-                raise NonNumericCellError(
-                    f"{path}: line {line_no}: non-numeric cell {cell!r}") from None
-            if not np.isfinite(v):
-                raise NonNumericCellError(f"{path}: line {line_no}: NaN/Inf cell")
-            vals.append(v)
-        cols.append(vals)
+        cols.append([_number(cell, path, line_no) for cell in row[1:]])
     values = np.asarray(cols, dtype=np.float64).T  # (d, T)
     return MultivariateSeries(values, variate_names=header[1:])
 
@@ -71,15 +62,25 @@ def load_labeled_windows_csv(path: str, d: int = 1) -> list[WindowSample]:
         except ValueError:
             raise LabelNotIntegerError(
                 f"{path}: line {line_no}: label {row[-1]!r} is not an integer") from None
-        try:
-            flat = np.array([float(c) for c in row[:-1]], dtype=np.float64)
-        except ValueError:
-            raise NonNumericCellError(f"{path}: line {line_no}: non-numeric cell") from None
+        flat = np.array([_number(c, path, line_no) for c in row[:-1]], dtype=np.float64)
         if flat.size % d != 0:
             raise InconsistentWidthError(
                 f"{path}: line {line_no}: {flat.size} values not divisible by d={d}")
         samples.append(WindowSample(lookback=flat.reshape(d, -1), class_label=label))
     return samples
+
+
+def _number(cell: str, path: str, line_no: int) -> float:
+    """A finite numeric CSV cell; anything else raises NonNumericCellError
+    citing the file and line."""
+    try:
+        v = float(cell)
+    except ValueError:
+        raise NonNumericCellError(
+            f"{path}: line {line_no}: non-numeric cell {cell!r}") from None
+    if not math.isfinite(v):
+        raise NonNumericCellError(f"{path}: line {line_no}: NaN/Inf cell")
+    return v
 
 
 def _read_rows(path: str) -> list[list[str]]:

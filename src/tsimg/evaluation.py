@@ -1,5 +1,7 @@
 """Metrics, temporal perturbations, segment-reoccurrence math, and the
-segment-length / look-back sweep experiments."""
+segment-length / look-back sweep experiments, whose cells split a task with
+:func:`split_windows` and reach the model only through the pipeline's
+``forecast_samples`` and ``forecast_windows``."""
 
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from .errors import (
     TooShortError,
 )
 from .models import ModelConfig, init_params
-from .pipeline import build_reconstruct_samples, predict_forecasts, uvh_seg_len
-from .series import MultivariateSeries, chronological_split, gen_periodic, slide_windows
+from .pipeline import forecast_samples, forecast_windows, uvh_seg_len
+from .series import MultivariateSeries, chronological_split, gen_periodic, window_stacks
 from .training import TrainConfig, train
 
 
@@ -169,38 +171,31 @@ class SweepResult:
     skipped: list[tuple] = field(default_factory=list)
 
 
-def _split_windows(task: ForecastTask):
-    """Chronological train/val/test lists of 1-D (lookback, target) pairs
-    (read-only views); a block too short for one window gives []."""
-    out = []
-    for block in chronological_split(MultivariateSeries(task.series), task.ratios):
-        try:
-            wins = slide_windows(block, task.lookback, task.horizon, task.stride)
-        except EmptyResultError:
-            wins = []
-        out.append([(w.lookback[0], w.target[0]) for w in wins])
-    return out
+def split_windows(task: ForecastTask) -> list:
+    """Chronological train/val/test (look-backs, targets) stacks of
+    :func:`~tsimg.series.window_stacks`, (n, 1, lookback) and (n, 1, horizon)
+    read-only views; a block too short for one window gives n = 0."""
+    return [window_stacks(block, task.lookback, task.horizon, task.stride)
+            for block in chronological_split(MultivariateSeries(task.series), task.ratios)]
 
 
 def _train_eval_reconstruct(splits: list, seg_len: int,
                             model_cfg: ModelConfig, train_cfg: TrainConfig,
                             seed: int) -> tuple[float, float]:
     """Train a framework-(d) forecaster with the given segment length on
-    the train/val/test `splits` of :func:`_split_windows` and return test
+    the train/val/test `splits` of :func:`split_windows` and return test
     (MSE, MAE) of the recovered forecasts. Every window of the cell shares
     one image geometry, so each split is built, and the test split
     forecast, by one stacked call."""
-    if not all(splits):
+    if not all(len(lb) for lb, _ in splits):
         raise ShapeMismatchError("task series too short for the requested windows")
-    (train_lb, train_tg), (val_lb, val_tg), (test_lb, truth) = (
-        (np.stack([lb for lb, _ in w]), np.stack([tg for _, tg in w])) for w in splits)
-    horizon = truth.shape[1]
+    test_lb, truth = splits[2]
+    horizon = truth.shape[2]
     cfg = replace(model_cfg, task="forecast_reconstruct", horizon=horizon)
-    train_s = build_reconstruct_samples(train_lb, train_tg, seg_len, cfg)
-    val_s = build_reconstruct_samples(val_lb, val_tg, seg_len, cfg)
+    train_s, val_s = (forecast_samples(*split, "uvh", cfg, seg_len) for split in splits[:2])
     params = init_params(cfg, seed=seed)
     params, _ = train(cfg, params, train_s, val_s, replace(train_cfg, seed=seed))
-    pred = predict_forecasts(test_lb, seg_len, horizon, params, cfg)
+    pred = forecast_windows(test_lb, "uvh", horizon, params, cfg, seg_len)
     return metric_mse(pred, truth), metric_mae(pred, truth)
 
 
@@ -217,12 +212,14 @@ def segment_sweep(task: ForecastTask, model_cfg: ModelConfig,
     """Train/evaluate the mask-reconstruction forecaster once per segment
     length (i/k)*L; reports raw and min-max-normalized MSE, the
     reoccurrence n per segment length, and the paper-style zero-length
-    estimate (mean of the MSEs at L and 2L when both are swept)."""
-    axis, mses, maes, ns, secs = [], [], [], [], []
-    splits = _split_windows(task)
+    estimate (mean of the MSEs at L and 2L when both are swept). Every i
+    is checked (i >= 1, (i*L) % k == 0) before the first cell trains."""
+    ns = [reoccurrence_n(i, k) for i in i_values]    # every i and k >= 1, before any cell
+    if any((i * L) % k for i in i_values):
+        raise NonIntegerSegmentError(f"(i*L) % k != 0 for some i in {i_values}, k={k}, L={L}")
+    axis, mses, maes, secs = [], [], [], []
+    splits = split_windows(task)
     for idx, i in enumerate(i_values):
-        if (i * L) % k != 0:
-            raise NonIntegerSegmentError(f"(i*L) % k != 0 for i={i}, k={k}, L={L}")
         seg = (i * L) // k
         t0 = time.perf_counter()
         mse, mae = _train_eval_reconstruct(splits, seg, model_cfg, train_cfg,
@@ -231,7 +228,6 @@ def segment_sweep(task: ForecastTask, model_cfg: ModelConfig,
         axis.append(seg)
         mses.append(mse)
         maes.append(mae)
-        ns.append(reoccurrence_n(i, k))
     norm = minmax_normalize(mses)
     zero_est = None
     by_i = dict(zip(i_values, mses))
@@ -250,8 +246,8 @@ def lookback_sweep(task: ForecastTask, model_cfg: ModelConfig,
         raise ShapeMismatchError("lengths must be increasing")
     axis, mses, maes, secs, skipped = [], [], [], [], []
     for idx, H in enumerate(lengths):
-        splits = _split_windows(replace(task, lookback=H))
-        if not all(splits):
+        splits = split_windows(replace(task, lookback=H))
+        if not all(len(lb) for lb, _ in splits):
             skipped.append((H, "series too short for this look-back length"))
             continue
         seg = uvh_seg_len(np.asarray(task.series)[:H], seg_len)

@@ -1,15 +1,16 @@
 """End-to-end glue: imaging dispatch, sample builders for the three task
 frameworks, and the mask-reconstruction forecast pipeline.
 
-A (d, H) forecast window has two entry points, both routed by task and
-layout: :func:`forecast_samples` (training samples) and
-:func:`forecast_window` (a (d, horizon) forecast).
+A forecast split is (n, d, H) look-backs plus (n, d, T') targets, with two
+entry points routed by task and layout: :func:`forecast_samples` (training
+samples) and :func:`forecast_windows` (an (n, d, horizon) forecast).
 
 The mask-reconstruction core is stacked: :func:`build_reconstruct_samples`
-and :func:`predict_forecasts` (UVH, one segment length) and their ``_mvh``
-twins take n windows that share one image geometry and resize,
-standardize, patchify and mask them as (n, ., .) arrays, with one model
-pass per forecast stack. :func:`build_reconstruct_sample`,
+and :func:`predict_forecasts` (UVH, one segment length) and the MVH core
+take n windows that share one image geometry and resize, standardize,
+patchify and mask them as (n, ., .) arrays, with one model pass per
+forecast stack; the entry points call it once per split under MVH and once
+per segment length under UVH. :func:`build_reconstruct_sample`,
 :func:`predict_forecast` and their ``_mvh`` twins are the n = 1 case.
 
 Images are float64 arrays, checked once per stack by
@@ -87,9 +88,10 @@ def image_for_method(method: str, window: np.ndarray, *, L: int | None = None,
     return check_images(render[method]()[None])[0]
 
 
-def _per_image(block: np.ndarray, method: str):
-    """The parts of a (d, T) block imaged apiece: all of it under mvh, else each row."""
-    return [block] if method == "mvh" else block
+def _per_image(stack: np.ndarray, method: str) -> np.ndarray:
+    """The parts of an (n, d, T) stack imaged apiece, in window-then-variate
+    order: each (d, T) window under mvh, else each (T,) row."""
+    return stack if method == "mvh" else stack.reshape(-1, stack.shape[-1])
 
 
 def _patches(x: np.ndarray, method: str, cfg: ModelConfig, L: int | None = None) -> np.ndarray:
@@ -102,7 +104,7 @@ def _patches(x: np.ndarray, method: str, cfg: ModelConfig, L: int | None = None)
 def build_classify_sample(window: WindowSample, method: str, cfg: ModelConfig,
                           L: int | None = None) -> ClassifySample:
     """Image each variate independently (single shared image for mvh)."""
-    seqs = [_patches(x, method, cfg, L) for x in _per_image(window.lookback, method)]
+    seqs = [_patches(x, method, cfg, L) for x in _per_image(window.lookback[None], method)]
     return ClassifySample(patch_seqs=seqs, label=window.class_label)
 
 
@@ -132,10 +134,10 @@ class ReconstructLayout:
 
 def _stacks(ndim: int, *arrays) -> list:
     """The arrays as float64 stacks of n >= 1 windows of `ndim` - 1 dims,
-    alike in every dim but the last (time)."""
+    alike and non-zero in every dim but the last (time)."""
     out = [np.asarray(a, dtype=np.float64) for a in arrays]
     shapes = [a.shape for a in out]
-    if any(len(s) != ndim or s[:-1] != shapes[0][:-1] or s[0] < 1 for s in shapes):
+    if any(len(s) != ndim or s[:-1] != shapes[0][:-1] or 0 in s[:-1] for s in shapes):
         raise ShapeMismatchError(f"expected non-empty stacks of {ndim - 1}-D windows that "
                                  f"differ only in length, got shapes {shapes}")
     return out
@@ -212,8 +214,7 @@ def build_reconstruct_sample(lookback: np.ndarray, target: np.ndarray,
                                      np.reshape(target, (1, -1)), seg_len, cfg)[0]
 
 
-def build_reconstruct_samples_mvh(lookbacks: np.ndarray, targets: np.ndarray,
-                                  cfg: ModelConfig) -> list:
+def _mvh_samples(lookbacks: np.ndarray, targets: np.ndarray, cfg: ModelConfig) -> list:
     """MVH training samples: each (d, H) look-back of an (n, d, H) stack is
     extended by T' horizon columns (one per future time step) and masked
     past the look-back boundary; `targets` is (n, d, T')."""
@@ -225,9 +226,8 @@ def build_reconstruct_samples_mvh(lookbacks: np.ndarray, targets: np.ndarray,
 
 def build_reconstruct_sample_mvh(lookback: np.ndarray, target: np.ndarray,
                                  cfg: ModelConfig) -> ReconstructSample:
-    """:func:`build_reconstruct_samples_mvh` of one (d, H) look-back."""
-    return build_reconstruct_samples_mvh(np.atleast_2d(lookback)[None],
-                                         np.atleast_2d(target)[None], cfg)[0]
+    """MVH training sample of one (d, H) look-back and its (d, T') target."""
+    return _mvh_samples(np.atleast_2d(lookback)[None], np.atleast_2d(target)[None], cfg)[0]
 
 
 def _reconstruct_horizons(stack: np.ndarray, layout: ReconstructLayout,
@@ -292,8 +292,8 @@ def predict_forecast(lookback: np.ndarray, L: int, horizon: int,
     return predict_forecasts(np.reshape(lookback, (1, -1)), L, horizon, params, cfg)[0]
 
 
-def predict_forecasts_mvh(lookbacks: np.ndarray, horizon: int, params: ParamSet,
-                          cfg: ModelConfig) -> np.ndarray:
+def _mvh_forecasts(lookbacks: np.ndarray, horizon: int, params: ParamSet,
+                   cfg: ModelConfig) -> np.ndarray:
     """MVH mask-reconstruction forecasts of (n, d, H) look-backs; returns
     (n, d, horizon).
 
@@ -308,47 +308,62 @@ def predict_forecasts_mvh(lookbacks: np.ndarray, horizon: int, params: ParamSet,
 
 def predict_forecast_mvh(lookback: np.ndarray, horizon: int, params: ParamSet,
                          cfg: ModelConfig) -> np.ndarray:
-    """:func:`predict_forecasts_mvh` of one (d, H) look-back; returns
+    """MVH mask-reconstruction forecast of one (d, H) look-back; returns
     (d, horizon)."""
-    return predict_forecasts_mvh(np.atleast_2d(lookback)[None], horizon, params, cfg)[0]
+    return _mvh_forecasts(np.atleast_2d(lookback)[None], horizon, params, cfg)[0]
 
 
-# --- one forecast window, either framework --------------------------------
+# --- a forecast split, either framework ------------------------------------
 
-def forecast_samples(window: WindowSample, method: str, cfg: ModelConfig,
-                     seg_len: int | None = None) -> list:
-    """Training samples of one (d, H) forecast window for `cfg.task`.
+def _by_seg_len(rows: np.ndarray, seg_len: int | None, run) -> list:
+    """``run(idx, L)`` for the indices `idx` of the (H,) `rows` of each UVH
+    segment length L (`seg_len` when given, else each row's FFT period),
+    its results put back in row order."""
+    lengths = np.array([uvh_seg_len(row, seg_len) for row in rows])
+    out = {}
+    for L in np.unique(lengths):
+        idx = np.flatnonzero(lengths == L)
+        out.update(zip(idx, run(idx, int(L))))
+    return [out[i] for i in range(len(rows))]
 
-    Under mvh the whole window is one image and one sample (a linear
-    target is the flattened (d, T') block); any other method gives one
-    sample per variate. `seg_len` is the UVH segment length; None takes
-    each variate's FFT-detected period.
+
+def forecast_samples(lookbacks: np.ndarray, targets: np.ndarray, method: str,
+                     cfg: ModelConfig, seg_len: int | None = None) -> list:
+    """Training samples of (n, d, H) look-backs and their (n, d, T') targets
+    for `cfg.task`, in window-then-variate order.
+
+    Under mvh each window is one image and one sample (a linear target is
+    the flattened (d, T') block); any other method gives one sample per
+    variate. `seg_len` is the UVH segment length; None takes each
+    variate's FFT-detected period.
     """
     validate_routing(cfg.task, method)
-    pairs = zip(_per_image(window.lookback, method), _per_image(window.target, method))
+    lookbacks, targets = _stacks(3, lookbacks, targets)
+    if cfg.task == "forecast_reconstruct" and method == "mvh":
+        return _mvh_samples(lookbacks, targets, cfg)
+    rows, tgts = _per_image(lookbacks, method), _per_image(targets, method)
     if cfg.task != "forecast_reconstruct":
-        return [build_linear_sample(lb, tg, method, cfg, L=seg_len) for lb, tg in pairs]
-    if method == "mvh":
-        return [build_reconstruct_sample_mvh(window.lookback, window.target, cfg)]
-    return [build_reconstruct_sample(lb, tg, uvh_seg_len(lb, seg_len), cfg)
-            for lb, tg in pairs]
+        return [build_linear_sample(lb, tg, method, cfg, L=seg_len) for lb, tg in zip(rows, tgts)]
+    return _by_seg_len(rows, seg_len, lambda idx, L: build_reconstruct_samples(
+        rows[idx], tgts[idx], L, cfg))
 
 
-def forecast_window(lookback: np.ndarray, method: str, horizon: int,
-                    params: ParamSet, cfg: ModelConfig,
-                    seg_len: int | None = None) -> np.ndarray:
-    """Forecast of one (d, H) look-back window as a (d, horizon) matrix.
+def forecast_windows(lookbacks: np.ndarray, method: str, horizon: int,
+                     params: ParamSet, cfg: ModelConfig,
+                     seg_len: int | None = None) -> np.ndarray:
+    """Forecasts of (n, d, H) look-backs as an (n, d, horizon) array.
 
-    Routed like :func:`forecast_samples`: mvh forecasts the whole window
-    from one image, any other method each variate from its own.
+    Routed like :func:`forecast_samples`: mvh forecasts each window from
+    one image, any other method each variate from its own.
     """
     validate_routing(cfg.task, method)
-    lookback = np.atleast_2d(np.asarray(lookback, dtype=np.float64))
+    lookbacks = _stacks(3, lookbacks)[0]
+    if cfg.task == "forecast_reconstruct" and method == "mvh":
+        return _mvh_forecasts(lookbacks, horizon, params, cfg)
+    rows = _per_image(lookbacks, method)
     if cfg.task == "forecast_reconstruct":
-        if method == "mvh":
-            return predict_forecast_mvh(lookback, horizon, params, cfg)
-        return np.stack([predict_forecast(lb, uvh_seg_len(lb, seg_len), horizon, params, cfg)
-                         for lb in lookback])
-    out = [predict_linear(_patches(x, method, cfg, seg_len), params, cfg)
-           for x in _per_image(lookback, method)]
-    return np.stack(out).reshape(lookback.shape[0], horizon)
+        out = _by_seg_len(rows, seg_len, lambda idx, L: predict_forecasts(
+            rows[idx], L, horizon, params, cfg))
+    else:   # one image per call: a matmul over more rows may round differently
+        out = [predict_linear(_patches(x, method, cfg, seg_len), params, cfg) for x in rows]
+    return np.stack(out).reshape(lookbacks.shape[:2] + (horizon,))

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     EmptyResultError,
@@ -70,26 +71,29 @@ class SplitStats:
     degenerate: np.ndarray               # bool (d,), True where train is constant
 
 
-def slide_windows(series: MultivariateSeries, lookback: int, horizon: int,
-                  stride: int = 1) -> list[WindowSample]:
-    """Cut contiguous (lookback, target) pairs out of a series, as
-    read-only views into its values (nothing is copied).
-
-    Raises EmptyResultError when the series is shorter than
-    lookback + horizon.
-    """
+def window_stacks(series: MultivariateSeries, lookback: int, horizon: int,
+                  stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Every stride-th contiguous window of a series as (n, d, lookback)
+    look-backs and (n, d, horizon) targets, read-only views into its values
+    (nothing is copied); n = 0 when the series is shorter than lookback + horizon."""
     if lookback < 1 or horizon < 0 or stride < 1:
         raise ShapeMismatchError("lookback >= 1, horizon >= 0, stride >= 1 required")
-    T = series.length
-    if T < lookback + horizon:
+    v = series.values
+    n = max(0, (series.length - lookback - horizon) // stride + 1)
+    strides = (stride * v.strides[1],) + v.strides
+    return tuple(as_strided(v[:, start:], (n, series.d, width), strides, writeable=False)
+                 for start, width in ((0, lookback), (lookback, horizon)))
+
+
+def slide_windows(series: MultivariateSeries, lookback: int, horizon: int,
+                  stride: int = 1) -> list[WindowSample]:
+    """:func:`window_stacks` as a list of (d, lookback) / (d, horizon) views;
+    raises EmptyResultError when the series is shorter than lookback + horizon."""
+    lookbacks, targets = window_stacks(series, lookback, horizon, stride)
+    if len(lookbacks) == 0:
         raise EmptyResultError(
-            f"series length {T} < lookback {lookback} + horizon {horizon}")
-    n = (T - lookback - horizon) // stride + 1
-    values = series.values.view()
-    values.flags.writeable = False
-    return [WindowSample(lookback=values[:, s:s + lookback],
-                         target=values[:, s + lookback:s + lookback + horizon])
-            for s in range(0, n * stride, stride)]
+            f"series length {series.length} < lookback {lookback} + horizon {horizon}")
+    return [WindowSample(lookback=lb, target=tg) for lb, tg in zip(lookbacks, targets)]
 
 
 def chronological_split(series: MultivariateSeries,
@@ -118,7 +122,7 @@ def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,
     from the range, not from the std alone: the rounded mean of a constant
     variate can differ from the constant and leave a tiny nonzero std. The
     mean stored for a flagged variate is its first train value, so
-    :func:`destandardize` returns the constant exactly. A non-constant
+    ``z * std + mean`` gives the constant back exactly. A non-constant
     variate whose train mean or std is not finite (its values overflow a
     float64 sum of squares) raises ShapeMismatchError: it has no scale.
     """
@@ -142,14 +146,6 @@ def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,
 
     stats = SplitStats(mean=mean, std=std, degenerate=degenerate)
     return transform(train), transform(val), transform(test), stats
-
-
-def destandardize(series: MultivariateSeries, stats: SplitStats) -> MultivariateSeries:
-    """Inverse of :func:`standardize_by_train`; a flagged (constant) variate
-    maps back to its train constant."""
-    safe_std = np.where(stats.degenerate, 1.0, stats.std)
-    v = series.values * safe_std[:, None] + stats.mean[:, None]
-    return MultivariateSeries(v, series.variate_names)
 
 
 def gen_periodic(period: int, length: int, waveform: str = "sine",

@@ -10,7 +10,6 @@ from tsimg.dataio import load_checkpoint, save_checkpoint
 from tsimg.evaluation import (
     ForecastTask,
     PerturbMode,
-    _split_windows,
     _train_eval_reconstruct,
     metric_accuracy,
     metric_mae,
@@ -20,6 +19,7 @@ from tsimg.evaluation import (
     reoccurrence_brute_force,
     reoccurrence_n,
     segment_sweep,
+    split_windows,
 )
 from tsimg.imaging import IMAGING_METHODS, gaf, gaf_diag_inverse, uvh, uvh_inverse
 from tsimg.models import (
@@ -228,7 +228,7 @@ def test_c6_m_shape_bias():
 def test_c7_perturbation_sensitivity():
     x = gen_ar1(0.9, 3000, seed=11)
     task = ForecastTask(series=x, lookback=96, horizon=24, stride=8)
-    tr_w, va_w, te_w = _split_windows(task)
+    tr_w, va_w, te_w = ([*zip(lb[:, 0], tg[:, 0])] for lb, tg in split_windows(task))
     cfg = ModelConfig(arch="lvm2attn", task="forecast_linear", image_size=32,
                       patch_size=8, embed_dim=32, num_heads=4, horizon=24)
 
@@ -269,7 +269,8 @@ def test_c7_perturbation_sensitivity():
 def test_c8_trainability():
     x = gen_periodic(24, 2000, "sine")
     task = ForecastTask(series=x, lookback=96, horizon=24, stride=4)
-    tr_w, va_w, te_w = _split_windows(task)
+    splits = split_windows(task)
+    tr_w, va_w, te_w = ([*zip(lb[:, 0], tg[:, 0])] for lb, tg in splits)
 
     # framework (c): linear forecasting head
     cfg_c = ModelConfig(arch="wolvm", task="forecast_linear", image_size=32,
@@ -289,7 +290,7 @@ def test_c8_trainability():
                         image_size=32, patch_size=8, embed_dim=32,
                         num_heads=4, horizon=24)
     mse_d, _ = _train_eval_reconstruct(
-        (tr_w, va_w, te_w), 24, cfg_d,
+        splits, 24, cfg_d,
         TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=300, patience=300, seed=0),
         seed=0)
 

@@ -84,6 +84,16 @@ def test_render_nonpositive_transform_option_is_runtime_error(method, flags, ett
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window", ["301", "5000"])
+def test_render_window_longer_than_the_series_is_runtime_error(window, ett_csv, tmp_path,
+                                                               capsys):
+    out = tmp_path / "img.pgm"
+    rc = main(["render", "--input", ett_csv, "--method", "uvh", "--L", "12",
+               "--window", window, "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err == f"error: window must be in [1, 300], got {window}\n"
+
+
 def test_render_missing_input_is_runtime_error(tmp_path):
     rc = main(["render", "--input", str(tmp_path / "nope.csv"),
                "--method", "gaf", "--out", str(tmp_path / "o.pgm")])
@@ -182,6 +192,21 @@ def test_sweep_segment_writes_csv(tmp_path, capsys):
     text = (tmp_path / "sweep" / "sweep.csv").read_text()
     assert text.count("segment_sweep") == 2
     assert "cells=2" in capsys.readouterr().out
+
+
+def test_failed_runs_leave_no_run_record(tmp_path, capsys):
+    # a bad i is refused before any cell trains; a 59-step series holds no
+    # training window; neither run writes a file
+    sweep_out, train_out = tmp_path / "sweep", tmp_path / "train"
+    rc = main(["sweep", "--kind", "segment", "--i-values", "6,12,0", "--synthetic-length",
+               "600", "--epochs", "1", "--out", str(sweep_out)])
+    assert rc == 1 and "i, k must be >= 1, got i=0" in capsys.readouterr().err
+    short = tmp_path / "short.csv"
+    short.write_text("date,a\n" + "".join(f"t{i},{np.sin(i):.6f}\n" for i in range(59)))
+    rc = main(["train", "--task", "forecast-reconstruct", "--arch", "minimae",
+               "--imaging", "uvh", "--input", str(short), "--out", str(train_out)])
+    assert rc == 1 and "input series too short" in capsys.readouterr().err
+    assert not sweep_out.exists() and not train_out.exists()
 
 
 def test_sweep_lookback_is_deterministic_and_reports_skips(tmp_path, capsys):

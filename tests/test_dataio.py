@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ def test_load_labeled_windows_errors(tmp_path):
     p3 = _write(tmp_path / "w3.csv", "1,2,3,0\n")
     with pytest.raises(InconsistentWidthError):
         load_labeled_windows_csv(p3, d=2)  # 3 values not divisible by 2
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_load_labeled_windows_rejects_nan_and_inf(tmp_path, cell):
+    p = _write(tmp_path / "w.csv", "1,2,3,0\n" + f"1,{cell},3,1\n" + "4,5,6,0\n")
+    with pytest.raises(NonNumericCellError, match=re.escape(f"{p}: line 2: NaN/Inf cell")):
+        load_labeled_windows_csv(p)
 
 
 # --- PGM -----------------------------------------------------------------

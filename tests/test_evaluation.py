@@ -16,7 +16,6 @@ from tsimg.evaluation import (
     ForecastTask,
     PerturbMode,
     PERTURB_KINDS,
-    _split_windows,
     lookback_sweep,
     metric_accuracy,
     metric_mae,
@@ -27,6 +26,7 @@ from tsimg.evaluation import (
     reoccurrence_brute_force,
     reoccurrence_n,
     segment_sweep,
+    split_windows,
 )
 from tsimg.models import ModelConfig
 from tsimg.series import MultivariateSeries, gen_periodic
@@ -190,14 +190,14 @@ def test_minmax_normalize():
 def test_split_windows_chronological():
     task = ForecastTask(series=np.arange(100.0), lookback=5, horizon=2,
                         stride=1)
-    tr, va, te = _split_windows(task)
-    assert len(tr) == 70 - 5 - 2 + 1
-    assert len(va) == 10 - 5 - 2 + 1
-    assert len(te) == 20 - 5 - 2 + 1
+    (tr_lb, tr_tg), (va_lb, _), (te_lb, _) = split_windows(task)
+    assert len(tr_lb) == 70 - 5 - 2 + 1
+    assert len(va_lb) == 10 - 5 - 2 + 1
+    assert len(te_lb) == 20 - 5 - 2 + 1
     # first test window starts where the test block starts
-    assert te[0][0][0] == 80.0
+    assert te_lb[0, 0, 0] == 80.0
     # no window crosses a block boundary
-    assert tr[-1][1][-1] == 69.0
+    assert tr_tg[-1, 0, -1] == 69.0
 
 
 def test_lookback_sweep_skips_too_long_lengths():
@@ -219,7 +219,7 @@ def test_lookback_sweep_skips_too_long_lengths():
 def test_forecast_task_ratios_must_sum_to_one(ratios):
     task = ForecastTask(series=np.arange(100.0), lookback=5, horizon=2, ratios=ratios)
     with pytest.raises(ShapeMismatchError, match="sum to 1"):
-        _split_windows(task)
+        split_windows(task)
 
 
 def test_sweeps_split_the_series_once_per_task(monkeypatch):
@@ -229,8 +229,8 @@ def test_sweeps_split_the_series_once_per_task(monkeypatch):
         calls.append(task.lookback)
         return split_windows(task)
 
-    split_windows = evaluation._split_windows
-    monkeypatch.setattr(evaluation, "_split_windows", counting)
+    split_windows = evaluation.split_windows
+    monkeypatch.setattr(evaluation, "split_windows", counting)
     task = ForecastTask(series=gen_periodic(12, 600, "composite", noise_std=0.05),
                         lookback=48, horizon=12, stride=16)
     cfg = ModelConfig(arch="wolvm", task="forecast_reconstruct", image_size=16,
@@ -243,8 +243,23 @@ def test_sweeps_split_the_series_once_per_task(monkeypatch):
     assert res.axis == [24, 48] and calls == [24, 48, 200]
 
 
+@pytest.mark.parametrize("i_values, error", [([6, 12, 0], NonPositiveError),
+                                              ([2, 4, 1], NonIntegerSegmentError)])
+def test_segment_sweep_checks_every_i_before_the_first_cell(monkeypatch, i_values, error):
+    cells = []
+    monkeypatch.setattr(evaluation, "_train_eval_reconstruct", lambda *a, **k: cells.append(a))
+    task = ForecastTask(series=gen_periodic(12, 600, "composite"), lookback=48, horizon=12)
+    cfg = ModelConfig(arch="wolvm", task="forecast_reconstruct", image_size=16,
+                      patch_size=8, embed_dim=8, num_heads=2, horizon=12)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=1, patience=1, seed=0)
+    with pytest.raises(error):
+        segment_sweep(task, cfg, tc, L=10, k=4, i_values=i_values)
+    assert cells == []
+
+
 def test_split_windows_short_block_is_empty():
     # 100 steps: the 10-step val block cannot hold a 12-step window
-    tr, va, te = _split_windows(ForecastTask(series=np.arange(100.0), lookback=8,
-                                             horizon=4, stride=3))
-    assert va == [] and len(tr) == (70 - 12) // 3 + 1 and len(te) == (20 - 12) // 3 + 1
+    (tr, _), (va, va_tg), (te, _) = split_windows(ForecastTask(series=np.arange(100.0),
+                                                               lookback=8, horizon=4, stride=3))
+    assert va.shape == (0, 1, 8) and va_tg.shape == (0, 1, 4)
+    assert len(tr) == (70 - 12) // 3 + 1 and len(te) == (20 - 12) // 3 + 1

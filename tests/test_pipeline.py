@@ -185,6 +185,8 @@ def test_predict_forecast_routing_guard():
                       patch_size=8, embed_dim=8, num_heads=2, horizon=24)
     with pytest.raises(RoutingError):
         predict_forecast(gen_periodic(24, 168), 24, 24, init_params(cfg, 0), cfg)
+    with pytest.raises(RoutingError):
+        predict_forecast_mvh(np.stack([gen_periodic(24, 168)] * 2), 24, init_params(cfg, 0), cfg)
 
 
 def test_build_reconstruct_sample_mask_and_targets():
@@ -354,7 +356,11 @@ def test_build_reconstruct_sample_flat_lookback_target_in_raw_units(v):
     assert np.max(s.target_patches[s.mask_rows]) > 0.5
 
 
-# --- one forecast window: its samples and its forecast -------------------
+# --- a forecast split: its samples and its forecasts ----------------------
+#
+# Both entry points take (n, d, H) stacks and keep window-then-variate
+# order; each result must be bitwise what the per-image builders and
+# predict calls give.
 
 def _window_cfg(task, method, d=3, horizon=6):
     # the linear head of an MVH window forecasts all d variates at once
@@ -363,30 +369,33 @@ def _window_cfg(task, method, d=3, horizon=6):
                        embed_dim=8, num_heads=2, horizon=horizon * (d if flat else 1))
 
 
-def _window(d=3, H=48, horizon=6):
+def _windows(n=2, H=48, horizon=6, periods=(12, 16, 12)):
+    """n overlapping (d, H) look-backs and (d, horizon) targets, one variate
+    per period: two segment-length groups under UVH's FFT default."""
     rng = np.random.default_rng(7)
-    x = np.stack([gen_periodic(12, H + horizon, "composite", seed=v, noise_std=0.1)
-                  for v in range(d)]) + rng.normal(size=(d, 1))
-    return WindowSample(lookback=x[:, :H], target=x[:, H:])
+    x = np.stack([gen_periodic(p, 8 * n + H + horizon, "composite", seed=v, noise_std=0.1)
+                  for v, p in enumerate(periods)]) + rng.normal(size=(len(periods), 1))
+    stack = np.stack([x[:, 8 * i:8 * i + H + horizon] for i in range(n)])
+    return stack[:, :, :H], stack[:, :, H:]
 
 
 @pytest.mark.parametrize("task", ["forecast_linear", "forecast_reconstruct"])
 @pytest.mark.parametrize("method", ["uvh", "mvh"])
 @pytest.mark.parametrize("seg_len", [None, 12])
 def test_forecast_samples_match_builders(task, method, seg_len):
-    w, cfg = _window(), _window_cfg(task, method)
-    got = pipeline.forecast_samples(w, method, cfg, seg_len)
+    (lbs, tgs), cfg = _windows(), _window_cfg(task, method)
+    got = pipeline.forecast_samples(lbs, tgs, method, cfg, seg_len)
     if method == "mvh":
-        want = ([build_reconstruct_sample_mvh(w.lookback, w.target, cfg)]
-                if task == "forecast_reconstruct"
-                else [build_linear_sample(w.lookback, w.target.reshape(-1), "mvh", cfg)])
+        want = [build_reconstruct_sample_mvh(lb, tg, cfg) if task == "forecast_reconstruct"
+                else build_linear_sample(lb, tg.reshape(-1), "mvh", cfg)
+                for lb, tg in zip(lbs, tgs)]
     elif task == "forecast_reconstruct":
         want = [build_reconstruct_sample(lb, tg, seg_len or detect_period(lb).chosen_L, cfg)
-                for lb, tg in zip(w.lookback, w.target)]
+                for w_lb, w_tg in zip(lbs, tgs) for lb, tg in zip(w_lb, w_tg)]
     else:
         want = [build_linear_sample(lb, tg, method, cfg, L=seg_len)
-                for lb, tg in zip(w.lookback, w.target)]
-    assert len(got) == (1 if method == "mvh" else 3)
+                for w_lb, w_tg in zip(lbs, tgs) for lb, tg in zip(w_lb, w_tg)]
+    assert len(got) == (2 if method == "mvh" else 6)
     width = cfg.patch_size ** 2 if task == "forecast_reconstruct" else cfg.patch_dim
     for g, s in zip(got, want):
         assert g.patches.shape == (cfg.n_patches, width)
@@ -400,29 +409,39 @@ def test_forecast_samples_match_builders(task, method, seg_len):
 @pytest.mark.parametrize("method", ["uvh", "mvh"])
 @pytest.mark.parametrize("seg_len", [None, 12])
 def test_forecast_window_matches_predict_paths(task, method, seg_len):
-    w, cfg = _window(), _window_cfg(task, method)
+    (lbs, tgs), cfg = _windows(), _window_cfg(task, method)
     params = init_params(cfg, 3)
-    got = pipeline.forecast_window(w.lookback, method, 6, params, cfg, seg_len)
+    got = pipeline.forecast_windows(lbs, method, 6, params, cfg, seg_len)
     if task == "forecast_reconstruct":
-        want = (predict_forecast_mvh(w.lookback, 6, params, cfg) if method == "mvh" else
-                np.stack([predict_forecast(lb, seg_len or detect_period(lb).chosen_L, 6,
-                                           params, cfg) for lb in w.lookback]))
+        want = np.stack([predict_forecast_mvh(w, 6, params, cfg) if method == "mvh" else
+                         np.stack([predict_forecast(lb, seg_len or detect_period(lb).chosen_L,
+                                                    6, params, cfg) for lb in w])
+                         for w in lbs])
     else:
         want = np.stack([predict_linear(s.patches, params, cfg) for s in
-                         pipeline.forecast_samples(w, method, cfg, seg_len)]).reshape(3, 6)
-    assert got.shape == (3, 6) and np.all(np.isfinite(got))
-    assert np.array_equal(got, want)
+                         pipeline.forecast_samples(lbs, tgs, method, cfg, seg_len)])
+    assert got.shape == (2, 3, 6) and np.all(np.isfinite(got))
+    assert np.array_equal(got, want.reshape(2, 3, 6))
 
 
 def test_forecast_window_routes_gaf_linear_per_variate():
-    w, cfg = _window(), _window_cfg("forecast_linear", "gaf")
-    assert pipeline.forecast_window(w.lookback, "gaf", 6, init_params(cfg, 0), cfg).shape == (3, 6)
-    assert len(pipeline.forecast_samples(w, "gaf", cfg)) == 3
+    (lbs, tgs), cfg = _windows(), _window_cfg("forecast_linear", "gaf")
+    assert pipeline.forecast_windows(lbs, "gaf", 6, init_params(cfg, 0), cfg).shape == (2, 3, 6)
+    assert len(pipeline.forecast_samples(lbs, tgs, "gaf", cfg)) == 6
 
 
 def test_forecast_window_rejects_reconstruct_on_gaf():
-    w, cfg = _window(), _window_cfg("forecast_reconstruct", "gaf")
+    (lbs, tgs), cfg = _windows(), _window_cfg("forecast_reconstruct", "gaf")
     with pytest.raises(RoutingError):
-        pipeline.forecast_samples(w, "gaf", cfg)
+        pipeline.forecast_samples(lbs, tgs, "gaf", cfg)
     with pytest.raises(RoutingError):
-        pipeline.forecast_window(w.lookback, "gaf", 6, init_params(cfg, 0), cfg)
+        pipeline.forecast_windows(lbs, "gaf", 6, init_params(cfg, 0), cfg)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 48), (2, 0, 48), (3, 48)])
+def test_forecast_windows_refuse_empty_or_unstacked_input(shape):
+    cfg = _window_cfg("forecast_reconstruct", "uvh")
+    with pytest.raises(ShapeMismatchError):
+        pipeline.forecast_windows(np.zeros(shape), "uvh", 6, init_params(cfg, 0), cfg)
+    with pytest.raises(ShapeMismatchError):
+        pipeline.forecast_samples(np.zeros(shape), np.zeros(shape[:-1] + (6,)), "uvh", cfg)

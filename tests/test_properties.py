@@ -1,8 +1,9 @@
 """Property tests for the alignment and imaging contracts: resize range
 and bitwise agreement with the reference formula, exact round trips, the
-patch layout and the sweep windows against the explicit slice formula, a
-non-empty forecast mask, the flat-spectrum threshold, the stacked
-reconstruction core against a loop of single-window calls, and the gray
+patch layout and the window stacks of a series and of a sweep's splits
+against the explicit slice formula, a non-empty forecast mask, the
+flat-spectrum threshold, the stacked reconstruction core and the forecast
+entry points against a loop of single-window calls, and the gray
 reconstruction loss of a batch with mixed masks."""
 
 import math
@@ -20,9 +21,10 @@ from tsimg.alignment import (
     unpatchify,
 )
 from tsimg import pipeline
-from tsimg.evaluation import ForecastTask, _split_windows
+from tsimg.evaluation import ForecastTask, split_windows
 from tsimg.imaging import detect_period, uvh, uvh_inverse
 from tsimg.models import ModelConfig, ReconstructSample, backward, batch_loss, init_params
+from tsimg.series import MultivariateSeries, gen_periodic, window_stacks
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 side = st.integers(1, 24)
@@ -123,31 +125,38 @@ def test_detect_period_flat_threshold(c, T, data):
     assert not detect_period(c + 1e-6 * ripple).degenerate
 
 
-def reference_split_windows(x, lookback, horizon, stride, ratios):
-    """The explicit slice formula: chronological blocks, then every
-    stride-th window that fits inside its block."""
-    n_train, n_val = int(x.size * ratios[0]), int(x.size * ratios[1])
-    out = []
-    for b in (x[:n_train], x[n_train:n_train + n_val], x[n_train + n_val:]):
-        out.append([(b[s:s + lookback], b[s + lookback:s + lookback + horizon])
-                    for s in range(0, b.size - lookback - horizon + 1, stride)])
-    return out
+def reference_windows(x, lookback, horizon, stride):
+    """The explicit slice formula: every stride-th window that fits inside
+    the (d, T) block x."""
+    return [(x[:, s:s + lookback], x[:, s + lookback:s + lookback + horizon])
+            for s in range(0, x.shape[1] - lookback - horizon + 1, stride)]
+
+
+def _assert_same_windows(stacks, want, d, lookback, horizon):
+    lookbacks, targets = stacks
+    assert lookbacks.shape == (len(want), d, lookback)
+    assert targets.shape == (len(want), d, horizon)
+    assert lookbacks.dtype == targets.dtype == np.float64
+    assert not (lookbacks.flags.writeable or targets.flags.writeable)
+    for lb, tg, (w_lb, w_tg) in zip(lookbacks, targets, want):
+        assert np.array_equal(lb, w_lb) and np.array_equal(tg, w_tg)
 
 
 @given(st.integers(1, 400), st.integers(1, 80), st.integers(0, 40), st.integers(1, 25),
        st.sampled_from([(0.7, 0.1, 0.2), (0.6, 0.2, 0.2), (0.5, 0.25, 0.25)]),
-       st.integers(0, 2**32 - 1))
-def test_split_windows_equals_slice_formula(T, lookback, horizon, stride, ratios, seed):
-    x = np.random.default_rng(seed).normal(size=T)
-    task = ForecastTask(series=x, lookback=lookback, horizon=horizon,
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_split_windows_equals_slice_formula(T, lookback, horizon, stride, ratios, d, seed):
+    # blocks too short for one window give n = 0 stacks
+    x = np.random.default_rng(seed).normal(size=(d, T))
+    _assert_same_windows(window_stacks(MultivariateSeries(x), lookback, horizon, stride),
+                         reference_windows(x, lookback, horizon, stride), d, lookback, horizon)
+    task = ForecastTask(series=x[0], lookback=lookback, horizon=horizon,
                         ratios=ratios, stride=stride)
-    got = _split_windows(task)
-    want = reference_split_windows(x, lookback, horizon, stride, ratios)
-    assert [len(w) for w in got] == [len(w) for w in want]
-    for g_block, w_block in zip(got, want):
-        for (g_lb, g_tg), (w_lb, w_tg) in zip(g_block, w_block):
-            assert g_lb.dtype == g_tg.dtype == np.float64
-            assert np.array_equal(g_lb, w_lb) and np.array_equal(g_tg, w_tg)
+    n_train, n_val = int(T * ratios[0]), int(T * ratios[1])
+    blocks = (x[:1, :n_train], x[:1, n_train:n_train + n_val], x[:1, n_train + n_val:])
+    for got, block in zip(split_windows(task), blocks):
+        _assert_same_windows(got, reference_windows(block, lookback, horizon, stride),
+                             1, lookback, horizon)
 
 
 # --- the stacked reconstruction core is a loop of single-window calls ------
@@ -211,13 +220,53 @@ def test_stacked_mvh_core_equals_single_window_loop(case, d):
     x = _windows(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
                  (n, d, H + horizon), flat)
     lb, tg = x[:, :, :H], x[:, :, H:]
-    _assert_same_samples(pipeline.build_reconstruct_samples_mvh(lb, tg, cfg),
+    _assert_same_samples(pipeline.forecast_samples(lb, tg, "mvh", cfg),
                          [pipeline.build_reconstruct_sample_mvh(a, b, cfg)
                           for a, b in zip(lb, tg)])
-    got = pipeline.predict_forecasts_mvh(lb, horizon, params, cfg)
+    got = pipeline.forecast_windows(lb, "mvh", horizon, params, cfg)
     want = np.stack([pipeline.predict_forecast_mvh(a, horizon, params, cfg) for a in lb])
     assert got.shape == (n, d, horizon) and np.array_equal(got, want)
     assert np.all(got[flat] == lb[flat, :, :1])
+
+
+# --- the forecast entry points are a loop of single-window calls -----------
+
+def _variates(data, n, d, length):
+    """n stride-1 (d, length) windows of a series whose d variates have their
+    own periods and waveforms; a variate may be flat."""
+    rows = []
+    for v in range(d):
+        if data.draw(st.booleans()):
+            rows.append(np.full(length + n - 1, data.draw(finite)))
+            continue
+        period = data.draw(st.integers(2, length // 3))
+        wave = data.draw(st.sampled_from(["sine", "sawtooth", "composite"]))
+        rows.append(gen_periodic(period, length + n - 1, wave, seed=v, noise_std=0.05) * (v + 1))
+    x = np.stack(rows)
+    return np.stack([x[:, i:i + length] for i in range(n)])
+
+
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(12, 96), st.integers(1, 30),
+       st.sampled_from(sorted(MODELS)), st.sampled_from(["uvh", "mvh"]),
+       st.one_of(st.none(), st.integers(1, 30)), st.data())
+def test_forecast_entry_points_equal_single_window_loop(n, d, H, horizon, key, method,
+                                                        seg_len, data):
+    cfg, params = MODELS[key]
+    x = _variates(data, n, d, H + horizon)
+    lb, tg = x[:, :, :H], x[:, :, H:]
+    got_s = pipeline.forecast_samples(lb, tg, method, cfg, seg_len)
+    got_f = pipeline.forecast_windows(lb, method, horizon, params, cfg, seg_len)
+    if method == "mvh":
+        want_s = [pipeline.build_reconstruct_sample_mvh(a, b, cfg) for a, b in zip(lb, tg)]
+        want_f = [pipeline.predict_forecast_mvh(a, horizon, params, cfg) for a in lb]
+    else:
+        Ls = [[pipeline.uvh_seg_len(row, seg_len) for row in w] for w in lb]
+        want_s = [pipeline.build_reconstruct_sample(a, b, L, cfg)
+                  for w_a, w_b, w_L in zip(lb, tg, Ls) for a, b, L in zip(w_a, w_b, w_L)]
+        want_f = [[pipeline.predict_forecast(a, L, horizon, params, cfg)
+                   for a, L in zip(w_a, w_L)] for w_a, w_L in zip(lb, Ls)]
+    _assert_same_samples(got_s, want_s)
+    assert got_f.shape == (n, d, horizon) and np.array_equal(got_f, np.array(want_f))
 
 
 GRAY_CFG = ModelConfig(arch="lvm2attn", task="forecast_reconstruct", image_size=16,

