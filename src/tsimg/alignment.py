@@ -61,18 +61,18 @@ def resize_stack(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """
     if out_h < 1 or out_w < 1:
         raise ShapeMismatchError("output size must be >= 1")
-    _, in_h, in_w = src.shape
+    n, in_h, in_w = src.shape
     if (out_h, out_w) == (in_h, in_w):
         return src.copy()
     r0, r1, rf, rg = _axis_plan(out_h, in_h)
     c0, c1, cf, cg = _axis_plan(out_w, in_w)
-    # np.take keeps every array C-contiguous, as standardize_stack's
-    # per-image reductions need; each product is formed in place
-    cols = _lerp(np.take(src, c0, axis=2), np.take(src, c1, axis=2), cg, cf)
-    out = _lerp(np.take(cols, r0, axis=1), np.take(cols, r1, axis=1),
-                rg[:, None], rf[:, None])
-    np.maximum(out, src.min(axis=(1, 2), keepdims=True), out=out)
-    return np.minimum(out, src.max(axis=(1, 2), keepdims=True), out=out)
+    # take keeps every array C-contiguous, as standardize_stack's per-image
+    # reductions need; each product is formed in place
+    cols = _lerp(src.take(c0, axis=2), src.take(c1, axis=2), cg, cf)
+    out = _lerp(cols.take(r0, axis=1), cols.take(r1, axis=1), rg[:, None], rf[:, None])
+    flat = src.reshape(n, -1)       # min and max are exact in any order: one pass per image
+    np.maximum(out, flat.min(axis=1)[:, None, None], out=out)
+    return np.minimum(out, flat.max(axis=1)[:, None, None], out=out)
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
@@ -158,9 +158,10 @@ def replicate_channels(patches: np.ndarray) -> np.ndarray:
     return np.concatenate([patches] * 3, axis=-1)
 
 
+@functools.lru_cache(maxsize=256)
 def build_forecast_mask(lookback_cols: int, horizon_cols: int, S: int, P: int) -> np.ndarray:
     """The read-only bool (N,) mask of the patches, in patchify order, whose
-    column span intersects the horizon region.
+    column span intersects the horizon region: one cached array per set of sizes.
 
     The boundary column is the look-back/horizon split rescaled to the
     resized image width S, capped at S - 1 so that a horizon too narrow to

@@ -220,7 +220,7 @@ def cmd_train(args) -> int:
     meta = {"model": dataclasses.asdict(cfg),
             "imaging": args.imaging, "seg_len": args.seg_len,
             "lookback": args.lookback, "horizon": args.horizon,
-            "d": args.d, "seed": args.seed}
+            "d": args.d if task == "classify" else tr[0].shape[1], "seed": args.seed}
     (out_dir / "config.json").write_text(json.dumps(meta, indent=2) + "\n")
     dataio.write_history_csv(str(out_dir / "history.csv"), history)
     print(f"train task={task} arch={args.arch} imaging={args.imaging} "

@@ -40,7 +40,7 @@ def _error(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def metric_mse(pred: np.ndarray, truth: np.ndarray) -> float:
     d = _error(pred, truth)
-    return float(np.mean(d * d))
+    return float((d * d).sum() / d.size)     # np.mean's own sum and divide
 
 
 def metric_mae(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -213,7 +213,9 @@ def segment_sweep(task: ForecastTask, model_cfg: ModelConfig,
     length (i/k)*L; reports raw and min-max-normalized MSE, the
     reoccurrence n per segment length, and the paper-style zero-length
     estimate (mean of the MSEs at L and 2L when both are swept). Every i
-    is checked (i >= 1, (i*L) % k == 0) before the first cell trains."""
+    is checked (i >= 1, (i*L) % k == 0), and an empty list refused, before any split or cell."""
+    if not i_values:
+        raise EmptyResultError("segment_sweep needs at least one i value")
     ns = [reoccurrence_n(i, k) for i in i_values]    # every i and k >= 1, before any cell
     if any((i * L) % k for i in i_values):
         raise NonIntegerSegmentError(f"(i*L) % k != 0 for some i in {i_values}, k={k}, L={L}")

@@ -59,15 +59,13 @@ def detect_period(x: np.ndarray) -> PeriodEstimate:
     T = x.size
     if T < 4:
         raise SeriesTooShortError(f"need T >= 4, got {T}")
-    spec = np.abs(np.fft.rfft(x))
-    fmax = T // 2
-    amps = spec[1:fmax + 1]  # f = 1 .. T//2
-    if amps.max() <= 1e-8:
+    amps = np.abs(np.fft.rfft(x))[1:T // 2 + 1]  # f = 1 .. T//2
+    top = amps.max()
+    if top <= 1e-8:
         return PeriodEstimate(chosen_L=T, degenerate=True)
-    # stable sort on -amplitude keeps lower f first among ties; quantize to
-    # a relative 1e-9 so float noise cannot hide an exact-amplitude tie
-    quantized = np.round(amps / amps.max(), 9)
-    f = int(np.argsort(-quantized, kind="stable")[0]) + 1
+    # argmax takes the first maximum, so the lowest f among ties; quantize
+    # to a relative 1e-9 so float noise cannot hide an exact-amplitude tie
+    f = int((amps / top).round(9).argmax()) + 1
     return PeriodEstimate(chosen_L=math.ceil(T / f))
 
 

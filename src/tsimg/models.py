@@ -34,13 +34,14 @@ is the read-only bool (N,) array of alignment.build_forecast_mask. The
 model input is three identical channels of one gray image (F = 3 * P * P):
 classify and linear samples hold all three (alignment.replicate_channels).
 Reconstruction samples and forecasts stay gray (N, P * P): _gray_embed sums
-embed_w's three channel blocks for them, each block gets the one (exact)
-gray gradient, and the decoder scores its three channels against the gray
-target.
+embed_w's three channel blocks for them on every call, each block gets the
+one (exact) gray gradient, and the decoder scores its three channels against
+the gray target; forecasts fold the decoder too (see forward_reconstruct_gray).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,14 +255,14 @@ def forward_attention(tokens: np.ndarray, params: ParamSet, num_heads: int):
     x = tokens.reshape(-1, D)
     Qh, Kh, Vh = (_split_heads(x @ params[w], lead, N, num_heads) for w in ("wq", "wk", "wv"))
     A = Qh @ Kh.swapaxes(-1, -2)                         # scores, then softmax in place
-    A /= np.sqrt(dh)
+    A /= math.sqrt(dh)
     A -= A.max(axis=-1, keepdims=True)
     np.exp(A, out=A)
     A /= A.sum(axis=-1, keepdims=True)                   # (..., h, N, N)
     O = _merge_heads(A @ Vh)
     z = x + O @ params["wo"]
-    z -= z.mean(axis=1, keepdims=True)                   # centred once for var and xhat
-    inv_std = 1.0 / np.sqrt((z * z).mean(axis=1, keepdims=True) + LN_EPS)
+    z -= z.sum(axis=1, keepdims=True) / D        # np.mean's sum and divide; centred once
+    inv_std = 1.0 / np.sqrt((z * z).sum(axis=1, keepdims=True) / D + LN_EPS)
     xhat = z * inv_std
     out = params["ln_g"] * xhat + params["ln_b"]
     cache = {"kind": "attn", "x": x, "Qh": Qh, "Kh": Kh, "Vh": Vh, "A": A, "O": O,
@@ -353,7 +354,8 @@ def _gray_embed(params: ParamSet, P2: int) -> dict:
     F, D = params["embed_w"].shape
     if F != 3 * P2:
         raise ShapeMismatchError(f"gray patch width {P2}, expected embed_w fan-in / 3 = {F / 3:g}")
-    return dict(params, embed_w=params["embed_w"].reshape(3, P2, D).sum(axis=0))
+    e = params["embed_w"].reshape(3, P2, D)
+    return dict(params, embed_w=e[0] + e[1] + e[2])      # sum(axis=0)'s order
 
 
 def forward_reconstruct_gray(patches: np.ndarray, mask: np.ndarray, params: ParamSet,
@@ -364,9 +366,11 @@ def forward_reconstruct_gray(patches: np.ndarray, mask: np.ndarray, params: Para
     Equal, up to rounding, to :func:`~tsimg.alignment.replicate_channels`
     followed by :func:`forward_reconstruct` (the three-channel reference),
     with the three output channels averaged. The copies are folded into
-    the weights once per call instead: the embedding uses the sum of
+    the weights on every call instead: the embedding uses the sum of
     embed_w's three channel blocks (as in training) and the decoder the mean
     of dec_w's and dec_b's, so a third of the columns are embedded and decoded.
+    The fold is not cached: train updates the caller's arrays in place, so a
+    cache keyed on params would go stale. A one-channel model removes it.
     """
     folded = _gray_embed(params, patches.shape[-1])
     P2, D = folded["embed_w"].shape
@@ -374,8 +378,8 @@ def forward_reconstruct_gray(patches: np.ndarray, mask: np.ndarray, params: Para
         raise ShapeMismatchError(
             f"dec_w {params['dec_w'].shape} does not fit three channels of {P2}-pixel patches")
     mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | _checked_mask(mask, patches.shape[-2])
-    folded.update(dec_w=params["dec_w"].reshape(D, 3, P2).mean(axis=1),
-                  dec_b=params["dec_b"].reshape(3, P2).mean(axis=0))
+    w, b = params["dec_w"].reshape(D, 3, P2).swapaxes(0, 1), params["dec_b"].reshape(3, P2)
+    folded.update(dec_w=(w[0] + w[1] + w[2]) / 3, dec_b=(b[0] + b[1] + b[2]) / 3)  # mean's order
     out = patches.copy()
     out[mask_rows] = _forward(patches[~mask_rows], folded, cfg, mask_rows)[0]
     return out

@@ -164,6 +164,25 @@ def test_eval_with_perturbation(ett_csv, tmp_path, capsys):
     assert "perturb=sf-all" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("task, imaging", [("forecast-linear", "mvh"),
+                                           ("forecast-linear", "uvh"),
+                                           ("forecast-reconstruct", "mvh")])
+def test_forecast_run_records_the_variates_of_its_series(tmp_path, capsys, task, imaging):
+    cols = [gen_periodic(12, 300, w, seed=v, noise_std=0.02) + v
+            for v, w in enumerate(("sine", "composite", "sawtooth"))]
+    p = tmp_path / "three.csv"
+    p.write_text("date,a,b,c\n" + "".join(
+        f"t{t},{','.join(repr(float(c[t])) for c in cols)}\n" for t in range(300)))
+    run = tmp_path / "run"
+    assert main(["train", "--task", task, "--imaging", imaging, "--arch", "wolvm",
+                 "--input", str(p), "--out", str(run), "--lookback", "24", "--horizon", "4",
+                 "--seg-len", "12", "--image-size", "16", "--patch-size", "8",
+                 "--embed-dim", "8", "--heads", "2", "--epochs", "1", "--seed", "0"]) == 0
+    meta = json.loads((run / "config.json").read_text())
+    assert meta["d"] == 3                              # not the --d default of 1
+    assert main(["eval", "--run", str(run), "--input", str(p)]) == 0
+
+
 def test_train_classify(labeled_csv, tmp_path, capsys):
     run = str(tmp_path / "crun")
     rc = main(["train", "--task", "classify", "--imaging", "gaf",
@@ -174,6 +193,7 @@ def test_train_classify(labeled_csv, tmp_path, capsys):
     meta = json.loads((tmp_path / "crun" / "config.json").read_text())
     assert meta["model"]["task"] == "classify"
     assert meta["model"]["num_classes"] == 2
+    assert meta["d"] == 1                              # classify keeps --d
     capsys.readouterr()
     rc = main(["eval", "--run", run, "--input", labeled_csv])
     assert rc == 0

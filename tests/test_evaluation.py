@@ -257,6 +257,19 @@ def test_segment_sweep_checks_every_i_before_the_first_cell(monkeypatch, i_value
     assert cells == []
 
 
+def test_segment_sweep_refuses_empty_i_values_before_splitting(monkeypatch):
+    def no_split(task):
+        raise AssertionError("split_windows ran")
+
+    monkeypatch.setattr(evaluation, "split_windows", no_split)
+    task = ForecastTask(series=gen_periodic(12, 600, "composite"), lookback=48, horizon=12)
+    cfg = ModelConfig(arch="wolvm", task="forecast_reconstruct", image_size=16,
+                      patch_size=8, embed_dim=8, num_heads=2, horizon=12)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=1, patience=1, seed=0)
+    with pytest.raises(EmptyResultError, match="at least one i"):
+        segment_sweep(task, cfg, tc, L=12, k=3, i_values=[])
+
+
 def test_split_windows_short_block_is_empty():
     # 100 steps: the 10-step val block cannot hold a 12-step window
     (tr, _), (va, va_tg), (te, _) = split_windows(ForecastTask(series=np.arange(100.0),

@@ -1,0 +1,210 @@
+"""Each expression trimmed to fewer numpy calls on the forecast path, pinned
+bit for bit to the expression it replaced, kept here as the oracle: the
+period pick, the bilinear resize and its clamp, the forecast mask cache,
+the attention layer norm, the gray weight folds and the MSE."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from tsimg import models
+from tsimg.alignment import _axis_plan, build_forecast_mask, resize_stack
+from tsimg.errors import IndivisiblePatchError, ShapeMismatchError
+from tsimg.evaluation import metric_mse
+from tsimg.imaging import detect_period
+from tsimg.models import (
+    ARCHS,
+    ModelConfig,
+    forward_attention,
+    forward_reconstruct_gray,
+    init_params,
+)
+
+
+# --- detect_period: argmax against the stable argsort -------------------------
+
+def period_oracle(x):
+    """(chosen_L, degenerate) as the stable argsort on -amplitude picked it."""
+    T = x.size
+    amps = np.abs(np.fft.rfft(x))[1:T // 2 + 1]
+    if amps.max() <= 1e-8:
+        return T, True
+    quantized = np.round(amps / amps.max(), 9)
+    f = int(np.argsort(-quantized, kind="stable")[0]) + 1
+    return math.ceil(T / f), False
+
+
+@st.composite
+def period_series(draw):
+    T = draw(st.integers(4, 400))
+    kind = draw(st.sampled_from(["noise", "tie", "flat", "tiny"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(T)
+    if kind == "noise":
+        return rng.normal(size=T) * rng.uniform(0.01, 100.0) + rng.normal()
+    if kind == "tie":       # equal-amplitude bins: an exact tie once quantized
+        f1, f2 = sorted(rng.choice(np.arange(1, max(2, T // 2)), size=2, replace=True))
+        return np.cos(2 * np.pi * f1 * t / T) + np.cos(2 * np.pi * f2 * t / T + rng.uniform())
+    if kind == "flat":
+        return np.full(T, rng.normal() * 10.0)
+    return rng.normal() + rng.normal(size=T) * 1e-12     # a spectrum under the 1e-8 floor
+
+
+@given(period_series())
+@example(np.sin(2 * np.pi * 4 * np.arange(64) / 64) + np.sin(2 * np.pi * 8 * np.arange(64) / 64))
+def test_detect_period_equals_stable_argsort_pick(x):
+    est = detect_period(x)
+    assert (est.chosen_L, est.degenerate) == period_oracle(x)
+
+
+# --- resize_stack: .take and one flat clamp against np.take and axis=(1, 2) ----
+
+def resize_oracle(src, out_h, out_w):
+    """resize_stack as written with np.take and a clamp over axis=(1, 2)."""
+    _, in_h, in_w = src.shape
+    if (out_h, out_w) == (in_h, in_w):
+        return src.copy()
+    r0, r1, rf, rg = _axis_plan(out_h, in_h)
+    c0, c1, cf, cg = _axis_plan(out_w, in_w)
+    a, b = np.take(src, c0, axis=2), np.take(src, c1, axis=2)
+    a *= cg
+    b *= cf
+    a += b
+    top, bot = np.take(a, r0, axis=1), np.take(a, r1, axis=1)
+    top *= rg[:, None]
+    bot *= rf[:, None]
+    top += bot
+    np.maximum(top, src.min(axis=(1, 2), keepdims=True), out=top)
+    return np.minimum(top, src.max(axis=(1, 2), keepdims=True), out=top)
+
+
+@st.composite
+def resize_cases(draw):
+    n, h, w = draw(st.integers(1, 6)), draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["contiguous", "constant", "transposed", "strided"]))
+    if layout == "transposed":        # an (n, h, w) view of a (w, h, n) array
+        src = (rng.normal(size=(w, h, n)) * 100.0).T
+    elif layout == "strided":         # every other row and column, reversed
+        src = rng.normal(size=(n, 2 * h, 2 * w))[:, ::-2, ::2]
+    else:
+        src = rng.normal(size=(n, h, w)) * rng.uniform(0.01, 1e3)
+        if layout == "constant":
+            src[:] = rng.normal(size=(n, 1, 1))
+    return src, draw(st.integers(1, 40)), draw(st.integers(1, 40))
+
+
+@given(resize_cases())
+def test_resize_stack_equals_np_take_oracle(case):
+    src, out_h, out_w = case
+    got, want = resize_stack(src, out_h, out_w), resize_oracle(src, out_h, out_w)
+    assert got.shape == want.shape == (src.shape[0], out_h, out_w)
+    assert got.tobytes() == want.tobytes()
+
+
+# --- build_forecast_mask: one cached read-only mask, errors every time ---------
+
+def test_forecast_mask_is_one_shared_read_only_array():
+    first = build_forecast_mask(4, 1, 32, 8)
+    assert build_forecast_mask(4, 1, 32, 8) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = True
+
+
+@pytest.mark.parametrize("args, error", [((0, 1, 32, 8), ShapeMismatchError),
+                                         ((4, 0, 32, 8), ShapeMismatchError),
+                                         ((4, 1, 30, 8), IndivisiblePatchError)])
+def test_forecast_mask_refuses_bad_sizes_on_every_call(args, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            build_forecast_mask(*args)
+
+
+# --- forward_attention: the layer norm against np.mean ---------------------------
+
+def attention_oracle(tokens, params, num_heads):
+    """forward_attention's output, xhat and inv_std with np.mean and np.sqrt(dh)."""
+    lead, (N, D) = tokens.shape[:-2], tokens.shape[-2:]
+    dh = D // num_heads
+    x = tokens.reshape(-1, D)
+    Qh, Kh, Vh = (models._split_heads(x @ params[w], lead, N, num_heads)
+                  for w in ("wq", "wk", "wv"))
+    A = Qh @ Kh.swapaxes(-1, -2)
+    A /= np.sqrt(dh)
+    A -= A.max(axis=-1, keepdims=True)
+    np.exp(A, out=A)
+    A /= A.sum(axis=-1, keepdims=True)
+    z = x + models._merge_heads(A @ Vh) @ params["wo"]
+    z -= z.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((z * z).mean(axis=1, keepdims=True) + models.LN_EPS)
+    xhat = z * inv_std
+    return (params["ln_g"] * xhat + params["ln_b"]).reshape(tokens.shape), xhat, inv_std
+
+
+@pytest.mark.parametrize("B", [1, 16, 64])
+@pytest.mark.parametrize("D, heads", [(32, 4), (8, 2), (12, 3)])
+def test_attention_layer_norm_equals_np_mean_form(B, D, heads):
+    cfg = ModelConfig(arch="minimae", task="forecast_reconstruct", image_size=32,
+                      patch_size=8, embed_dim=D, num_heads=heads)
+    rng = np.random.default_rng(B * D)
+    params = init_params(cfg, seed=B + D)
+    params["ln_g"] = rng.normal(size=D)
+    params["ln_b"] = rng.normal(size=D)
+    tokens = rng.normal(size=(B, cfg.n_patches, D)) * 3.0
+    out, cache = forward_attention(tokens, params, heads)
+    want, xhat, inv_std = attention_oracle(tokens, params, heads)
+    assert out.tobytes() == want.tobytes()
+    assert cache["xhat"].tobytes() == xhat.tobytes()
+    assert cache["inv_std"].tobytes() == inv_std.tobytes()
+
+
+# --- the gray folds: block adds against reshape(...).sum and .mean -------------------
+
+@given(st.integers(1, 40), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_gray_embed_fold_equals_block_sum(D, P2, seed):
+    w = np.random.default_rng(seed).normal(size=(3 * P2, D)) * 10.0
+    got = models._gray_embed({"embed_w": w}, P2)["embed_w"]
+    assert got.tobytes() == w.reshape(3, P2, D).sum(axis=0).tobytes()
+
+
+def reconstruct_gray_oracle(patches, mask, params, cfg):
+    """forward_reconstruct_gray with the folds taken as reshape(...).sum and .mean."""
+    F, D = params["embed_w"].shape
+    P2 = F // 3
+    folded = dict(params, embed_w=params["embed_w"].reshape(3, P2, D).sum(axis=0),
+                  dec_w=params["dec_w"].reshape(D, 3, P2).mean(axis=1),
+                  dec_b=params["dec_b"].reshape(3, P2).mean(axis=0))
+    mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | mask
+    out = patches.copy()
+    out[mask_rows] = models._forward(patches[~mask_rows], folded, cfg, mask_rows)[0]
+    return out
+
+
+@given(st.sampled_from(ARCHS), st.sampled_from([(8, 2), (8, 4), (16, 4), (32, 8)]),
+       st.sampled_from([(4, 1), (8, 2), (32, 4)]), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_reconstruct_gray_folds_equal_sum_and_mean(arch, geometry, width, n, seed):
+    (S, P), (D, heads) = geometry, width
+    cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=S, patch_size=P,
+                      embed_dim=D, num_heads=heads)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, seed=seed % 1000)
+    params["dec_b"] = rng.normal(size=params["dec_b"].shape)
+    mask = build_forecast_mask(int(rng.integers(1, 8)), int(rng.integers(1, 8)), S, P)
+    patches = rng.normal(size=(n, cfg.n_patches, P * P))
+    got = forward_reconstruct_gray(patches, mask, params, cfg)
+    assert got.tobytes() == reconstruct_gray_oracle(patches, mask, params, cfg).tobytes()
+
+
+# --- metric_mse: a sum and a divide against np.mean -------------------------------
+
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=3), st.integers(0, 2**32 - 1),
+       st.floats(1e-6, 1e6))
+def test_metric_mse_equals_np_mean(shape, seed, scale):
+    rng = np.random.default_rng(seed)
+    pred, truth = (rng.normal(size=shape) * scale for _ in range(2))
+    d = pred - truth
+    assert metric_mse(pred, truth) == float(np.mean(d * d))
