@@ -18,16 +18,22 @@ _forward runs embed, body and head; the training loss, predict_linear,
 predict_class and both reconstruct forwards all call it, so the model
 trained is the model predicted with.
 
-A batch runs as one forward and one backward pass over stacked arrays
-(batch_loss splits batches larger than PASS_SAMPLES): (B, N, F) patches
-for the forecast tasks and (B, V, N, F) for classification, whose
-variates run through the body as B*V sequences.
-The kernels take any leading batch dims, (..., N, F) or (..., N, D), and
-compute weight gradients as one matmul over all B*N token rows. The
-reconstruction task follows the masked-autoencoder split: the patch
-projection runs only on visible rows (masked rows take the mask token),
-and the decoder and the masked MSE run only on the masked rows, gathered
-as body[mask]; their gradient is scattered back into zeros.
+Samples are stacks, not lists: a Samples holds n samples of one kind (a
+sample dataclass) as one (n, ...) array per field, and indexes like a
+sequence of samples. The reconstruct sample functions return the stack they build;
+stack_samples is the one place where a list of samples is stacked, once:
+linear samples in pipeline.forecast_samples, and a list given to backward,
+batch_loss or training.train. train takes each batch with one index gather
+per field and batch_loss slices a larger stack (a whole validation set, say)
+into views of PASS_SAMPLES, so a batch runs as one forward and one backward
+pass over (B, N, F) patches for the forecast tasks and (B, V, N, F) for
+classification, whose variates run through the body as B*V sequences. The
+kernels take any leading batch dims, (..., N, F) or (..., N, D), and compute
+weight gradients as one matmul over all B*N token rows. The reconstruction
+task follows the masked-autoencoder split: the patch projection runs only on
+visible rows (masked rows take the mask token), and the decoder and the
+masked MSE run only on the masked rows, gathered as body[mask]; their
+gradient is scattered back into zeros.
 
 Patches are plain arrays cut by alignment.patchify, and a forecast mask
 is the read-only bool (N,) array of alignment.build_forecast_mask. The
@@ -42,7 +48,8 @@ the gray target; forecasts fold the decoder too (see forward_reconstruct_gray).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,7 +67,7 @@ ARCHS = ("wolvm", "lvm2attn", "minimae")
 TASKS = ("classify", "forecast_linear", "forecast_reconstruct")
 
 LN_EPS = 1e-8
-PASS_SAMPLES = 64          # most samples batch_loss stacks into one pass
+PASS_SAMPLES = 64          # most samples batch_loss runs in one pass
 SIZE_FIELDS = ("image_size", "patch_size", "embed_dim", "num_heads", "horizon",
                "num_classes", "num_variates")
 
@@ -175,28 +182,28 @@ def forward_embed(patches: np.ndarray, params: ParamSet,
                   mask_rows: np.ndarray | None = None):
     """tokens = W_e @ patch + b + pos.
 
-    Without mask_rows, patches is (..., N, F) and every row is projected.
-    With mask_rows (bool, (..., N); reconstruction task), patches holds
-    only the (n_visible, F) visible rows, in row-major order of ~mask_rows:
-    masked rows are never projected and take mask_token + pos instead.
+    patches is (..., N, F). Without mask_rows every row is projected. With
+    mask_rows (bool, (..., N); reconstruction task) only the visible rows
+    are, gathered in row-major order of their mask, the one inverse of
+    mask_rows a pass builds: masked rows take mask_token + pos instead.
     """
     F, D = params["embed_w"].shape
     if patches.shape[-1] != F:
         raise ShapeMismatchError(f"patch dim {patches.shape[-1]} != embed fan-in {F}")
+    visible = None
     if mask_rows is None:
         rows = patches.reshape(-1, F)
         proj = (rows @ params["embed_w"] + params["embed_b"]).reshape(patches.shape[:-1] + (D,))
     else:
+        if patches.shape[:-1] != mask_rows.shape:
+            raise ShapeMismatchError(f"patches {patches.shape} for row mask {mask_rows.shape}")
         visible = ~mask_rows
-        if patches.shape != (np.count_nonzero(visible), F):
-            raise ShapeMismatchError(
-                f"{patches.shape[0]} patch rows for {np.count_nonzero(visible)} visible ones")
-        rows = patches
+        rows = patches[visible]
         proj = np.empty(mask_rows.shape + (D,))
         proj[visible] = rows @ params["embed_w"] + params["embed_b"]
         proj[mask_rows] = params["mask_token"]
     proj += params["pos"][: proj.shape[-2]]
-    return proj, {"rows": rows, "mask_rows": mask_rows}
+    return proj, {"rows": rows, "mask_rows": mask_rows, "visible": visible}
 
 
 def backward_embed(d_tokens: np.ndarray, cache: dict, grads: GradSet) -> None:
@@ -207,7 +214,7 @@ def backward_embed(d_tokens: np.ndarray, cache: dict, grads: GradSet) -> None:
         d_proj = d_tokens.reshape(-1, D)
     else:
         grads["mask_token"] += d_tokens[mask_rows].sum(axis=0)
-        d_proj = d_tokens[~mask_rows]
+        d_proj = d_tokens[cache["visible"]]
     g = cache["rows"].T @ d_proj
     grads["embed_w"].reshape((-1,) + g.shape)[:] += g    # gray rows feed all 3 blocks
     grads["embed_b"] += d_proj.sum(axis=0)
@@ -260,11 +267,17 @@ def forward_attention(tokens: np.ndarray, params: ParamSet, num_heads: int):
     np.exp(A, out=A)
     A /= A.sum(axis=-1, keepdims=True)                   # (..., h, N, N)
     O = _merge_heads(A @ Vh)
-    z = x + O @ params["wo"]
+    # the residual and the layer norm run in place on fresh arrays: each
+    # element sees the same operations in the same order as the expressions
+    # x + O @ wo, (z - mean) * inv_std and ln_g * xhat + ln_b
+    z = O @ params["wo"]
+    z += x
     z -= z.sum(axis=1, keepdims=True) / D        # np.mean's sum and divide; centred once
     inv_std = 1.0 / np.sqrt((z * z).sum(axis=1, keepdims=True) / D + LN_EPS)
-    xhat = z * inv_std
-    out = params["ln_g"] * xhat + params["ln_b"]
+    xhat = z
+    xhat *= inv_std
+    out = xhat * params["ln_g"]
+    out += params["ln_b"]
     cache = {"kind": "attn", "x": x, "Qh": Qh, "Kh": Kh, "Vh": Vh, "A": A, "O": O,
              "xhat": xhat, "inv_std": inv_std}
     return out.reshape(tokens.shape), cache
@@ -278,22 +291,31 @@ def backward_attention(d_out: np.ndarray, cache: dict, params: ParamSet,
     grads["ln_g"] += (g * xhat).sum(axis=0)
     grads["ln_b"] += g.sum(axis=0)
     d_xhat = g * params["ln_g"]
-    dz = inv_std * (d_xhat
-                    - d_xhat.mean(axis=1, keepdims=True)
-                    - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True))
+    # dz = inv_std * (d_xhat - mean(d_xhat) - xhat * mean(d_xhat * xhat)), in
+    # place; the means are np.mean's sum and divide, as in the forward
+    D = x.shape[1]
+    t = d_xhat * xhat
+    s = t.sum(axis=1, keepdims=True) / D
+    dz = d_xhat - d_xhat.sum(axis=1, keepdims=True) / D
+    dz -= np.multiply(xhat, s, out=t)
+    dz *= inv_std
     grads["wo"] += cache["O"].T @ dz
     dOh = _split_heads(dz @ params["wo"].T, A.shape[:-3], A.shape[-1], A.shape[-3])
     d_scores = dOh @ Vh.swapaxes(-1, -2)                 # dA, then softmax backward in place
     d_scores -= (d_scores * A).sum(axis=-1, keepdims=True)
     d_scores *= A
-    scale = 1.0 / np.sqrt(Qh.shape[-1])
-    dQ = _merge_heads(d_scores @ Kh * scale)
-    dK = _merge_heads(d_scores.swapaxes(-1, -2) @ Qh * scale)
-    dV = _merge_heads(A.swapaxes(-1, -2) @ dOh)
+    scale = 1.0 / math.sqrt(Qh.shape[-1])
+    dQh, dKh = d_scores @ Kh, d_scores.swapaxes(-1, -2) @ Qh
+    dQh *= scale
+    dKh *= scale
+    dQ, dK, dV = (_merge_heads(a) for a in (dQh, dKh, A.swapaxes(-1, -2) @ dOh))
     grads["wq"] += x.T @ dQ
     grads["wk"] += x.T @ dK
     grads["wv"] += x.T @ dV
-    d_tokens = dz + dQ @ params["wq"].T + dK @ params["wk"].T + dV @ params["wv"].T
+    d_tokens = dz                                        # dz + dQ wq' + dK wk' + dV wv', in place
+    d_tokens += dQ @ params["wq"].T
+    d_tokens += dK @ params["wk"].T
+    d_tokens += dV @ params["wv"].T
     return d_tokens.reshape(d_out.shape)
 
 
@@ -305,7 +327,7 @@ _HEAD_PARAMS = {"classify": ("head_w", "head_b"), "forecast_linear": ("head_w", 
 
 def _forward(x: np.ndarray, params: ParamSet, cfg: ModelConfig,
              mask_rows: np.ndarray | None = None):
-    """Embed x (laid out as forward_embed takes it), run the body and the
+    """Embed x (and its row mask) as forward_embed does, run the body and the
     task's linear head -> (output, head input, body, caches). The head input
     and the output are, per task:
       classify              (..., V * D) per-variate token means,
@@ -345,7 +367,7 @@ def forward_reconstruct(patches: np.ndarray, mask: np.ndarray, params: ParamSet,
     passed through untouched."""
     mask_rows = _checked_mask(mask, patches.shape[0])
     out = patches.copy()
-    out[mask_rows] = _forward(patches[~mask_rows], params, cfg, mask_rows)[0]
+    out[mask_rows] = _forward(patches, params, cfg, mask_rows)[0]
     return out
 
 
@@ -377,11 +399,12 @@ def forward_reconstruct_gray(patches: np.ndarray, mask: np.ndarray, params: Para
     if params["dec_w"].shape != (D, 3 * P2):
         raise ShapeMismatchError(
             f"dec_w {params['dec_w'].shape} does not fit three channels of {P2}-pixel patches")
+    # the one (..., N) row mask; forward_embed builds its one inverse
     mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | _checked_mask(mask, patches.shape[-2])
     w, b = params["dec_w"].reshape(D, 3, P2).swapaxes(0, 1), params["dec_b"].reshape(3, P2)
     folded.update(dec_w=(w[0] + w[1] + w[2]) / 3, dec_b=(b[0] + b[1] + b[2]) / 3)  # mean's order
     out = patches.copy()
-    out[mask_rows] = _forward(patches[~mask_rows], folded, cfg, mask_rows)[0]
+    out[mask_rows] = _forward(patches, folded, cfg, mask_rows)[0]
     return out
 
 
@@ -406,6 +429,33 @@ class ReconstructSample:
     mask_rows: np.ndarray           # bool (N,)
 
 
+class Samples(Sequence):
+    """n samples of one kind, the sample dataclass `kind`, as one stacked
+    (n, ...) array per field of it, read as attributes (``stack.patches``).
+    An integer index gives one `kind` sample of views, as does each step of
+    iterating it; a slice or an index array gives a Samples of the rows
+    picked, with one index per field."""
+
+    def __init__(self, kind: type, arrays):
+        self.kind, self.arrays = kind, tuple(arrays)
+        self.names = tuple(f.name for f in fields(kind))
+        for name, a in zip(self.names, self.arrays, strict=True):
+            setattr(self, name, a)
+        self.n = len(self.arrays[0])
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return map(self.kind, *self.arrays)
+
+    def __getitem__(self, i):
+        picked = [a[i] for a in self.arrays]
+        if isinstance(i, (int, np.integer)):
+            return self.kind(*picked)
+        return Samples(self.kind, picked)
+
+
 def _stack(arrays: list, what: str) -> np.ndarray:
     try:
         return np.stack(arrays)
@@ -413,15 +463,27 @@ def _stack(arrays: list, what: str) -> np.ndarray:
         raise ShapeMismatchError(f"{what} of a batch differ in shape: {e}") from None
 
 
-def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None) -> float:
+def stack_samples(samples) -> Samples:
+    """`samples` as a non-empty Samples: a Samples as is, a sequence of
+    samples of one kind stacked field by field. This is the one place where
+    samples are stacked."""
+    if not len(samples):
+        raise ShapeMismatchError("batch is empty")
+    if isinstance(samples, Samples):
+        return samples
+    kind = type(samples[0])
+    if any(type(s) is not kind for s in samples):
+        raise ShapeMismatchError(f"a batch mixes {kind.__name__} with other samples")
+    return Samples(kind, (_stack([getattr(s, f.name) for s in samples], f.name)
+                          for f in fields(kind)))
+
+
+def _loss(batch: Samples, params: ParamSet, cfg: ModelConfig, grads: GradSet | None) -> float:
     """Mean loss of one stacked pass over the batch, which must be finite;
     when grads is a dict, the gradients of that mean are added into it."""
-    if not batch:
-        raise ShapeMismatchError("batch is empty")
     B = len(batch)
     if cfg.task == "classify":
-        x = _stack([s.patch_seqs for s in batch], "variate patches")    # (B, V, N, F)
-        labels = np.array([s.label for s in batch])
+        x, labels = batch.patch_seqs, batch.label                       # (B, V, N, F), (B,)
         n_classes = params["head_b"].shape[0]
         if labels.min() < 0 or labels.max() >= n_classes:
             raise LabelOutOfRangeError(f"labels {labels} outside [0, {n_classes})")
@@ -433,8 +495,7 @@ def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None
         d_out[np.arange(B), labels] -= 1.0
         d_out /= B
     elif cfg.task == "forecast_linear":
-        x = _stack([s.patches for s in batch], "patches")               # (B, N, F)
-        target = _stack([s.target for s in batch], "targets")
+        x, target = batch.patches, batch.target                         # (B, N, F), (B, T')
         pred, feat, body, caches = _forward(x, params, cfg)
         if pred.shape != target.shape:
             raise ShapeMismatchError(f"forecast {pred.shape} != target {target.shape}")
@@ -442,23 +503,24 @@ def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None
         loss = float(np.mean(err * err))
         d_out = 2.0 * err / err.size
     else:  # forecast_reconstruct: MSE on masked patch entries only
-        x = _stack([s.patches for s in batch], "patches")               # gray (B, N, P*P)
-        target = _stack([s.target_patches for s in batch], "target patches")
-        mask = _stack([s.mask_rows for s in batch], "masks").astype(bool, copy=False)
+        x, target = batch.patches, batch.target_patches                 # gray (B, N, P*P)
+        mask = batch.mask_rows.astype(bool, copy=False)
         if x.ndim != 3 or x.shape != target.shape or x.shape[:2] != mask.shape:
             raise ShapeMismatchError("patches, target patches and mask rows differ")
         n_masked = mask.sum(axis=1)
         if not n_masked.all():
             raise EmptyMaskError("reconstruction loss needs >= 1 masked patch per sample")
-        err, feat, body, caches = _forward(x[~mask], _gray_embed(params, x.shape[2]), cfg,
+        err, feat, body, caches = _forward(x, _gray_embed(params, x.shape[2]), cfg,
                                            mask)                        # body (B, N, D)
         err3 = err.reshape(len(err), 3, -1)     # each decoded channel against the gray target
         err3 -= target[mask][:, None]
         # each sample's masked MSE, averaged over the batch: a row of sample
         # b weighs 1 / (B * n_b * F)
         w = np.repeat(1.0 / (B * n_masked * err.shape[1]), n_masked)[:, None]
-        loss = float((w * err * err).sum())
-        d_out = 2.0 * w * err
+        sq = w * err                            # (w * err * err).sum(), in place
+        sq *= err
+        loss = float(sq.sum())
+        d_out = np.multiply(2.0 * w, err, out=sq)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss is {loss}")
     if grads is None:
@@ -480,18 +542,20 @@ def _loss(batch: list, params: ParamSet, cfg: ModelConfig, grads: GradSet | None
     return loss
 
 
-def batch_loss(batch: list, params: ParamSet, cfg: ModelConfig) -> float:
-    """Mean loss over a batch, forward only. Batches larger than
-    PASS_SAMPLES (a whole validation set, say) run in several stacked
-    passes, so activation memory does not grow with the batch."""
-    if not batch:
-        raise ShapeMismatchError("batch is empty")
+def batch_loss(batch, params: ParamSet, cfg: ModelConfig) -> float:
+    """Mean loss over a batch (a Samples or a list of samples), forward
+    only. Batches larger than PASS_SAMPLES (a whole validation set, say) run
+    in several passes over views of the stack, so activation memory does
+    not grow with the batch."""
+    batch = stack_samples(batch)
     parts = [batch[i:i + PASS_SAMPLES] for i in range(0, len(batch), PASS_SAMPLES)]
     return sum(_loss(p, params, cfg, None) * (len(p) / len(batch)) for p in parts)
 
 
-def backward(batch: list, params: ParamSet, cfg: ModelConfig):
-    """Mean loss and analytic gradients over a batch."""
+def backward(batch, params: ParamSet, cfg: ModelConfig):
+    """Mean loss and analytic gradients over a batch (a Samples or a list
+    of samples)."""
+    batch = stack_samples(batch)
     grads = flat_views(np.zeros(sum(p.size for p in params.values())), params)
     return _loss(batch, params, cfg, grads), grads
 

@@ -2,8 +2,9 @@
 frameworks, and the mask-reconstruction forecast pipeline.
 
 A forecast split is (n, d, H) look-backs plus (n, d, T') targets, with two
-entry points routed by task and layout: :func:`forecast_samples` (training
-samples) and :func:`forecast_windows` (an (n, d, horizon) forecast).
+entry points routed by task and layout: :func:`forecast_samples` (its
+training samples, one :class:`~tsimg.models.Samples` stack) and
+:func:`forecast_windows` (an (n, d, horizon) forecast).
 
 The mask-reconstruction core is stacked: :func:`build_reconstruct_samples`
 and :func:`predict_forecasts` (UVH, one segment length) and the MVH core
@@ -47,8 +48,10 @@ from .models import (
     ModelConfig,
     ParamSet,
     ReconstructSample,
+    Samples,
     forward_reconstruct_gray,
     predict_linear,
+    stack_samples,
     validate_routing,
 )
 from .series import MultivariateSeries, WindowSample
@@ -177,14 +180,15 @@ def _mvh_with_horizon(lookbacks: np.ndarray, horizon: int,
 
 
 def _reconstruct_samples(in_stack: np.ndarray, tgt_stack: np.ndarray,
-                         layout: ReconstructLayout, cfg: ModelConfig) -> list:
+                         layout: ReconstructLayout, cfg: ModelConfig) -> Samples:
     """Framework-(d) training core shared by UVH and MVH.
 
     Resize both (n, h, w) stacks to S x S, standardize each input image,
     scale each target by its input's statistics (so the loss lives in the
     model's input space), patchify (gray), and mask the patch columns past
-    the look-back boundary. The n samples are views into one stacked array
-    each for gray patches and targets, and share one read-only mask.
+    the look-back boundary. Returns the n samples as the stack it built:
+    (n, N, P*P) gray patches and targets, and the one read-only mask
+    broadcast to (n, N).
     """
     S, P = cfg.image_size, cfg.patch_size
     std, mu, sigma, degenerate = standardize_stack(resize_stack(check_images(in_stack), S, S))
@@ -192,12 +196,12 @@ def _reconstruct_samples(in_stack: np.ndarray, tgt_stack: np.ndarray,
     tgt_std = (resize_stack(check_images(tgt_stack), S, S) - mu[:, None, None]) / safe_sigma
     patches, targets = (patchify(check_images(x), P) for x in (std, tgt_std))
     mask_rows = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P)
-    return [ReconstructSample(patches=p, target_patches=t, mask_rows=mask_rows)
-            for p, t in zip(patches, targets)]
+    return Samples(ReconstructSample, (patches, targets,
+                                       np.broadcast_to(mask_rows, patches.shape[:2])))
 
 
 def build_reconstruct_samples(lookbacks: np.ndarray, targets: np.ndarray,
-                              seg_len: int, cfg: ModelConfig) -> list:
+                              seg_len: int, cfg: ModelConfig) -> Samples:
     """UVH training samples of (n, H) look-backs and their (n, T') targets,
     all with one segment length: each input image has placeholder horizon
     columns, each target image the true horizon."""
@@ -214,7 +218,7 @@ def build_reconstruct_sample(lookback: np.ndarray, target: np.ndarray,
                                      np.reshape(target, (1, -1)), seg_len, cfg)[0]
 
 
-def _mvh_samples(lookbacks: np.ndarray, targets: np.ndarray, cfg: ModelConfig) -> list:
+def _mvh_samples(lookbacks: np.ndarray, targets: np.ndarray, cfg: ModelConfig) -> Samples:
     """MVH training samples: each (d, H) look-back of an (n, d, H) stack is
     extended by T' horizon columns (one per future time step) and masked
     past the look-back boundary; `targets` is (n, d, T')."""
@@ -317,18 +321,24 @@ def predict_forecast_mvh(lookback: np.ndarray, horizon: int, params: ParamSet,
 
 def _by_seg_len(rows: np.ndarray, seg_len: int | None, run) -> list:
     """``run(idx, L)`` for the indices `idx` of the (H,) `rows` of each UVH
-    segment length L (`seg_len` when given, else each row's FFT period),
-    its results put back in row order."""
+    segment length L (`seg_len` when given, else each row's FFT period):
+    the (len(idx), ...) arrays it returns, each put back in row order."""
     lengths = np.array([uvh_seg_len(row, seg_len) for row in rows])
-    out = {}
+    out = None
     for L in np.unique(lengths):
         idx = np.flatnonzero(lengths == L)
-        out.update(zip(idx, run(idx, int(L))))
-    return [out[i] for i in range(len(rows))]
+        arrays = run(idx, int(L))
+        if len(idx) == len(rows):
+            return arrays                   # one segment length: already in row order
+        if out is None:
+            out = [np.empty((len(rows),) + a.shape[1:], a.dtype) for a in arrays]
+        for o, a in zip(out, arrays):
+            o[idx] = a
+    return out
 
 
 def forecast_samples(lookbacks: np.ndarray, targets: np.ndarray, method: str,
-                     cfg: ModelConfig, seg_len: int | None = None) -> list:
+                     cfg: ModelConfig, seg_len: int | None = None) -> Samples:
     """Training samples of (n, d, H) look-backs and their (n, d, T') targets
     for `cfg.task`, in window-then-variate order.
 
@@ -343,9 +353,10 @@ def forecast_samples(lookbacks: np.ndarray, targets: np.ndarray, method: str,
         return _mvh_samples(lookbacks, targets, cfg)
     rows, tgts = _per_image(lookbacks, method), _per_image(targets, method)
     if cfg.task != "forecast_reconstruct":
-        return [build_linear_sample(lb, tg, method, cfg, L=seg_len) for lb, tg in zip(rows, tgts)]
-    return _by_seg_len(rows, seg_len, lambda idx, L: build_reconstruct_samples(
-        rows[idx], tgts[idx], L, cfg))
+        return stack_samples([build_linear_sample(lb, tg, method, cfg, L=seg_len)
+                              for lb, tg in zip(rows, tgts)])
+    return Samples(ReconstructSample, _by_seg_len(rows, seg_len, lambda idx, L: (
+        build_reconstruct_samples(rows[idx], tgts[idx], L, cfg).arrays)))
 
 
 def forecast_windows(lookbacks: np.ndarray, method: str, horizon: int,
@@ -362,8 +373,9 @@ def forecast_windows(lookbacks: np.ndarray, method: str, horizon: int,
         return _mvh_forecasts(lookbacks, horizon, params, cfg)
     rows = _per_image(lookbacks, method)
     if cfg.task == "forecast_reconstruct":
-        out = _by_seg_len(rows, seg_len, lambda idx, L: predict_forecasts(
-            rows[idx], L, horizon, params, cfg))
+        out = _by_seg_len(rows, seg_len, lambda idx, L: [predict_forecasts(
+            rows[idx], L, horizon, params, cfg)])[0]
     else:   # one image per call: a matmul over more rows may round differently
-        out = [predict_linear(_patches(x, method, cfg, seg_len), params, cfg) for x in rows]
-    return np.stack(out).reshape(lookbacks.shape[:2] + (horizon,))
+        out = np.stack([predict_linear(_patches(x, method, cfg, seg_len), params, cfg)
+                        for x in rows])
+    return out.reshape(lookbacks.shape[:2] + (horizon,))

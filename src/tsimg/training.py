@@ -2,7 +2,8 @@
 best-epoch restoration. Training keeps one contiguous float64 vector each
 for the parameters, the gradients, Adam's m and v and the best-epoch
 snapshot; the model reads the first two by name through models.flat_views,
-and an Adam step is a few whole-vector ufunc calls."""
+and an Adam step is a few whole-vector ufunc calls. Each split is one
+models.Samples stack, and a batch is one index gather per field of it."""
 
 from __future__ import annotations
 
@@ -12,7 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPositiveError, ShapeMismatchError
-from .models import ModelConfig, ParamSet, backward, batch_loss, flat_views, predict_class
+from .models import (
+    ModelConfig,
+    ParamSet,
+    Samples,
+    backward,
+    batch_loss,
+    flat_views,
+    predict_class,
+    stack_samples,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -82,24 +92,26 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     params -= np.divide(num, den, out=num)
 
 
-def _validation_metric(val_data: list, params: ParamSet, cfg: ModelConfig) -> float:
-    """Accuracy for classification (higher better), mean loss otherwise
-    (lower better)."""
+def _validation_metric(val: Samples, params: ParamSet, cfg: ModelConfig) -> float:
+    """Accuracy for classification (higher better), one sample at a time;
+    mean loss otherwise (lower better)."""
     if cfg.task == "classify":
-        return sum(predict_class(s.patch_seqs, params, cfg) == s.label
-                   for s in val_data) / len(val_data)
-    return batch_loss(val_data, params, cfg)
+        return sum(predict_class(x, params, cfg) == y
+                   for x, y in zip(val.patch_seqs, val.label.tolist())) / len(val)
+    return batch_loss(val, params, cfg)
 
 
-def train(model_cfg: ModelConfig, params: ParamSet, train_data: list,
-          val_data: list, cfg: TrainConfig) -> tuple[ParamSet, History]:
+def train(model_cfg: ModelConfig, params: ParamSet, train_data, val_data,
+          cfg: TrainConfig) -> tuple[ParamSet, History]:
     """Seeded mini-batch Adam loop on a float64 copy of `params` packed into
     one vector; stops after `patience` consecutive non-improving epochs,
     writes the best-validation epoch's values into the caller's arrays and
-    returns the caller's dict. A non-finite loss raises NonFiniteLossError
-    and leaves the caller's arrays at their entry values."""
+    returns the caller's dict. Each split is a Samples or a list of samples,
+    stacked once here. A non-finite loss raises NonFiniteLossError and
+    leaves the caller's arrays at their entry values."""
     if not train_data or not val_data:
         raise ShapeMismatchError("train and val data must be non-empty")
+    train_data, val_data = stack_samples(train_data), stack_samples(val_data)
     rng = np.random.default_rng(cfg.seed)
     live = flat_views(np.concatenate([p.ravel() for p in params.values()], dtype=np.float64),
                       params)
@@ -113,7 +125,7 @@ def train(model_cfg: ModelConfig, params: ParamSet, train_data: list,
         epoch_loss = 0.0
         starts = range(0, len(train_data), cfg.batch_size)
         for start in starts:
-            batch = [train_data[i] for i in order[start:start + cfg.batch_size]]
+            batch = train_data[order[start:start + cfg.batch_size]]
             loss, grads = backward(batch, live, model_cfg)
             adam_step(live.vector, grads.vector, state, cfg.learning_rate)
             epoch_loss += loss

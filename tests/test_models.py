@@ -18,6 +18,7 @@ from tsimg.models import (
     ForecastSample,
     ModelConfig,
     ReconstructSample,
+    Samples,
     backward,
     batch_loss,
     forward_attention,
@@ -28,6 +29,7 @@ from tsimg.models import (
     init_params,
     predict_class,
     predict_linear,
+    stack_samples,
     validate_routing,
 )
 
@@ -352,6 +354,33 @@ def test_batched_backward_equals_mean_of_single_samples(arch, task):
         assert np.max(np.abs(grads[k] - mean_grad)) <= 1e-12 * scale, k
 
 
+@pytest.mark.parametrize("task", TASKS)
+def test_stack_samples_indexes_like_its_list(task):
+    cfg = small_cfg("minimae", task)
+    batch = make_batch(cfg, np.random.default_rng(19), n=5)
+    stack = stack_samples(batch)
+    assert isinstance(stack, Samples) and stack_samples(stack) is stack and len(stack) == 5
+    picked = stack[np.array([3, 0, 3])]
+    assert isinstance(picked, Samples) and len(picked) == 3 and len(stack[1:4]) == 3
+    for j, i in enumerate((3, 0, 3)):
+        want = batch[i]
+        for got in (stack[i], picked[j], list(stack)[i]):
+            assert type(got) is type(want)
+            for name in stack.names:
+                assert np.array_equal(getattr(got, name), np.asarray(getattr(want, name)))
+
+
+def test_stack_samples_refuses_empty_mixed_and_ragged_batches():
+    cfg = small_cfg("minimae", "forecast_reconstruct")
+    batch = make_batch(cfg, np.random.default_rng(20), n=3)
+    linear = make_batch(small_cfg("minimae", "forecast_linear"), np.random.default_rng(20), n=1)
+    ragged = batch[:2] + [ReconstructSample(batch[2].patches[:-1], batch[2].target_patches[:-1],
+                                            batch[2].mask_rows[:-1])]
+    for bad in ([], stack_samples(batch)[3:], batch + linear, ragged):
+        with pytest.raises(ShapeMismatchError):
+            stack_samples(bad)
+
+
 def test_empty_mask_in_one_sample_raises():
     cfg = small_cfg("minimae", "forecast_reconstruct")
     params = init_params(cfg, 0)
@@ -437,10 +466,11 @@ def _three_channel_loss(batch, params, cfg, grads):
     from tsimg.models import _forward, backward_body
     B = len(batch)
     mask = np.stack([s.mask_rows for s in batch])
-    visible = np.concatenate([replicate_channels(s.patches)[~s.mask_rows] for s in batch])
+    patches = np.stack([replicate_channels(s.patches) for s in batch])
+    visible = patches[~mask]
     target = np.concatenate([replicate_channels(s.target_patches)[s.mask_rows]
                              for s in batch])
-    err, feat, body, (_, body_cache) = _forward(visible, params, cfg, mask)
+    err, feat, body, (_, body_cache) = _forward(patches, params, cfg, mask)
     err -= target
     n_masked = mask.sum(axis=1)
     w = np.repeat(1.0 / (B * n_masked * target.shape[1]), n_masked)[:, None]

@@ -1,7 +1,8 @@
 """Each expression trimmed to fewer numpy calls on the forecast path, pinned
 bit for bit to the expression it replaced, kept here as the oracle: the
 period pick, the bilinear resize and its clamp, the forecast mask cache,
-the attention layer norm, the gray weight folds and the MSE."""
+the attention layer norm forward and backward, the gray weight folds and
+the MSE."""
 
 import math
 
@@ -162,6 +163,54 @@ def test_attention_layer_norm_equals_np_mean_form(B, D, heads):
     assert cache["inv_std"].tobytes() == inv_std.tobytes()
 
 
+# --- backward_attention: the layer-norm means against np.mean ---------------------
+
+def attention_backward_oracle(d_out, cache, params, grads):
+    """backward_attention with its two layer-norm means taken by np.mean."""
+    x, xhat, inv_std, A = cache["x"], cache["xhat"], cache["inv_std"], cache["A"]
+    Qh, Kh, Vh = cache["Qh"], cache["Kh"], cache["Vh"]
+    g = d_out.reshape(x.shape)
+    grads["ln_g"] += (g * xhat).sum(axis=0)
+    grads["ln_b"] += g.sum(axis=0)
+    d_xhat = g * params["ln_g"]
+    dz = inv_std * (d_xhat
+                    - d_xhat.mean(axis=1, keepdims=True)
+                    - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True))
+    grads["wo"] += cache["O"].T @ dz
+    dOh = models._split_heads(dz @ params["wo"].T, A.shape[:-3], A.shape[-1], A.shape[-3])
+    d_scores = dOh @ Vh.swapaxes(-1, -2)
+    d_scores -= (d_scores * A).sum(axis=-1, keepdims=True)
+    d_scores *= A
+    scale = 1.0 / np.sqrt(Qh.shape[-1])
+    dQ = models._merge_heads(d_scores @ Kh * scale)
+    dK = models._merge_heads(d_scores.swapaxes(-1, -2) @ Qh * scale)
+    dV = models._merge_heads(A.swapaxes(-1, -2) @ dOh)
+    grads["wq"] += x.T @ dQ
+    grads["wk"] += x.T @ dK
+    grads["wv"] += x.T @ dV
+    d_tokens = dz + dQ @ params["wq"].T + dK @ params["wk"].T + dV @ params["wv"].T
+    return d_tokens.reshape(d_out.shape)
+
+
+@pytest.mark.parametrize("B", [1, 16, 64])
+@pytest.mark.parametrize("D, heads", [(32, 4), (8, 2), (12, 3)])
+def test_attention_backward_layer_norm_equals_np_mean_form(B, D, heads):
+    cfg = ModelConfig(arch="minimae", task="forecast_reconstruct", image_size=32,
+                      patch_size=8, embed_dim=D, num_heads=heads)
+    rng = np.random.default_rng(B * D + 1)
+    params = init_params(cfg, seed=B + D)
+    params["ln_g"] = rng.normal(size=D)
+    tokens = rng.normal(size=(B, cfg.n_patches, D)) * 3.0
+    d_out = rng.normal(size=tokens.shape)
+    _, cache = forward_attention(tokens, params, heads)
+    got = {k: np.zeros_like(p) for k, p in params.items()}
+    want = {k: np.zeros_like(p) for k, p in params.items()}
+    d_tokens = models.backward_attention(d_out, cache, params, got)
+    assert d_tokens.tobytes() == attention_backward_oracle(d_out, cache, params, want).tobytes()
+    for k in params:
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
 # --- the gray folds: block adds against reshape(...).sum and .mean -------------------
 
 @given(st.integers(1, 40), st.integers(1, 80), st.integers(0, 2**32 - 1))
@@ -180,7 +229,7 @@ def reconstruct_gray_oracle(patches, mask, params, cfg):
                   dec_b=params["dec_b"].reshape(3, P2).mean(axis=0))
     mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | mask
     out = patches.copy()
-    out[mask_rows] = models._forward(patches[~mask_rows], folded, cfg, mask_rows)[0]
+    out[mask_rows] = models._forward(patches, folded, cfg, mask_rows)[0]
     return out
 
 
