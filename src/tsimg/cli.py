@@ -223,8 +223,9 @@ def cmd_train(args) -> int:
             "d": args.d if task == "classify" else tr[0].shape[1], "seed": args.seed}
     (out_dir / "config.json").write_text(json.dumps(meta, indent=2) + "\n")
     dataio.write_history_csv(str(out_dir / "history.csv"), history)
-    print(f"train task={task} arch={args.arch} imaging={args.imaging} "
-          f"epochs={len(history)} best={history[-1].val_metric!r} out={out_dir}")
+    best = training.best_epoch(history, cfg.task)
+    print(f"train task={task} arch={args.arch} imaging={args.imaging} epochs={len(history)} "
+          f"best={best.val_metric!r} best_epoch={best.epoch} out={out_dir}")
     return 0
 
 

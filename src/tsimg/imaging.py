@@ -27,6 +27,8 @@ from .errors import (
 )
 from .series import MultivariateSeries
 
+ROW_BLOCK = 32      # rows per temporary of a T x T image (GAF, recurrence plot)
+
 
 @dataclass
 class PeriodEstimate:
@@ -106,9 +108,9 @@ def mvh(X: MultivariateSeries) -> np.ndarray:
 def gaf(x: np.ndarray) -> tuple[np.ndarray, GafContext]:
     """Gramian angular field (summation form).
 
-    Min-max scales x to [0, 1], maps to angles phi = arccos(x_hat) and
-    returns the T x T matrix cos(phi_i + phi_j). A constant input has no
-    range; every x_hat is set to the midpoint 0.5 and the context flagged.
+    Min-max scales x to [0, 1], maps to angles phi = arccos(x_hat) and returns
+    the T x T matrix cos(phi_i + phi_j), in one buffer. A constant input has
+    no range; every x_hat is set to the midpoint 0.5 and the context flagged.
     """
     x = check_series(np.asarray(x, dtype=np.float64))
     lo, hi = float(x.min()), float(x.max())
@@ -118,7 +120,9 @@ def gaf(x: np.ndarray) -> tuple[np.ndarray, GafContext]:
     else:
         xh = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
     comp = np.sqrt(np.clip(1.0 - xh * xh, 0.0, None))
-    img = np.outer(xh, xh) - np.outer(comp, comp)
+    img = np.multiply.outer(xh, xh)
+    for r in range(0, x.size, ROW_BLOCK):
+        img[r:r + ROW_BLOCK] -= np.multiply.outer(comp[r:r + ROW_BLOCK], comp)
     return img, GafContext(min=lo, max=hi, degenerate=degenerate)
 
 
@@ -137,7 +141,7 @@ def gaf_diag_inverse(img: np.ndarray, ctx: GafContext) -> np.ndarray:
 
 def recurrence_plot(x: np.ndarray, embed_dim: int = 1, delay: int = 1) -> np.ndarray:
     """Unthresholded recurrence plot: pairwise Euclidean distances between
-    delay-embedded states."""
+    delay-embedded states, summed in row blocks into one (m, m) buffer."""
     x = check_series(np.asarray(x, dtype=np.float64))
     if embed_dim < 1 or delay < 1:
         raise NonPositiveError(f"embed_dim and delay must be >= 1, got {embed_dim} and {delay}")
@@ -146,8 +150,11 @@ def recurrence_plot(x: np.ndarray, embed_dim: int = 1, delay: int = 1) -> np.nda
         raise EmbeddingTooLargeError(
             f"embedding (dim={embed_dim}, delay={delay}) leaves no states for T={x.size}")
     states = np.stack([x[j * delay:j * delay + m] for j in range(embed_dim)], axis=1)
-    diff = states[:, None, :] - states[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    out = np.empty((m, m))
+    for r in range(0, m, ROW_BLOCK):    # each distance is numpy's sum over its embed_dim squares
+        d = states[r:r + ROW_BLOCK, None, :] - states[None, :, :]
+        np.multiply(d, d, out=d).sum(axis=2, out=out[r:r + ROW_BLOCK])
+    return np.sqrt(out, out=out)
 
 
 def stft_spectrogram(x: np.ndarray, window_len: int | None = None,

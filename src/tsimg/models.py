@@ -412,7 +412,7 @@ def forward_reconstruct_gray(patches: np.ndarray, mask: np.ndarray, params: Para
 
 @dataclass
 class ClassifySample:
-    patch_seqs: list[np.ndarray]    # per-variate (N, F) patch matrices
+    patch_seqs: np.ndarray          # (V, N, F): a window's variates, aligned as one stack
     label: int
 
 
@@ -456,9 +456,9 @@ class Samples(Sequence):
         return Samples(self.kind, picked)
 
 
-def _stack(arrays: list, what: str) -> np.ndarray:
+def _stack(arrays, what: str) -> np.ndarray:
     try:
-        return np.stack(arrays)
+        return arrays if isinstance(arrays, np.ndarray) else np.stack(arrays)
     except ValueError as e:
         raise ShapeMismatchError(f"{what} of a batch differ in shape: {e}") from None
 
@@ -566,7 +566,7 @@ def predict_linear(sample_patches: np.ndarray, params: ParamSet,
     return _forward(sample_patches, params, cfg)[0]
 
 
-def predict_class(patch_seqs: list[np.ndarray], params: ParamSet,
-                  cfg: ModelConfig) -> int:
-    """The class of V (N, F) patch matrices; ties go to the lowest class."""
+def predict_class(patch_seqs, params: ParamSet, cfg: ModelConfig) -> int:
+    """The class of V (N, F) patch matrices, a (V, N, F) array or a list;
+    ties go to the lowest class."""
     return int(np.argmax(_forward(_stack(patch_seqs, "variate patches"), params, cfg)[0]))

@@ -18,8 +18,8 @@ Images are float64 arrays, checked once per stack by
 :func:`~tsimg.alignment.check_images` where a non-finite value can first
 appear: on :func:`image_for_method`'s output and on the stacks of the
 reconstruction core. Every path cuts patches with one
-:func:`~tsimg.alignment.patchify`; classify and linear samples hold them
-replicated into the model's three channels, the rest keep them gray.
+:func:`~tsimg.alignment.patchify`; classify and linear images are resized one
+by one, then aligned as one stack in the model's three channels; the rest stay gray.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .alignment import (
     replicate_channels,
     resize_bilinear,
     resize_stack,
-    standardize_image,
     standardize_stack,
     unpatchify,
 )
@@ -97,23 +96,24 @@ def _per_image(stack: np.ndarray, method: str) -> np.ndarray:
     return stack if method == "mvh" else stack.reshape(-1, stack.shape[-1])
 
 
-def _patches(x: np.ndarray, method: str, cfg: ModelConfig, L: int | None = None) -> np.ndarray:
-    """Framework-(b)/(c) input: `x` imaged, then resized, standardized, cut
-    into patches and replicated (the shared input alignment)."""
-    img = resize_bilinear(image_for_method(method, x, L=L), cfg.image_size, cfg.image_size)
-    return replicate_channels(patchify(standardize_image(img)[None], cfg.patch_size))[0]
+def _patches(xs: np.ndarray, method: str, cfg: ModelConfig, L: int | None = None) -> np.ndarray:
+    """Framework-(b)/(c) input of n rows (a window's variates, say): each imaged and
+    resized on its own, then standardized, patched and replicated as one stack."""
+    S = cfg.image_size
+    imgs = np.stack([resize_bilinear(image_for_method(method, x, L=L), S, S) for x in xs])
+    return replicate_channels(patchify(standardize_stack(imgs)[0], cfg.patch_size))
 
 
 def build_classify_sample(window: WindowSample, method: str, cfg: ModelConfig,
                           L: int | None = None) -> ClassifySample:
     """Image each variate independently (single shared image for mvh)."""
-    seqs = [_patches(x, method, cfg, L) for x in _per_image(window.lookback[None], method)]
-    return ClassifySample(patch_seqs=seqs, label=window.class_label)
+    xs = _per_image(window.lookback[None], method)
+    return ClassifySample(patch_seqs=_patches(xs, method, cfg, L), label=window.class_label)
 
 
 def build_linear_sample(lookback: np.ndarray, target: np.ndarray, method: str,
                         cfg: ModelConfig, L: int | None = None) -> ForecastSample:
-    return ForecastSample(patches=_patches(lookback, method, cfg, L),
+    return ForecastSample(patches=_patches(np.asarray(lookback)[None], method, cfg, L)[0],
                           target=np.asarray(target, dtype=np.float64).ravel())
 
 
@@ -376,6 +376,6 @@ def forecast_windows(lookbacks: np.ndarray, method: str, horizon: int,
         out = _by_seg_len(rows, seg_len, lambda idx, L: [predict_forecasts(
             rows[idx], L, horizon, params, cfg)])[0]
     else:   # one image per call: a matmul over more rows may round differently
-        out = np.stack([predict_linear(_patches(x, method, cfg, seg_len), params, cfg)
+        out = np.stack([predict_linear(_patches(x[None], method, cfg, seg_len)[0], params, cfg)
                         for x in rows])
     return out.reshape(lookbacks.shape[:2] + (horizon,))

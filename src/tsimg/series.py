@@ -32,8 +32,8 @@ class MultivariateSeries:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim == 1:
             self.values = self.values[None, :]
-        if self.values.ndim != 2 or self.values.shape[0] < 1:
-            raise ShapeMismatchError(f"expected (d, T) matrix, got shape {self.values.shape}")
+        if self.values.ndim != 2 or 0 in self.values.shape:
+            raise ShapeMismatchError(f"expected a non-empty (d, T) matrix, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ShapeMismatchError("series contains NaN/Inf")
         if self.variate_names is not None and len(self.variate_names) != self.values.shape[0]:
@@ -99,16 +99,16 @@ def slide_windows(series: MultivariateSeries, lookback: int, horizon: int,
 def chronological_split(series: MultivariateSeries,
                         ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
                         ) -> tuple[MultivariateSeries, MultivariateSeries, MultivariateSeries]:
-    """Split a series into chronological train/val/test blocks."""
+    """Chronological train/val/test blocks of a series; EmptyResultError names an empty one."""
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ShapeMismatchError("split ratios must sum to 1")
     T = series.length
-    n_train = int(T * ratios[0])
-    n_val = int(T * ratios[1])
-    v = series.values
-    return (MultivariateSeries(v[:, :n_train].copy(), series.variate_names),
-            MultivariateSeries(v[:, n_train:n_train + n_val].copy(), series.variate_names),
-            MultivariateSeries(v[:, n_train + n_val:].copy(), series.variate_names))
+    cuts = (0, int(T * ratios[0]), int(T * ratios[0]) + int(T * ratios[1]), T)
+    for name, start, stop in zip(("train", "val", "test"), cuts, cuts[1:]):
+        if stop <= start:
+            raise EmptyResultError(f"a {T}-step series split {ratios} leaves {name} empty")
+    return tuple(MultivariateSeries(series.values[:, start:stop].copy(), series.variate_names)
+                 for start, stop in zip(cuts, cuts[1:]))
 
 
 def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,

@@ -101,6 +101,11 @@ def _validation_metric(val: Samples, params: ParamSet, cfg: ModelConfig) -> floa
     return batch_loss(val, params, cfg)
 
 
+def best_epoch(history: History, task: str) -> EpochRecord:
+    """The first epoch of the best val_metric (accuracy rises, loss falls)."""
+    return max(history, key=lambda e: e.val_metric if task == "classify" else -e.val_metric)
+
+
 def train(model_cfg: ModelConfig, params: ParamSet, train_data, val_data,
           cfg: TrainConfig) -> tuple[ParamSet, History]:
     """Seeded mini-batch Adam loop on a float64 copy of `params` packed into
@@ -117,8 +122,7 @@ def train(model_cfg: ModelConfig, params: ParamSet, train_data, val_data,
                       params)
     state = AdamState.init(live.vector)
     history: History = []
-    sign = 1.0 if model_cfg.task == "classify" else -1.0   # accuracy rises, loss falls
-    best, best_epoch, best_score = live.vector.copy(), -1, -np.inf
+    best, top = live.vector.copy(), None
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
         order = rng.permutation(len(train_data))
@@ -132,10 +136,10 @@ def train(model_cfg: ModelConfig, params: ParamSet, train_data, val_data,
         metric = _validation_metric(val_data, live, model_cfg)
         history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss / len(starts),
                                    val_metric=metric, seconds=time.perf_counter() - t0))
-        if sign * metric > best_score:
-            best_score, best_epoch = sign * metric, epoch
+        top = best_epoch([top, history[-1]] if top else history, model_cfg.task)  # running best
+        if top is history[-1]:
             np.copyto(best, live.vector)
-        elif epoch - best_epoch >= cfg.patience:
+        elif epoch - top.epoch >= cfg.patience:
             break
     for k, p in flat_views(best, params).items():
         params[k][...] = p

@@ -183,6 +183,24 @@ def test_forecast_run_records_the_variates_of_its_series(tmp_path, capsys, task,
     assert main(["eval", "--run", str(run), "--input", str(p)]) == 0
 
 
+def test_train_prints_the_best_epoch_not_the_last(ett_csv, tmp_path, capsys):
+    # at lr 0.03 this run's validation loss falls for three epochs, then rises
+    run = tmp_path / "run"
+    rc = main(["train", "--task", "forecast-linear", "--imaging", "uvh",
+               "--arch", "wolvm", "--input", ett_csv, "--out", str(run),
+               "--lookback", "24", "--horizon", "4", "--seg-len", "12",
+               "--image-size", "16", "--patch-size", "8", "--embed-dim", "8",
+               "--heads", "2", "--epochs", "4", "--patience", "4", "--lr", "0.03",
+               "--seed", "0"])
+    assert rc == 0
+    printed = dict(kv.split("=") for kv in capsys.readouterr().out.split()[1:])
+    rows = (run / "history.csv").read_text().splitlines()[1:]
+    val = [float(row.split(",")[2]) for row in rows]
+    best = val.index(min(val))
+    assert len(val) == 4 and best < 3 and val[-1] > val[best]
+    assert printed["best"] == repr(val[best]) and printed["best_epoch"] == str(best)
+
+
 def test_train_classify(labeled_csv, tmp_path, capsys):
     run = str(tmp_path / "crun")
     rc = main(["train", "--task", "classify", "--imaging", "gaf",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -386,6 +388,74 @@ def test_cached_transforms_return_independent_writable_arrays(transform):
     assert not np.shares_memory(a, b)
     a += 1.0
     _assert_bitwise(b, transform(x))
+
+
+def _gaf_whole(x):
+    """gaf's image as the whole-array expression it was first written as."""
+    lo, hi = float(x.min()), float(x.max())
+    xh = np.full(x.size, 0.5) if hi == lo else np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+    comp = np.sqrt(np.clip(1.0 - xh * xh, 0.0, None))
+    return np.outer(xh, xh) - np.outer(comp, comp)
+
+
+def _rp_whole(x, embed_dim, delay):
+    """recurrence_plot as the (m, m, embed_dim) difference array, summed by numpy."""
+    m = x.size - (embed_dim - 1) * delay
+    states = np.stack([x[j * delay:j * delay + m] for j in range(embed_dim)], axis=1)
+    diff = states[:, None, :] - states[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _shaped_series(seed, T, shape, scale):
+    """A noise, constant or ramp series of length T, times `scale`: 1e150
+    puts squared differences near the float64 maximum, 1e-160 makes them
+    subnormal."""
+    x = {"noise": np.random.default_rng(seed).normal(size=T),
+         "constant": np.full(T, 0.5 + seed % 7),
+         "ramp": np.arange(T, dtype=np.float64) - seed % 5}[shape]
+    return x * scale
+
+
+SHAPES = st.sampled_from(["noise", "constant", "ramp"])
+SCALES = st.sampled_from([1.0, 1e150, 1e-160])
+
+
+@given(st.integers(1, 400), st.integers(0, 2**32 - 1), SHAPES, SCALES)
+def test_gaf_bitwise_equals_whole_array_expression(T, seed, shape, scale):
+    x = _shaped_series(seed, T, shape, scale)
+    img, _ = gaf(x)
+    _assert_bitwise(img, _gaf_whole(x))
+    assert img.flags.c_contiguous and img.flags.writeable
+
+
+@given(st.integers(1, 400), st.integers(1, 12), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), SHAPES, SCALES)
+def test_rp_bitwise_equals_whole_array_expression(T, embed_dim, delay, seed, shape, scale):
+    # row blocks keep each distance numpy's own sum over its embed_dim
+    # contiguous squares, pairwise from 8 terms on as in the whole array
+    x = _shaped_series(seed, T, shape, scale)
+    if T - (embed_dim - 1) * delay < 1:
+        with pytest.raises(EmbeddingTooLargeError):
+            recurrence_plot(x, embed_dim, delay)
+        return
+    _assert_bitwise(recurrence_plot(x, embed_dim, delay), _rp_whole(x, embed_dim, delay))
+
+
+@pytest.mark.parametrize("transform, embed_dim, bound", [
+    ("gaf", 1, 1.5), ("rp", 1, 1.5), ("rp", 3, 2.0)])
+def test_square_transforms_peak_memory_is_about_one_image(transform, embed_dim, bound):
+    # the whole-array expressions peaked at 2.15 (gaf), 3.00 and 6.84 images
+    x = np.random.default_rng(1).normal(size=336)
+    run = (lambda: gaf(x)[0]) if transform == "gaf" else (
+        lambda: recurrence_plot(x, embed_dim, 2))
+    run()
+    tracemalloc.start()
+    try:
+        img = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * img.nbytes, peak / img.nbytes
 
 
 def test_segment_pixels_match_bresenham_loop_exhaustively():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsimg.pipeline as pipeline
 from tsimg.alignment import (
@@ -7,11 +9,12 @@ from tsimg.alignment import (
     patchify,
     replicate_channels,
     resize_bilinear,
+    standardize_image,
     standardize_stack,
     unpatchify,
 )
 from tsimg.errors import HorizonTooLongError, InvalidLError, RoutingError, ShapeMismatchError
-from tsimg.imaging import detect_period, uvh_inverse
+from tsimg.imaging import IMAGING_METHODS, detect_period, uvh_inverse
 from tsimg.models import ModelConfig, forward_reconstruct, init_params, predict_linear
 from tsimg.pipeline import (
     build_classify_sample,
@@ -86,6 +89,38 @@ def test_build_classify_sample_flat_window_is_zero(method, v):
     s = build_classify_sample(WindowSample(lookback=np.full((3, 96), v),
                                            class_label=0), method, cfg)
     assert all(np.all(p == 0.0) for p in s.patch_seqs)
+
+
+def _classify_per_variate(window, method, cfg, L):
+    """build_classify_sample as first written: each variate (the whole
+    window under mvh) through the n = 1 alignment path on its own."""
+    S = cfg.image_size
+    parts = [window.lookback] if method == "mvh" else list(window.lookback)
+    return [replicate_channels(patchify(standardize_image(resize_bilinear(
+        image_for_method(method, x, L=L), S, S))[None], cfg.patch_size))[0] for x in parts]
+
+
+@pytest.mark.parametrize("method", IMAGING_METHODS)
+@settings(max_examples=30)
+@given(st.integers(1, 3), st.integers(4, 160), st.sampled_from([(8, 4), (16, 4), (16, 8)]),
+       st.one_of(st.none(), st.integers(1, 12)), st.integers(0, 2**32 - 1),
+       st.sampled_from(["noise", "scaled", "constant"]))
+def test_stacked_classify_sample_equals_the_per_variate_path(method, d, H, geometry, L,
+                                                             seed, kind):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(d, H))
+    if kind == "scaled":                  # variates of very different scales
+        x *= 10.0 ** rng.integers(-8, 9, size=(d, 1))
+    elif kind == "constant":              # degenerate images standardize to zeros
+        x = np.full((d, H), x[0, 0])
+    S, P = geometry
+    cfg = ModelConfig(arch="wolvm", task="classify", image_size=S, patch_size=P,
+                      embed_dim=8, num_heads=2, num_variates=1 if method == "mvh" else d)
+    s = build_classify_sample(WindowSample(lookback=x, class_label=2), method, cfg, L)
+    want = _classify_per_variate(WindowSample(lookback=x, class_label=2), method, cfg, L)
+    assert isinstance(s.patch_seqs, np.ndarray) and s.label == 2
+    assert s.patch_seqs.shape == (len(want), cfg.n_patches, cfg.patch_dim)
+    assert s.patch_seqs.tobytes() == np.stack(want).tobytes()
 
 
 # --- overflowing windows are refused, not turned into zeros ---------------
@@ -428,6 +463,12 @@ def test_forecast_window_routes_gaf_linear_per_variate():
     (lbs, tgs), cfg = _windows(), _window_cfg("forecast_linear", "gaf")
     assert pipeline.forecast_windows(lbs, "gaf", 6, init_params(cfg, 0), cfg).shape == (2, 3, 6)
     assert len(pipeline.forecast_samples(lbs, tgs, "gaf", cfg)) == 6
+
+
+def test_forecast_samples_of_no_windows_is_refused():
+    (lbs, tgs), cfg = _windows(), _window_cfg("forecast_linear", "gaf")
+    with pytest.raises(ShapeMismatchError, match="empty"):
+        pipeline.forecast_samples(lbs[:0], tgs[:0], "gaf", cfg)
 
 
 def test_forecast_window_rejects_reconstruct_on_gaf():

@@ -9,6 +9,7 @@ reconstruction loss of a batch with mixed masks."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -21,6 +22,7 @@ from tsimg.alignment import (
     unpatchify,
 )
 from tsimg import pipeline
+from tsimg.errors import EmptyResultError
 from tsimg.evaluation import ForecastTask, split_windows
 from tsimg.imaging import detect_period, uvh, uvh_inverse
 from tsimg.models import ModelConfig, ReconstructSample, backward, batch_loss, init_params
@@ -146,7 +148,8 @@ def _assert_same_windows(stacks, want, d, lookback, horizon):
        st.sampled_from([(0.7, 0.1, 0.2), (0.6, 0.2, 0.2), (0.5, 0.25, 0.25)]),
        st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_split_windows_equals_slice_formula(T, lookback, horizon, stride, ratios, d, seed):
-    # blocks too short for one window give n = 0 stacks
+    # blocks too short for one window give n = 0 stacks; a block with no
+    # steps at all is refused, by name
     x = np.random.default_rng(seed).normal(size=(d, T))
     _assert_same_windows(window_stacks(MultivariateSeries(x), lookback, horizon, stride),
                          reference_windows(x, lookback, horizon, stride), d, lookback, horizon)
@@ -154,6 +157,11 @@ def test_split_windows_equals_slice_formula(T, lookback, horizon, stride, ratios
                         ratios=ratios, stride=stride)
     n_train, n_val = int(T * ratios[0]), int(T * ratios[1])
     blocks = (x[:1, :n_train], x[:1, n_train:n_train + n_val], x[:1, n_train + n_val:])
+    empty = [name for name, b in zip(("train", "val", "test"), blocks) if b.shape[1] == 0]
+    if empty:
+        with pytest.raises(EmptyResultError, match=f"leaves {empty[0]} empty"):
+            split_windows(task)
+        return
     for got, block in zip(split_windows(task), blocks):
         _assert_same_windows(got, reference_windows(block, lookback, horizon, stride),
                              1, lookback, horizon)

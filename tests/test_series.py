@@ -65,7 +65,7 @@ def test_window_stacks_are_read_only_views():
     assert [w.lookback.strides for w in slide_windows(s, 5, 3, 4)] == [s.values.strides] * 4
 
 
-@pytest.mark.parametrize("T, lookback, horizon", [(5, 4, 2), (3, 4, 0), (0, 1, 0)])
+@pytest.mark.parametrize("T, lookback, horizon", [(5, 4, 2), (3, 4, 0), (1, 1, 1)])
 def test_window_stacks_of_a_short_series_are_empty(T, lookback, horizon):
     s = MultivariateSeries(np.zeros((2, T)))
     lookbacks, targets = window_stacks(s, lookback, horizon, stride=3)
@@ -129,6 +129,31 @@ def test_chronological_split_sizes():
     a, b, c = chronological_split(s)
     assert (a.length, b.length, c.length) == (70, 10, 20)
     assert a.values[0, 0] == 0.0 and c.values[0, -1] == 99.0
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (1, 0), (0, 5), (0,)])
+def test_a_series_without_steps_or_variates_is_refused(shape):
+    with pytest.raises(ShapeMismatchError, match="non-empty"):
+        MultivariateSeries(np.zeros(shape))
+
+
+@pytest.mark.parametrize("T, ratios, block", [
+    (9, (0.7, 0.1, 0.2), "val"),            # int(0.9) = 0 val steps
+    (1, (0.7, 0.1, 0.2), "train"),
+    (10, (0.7, 0.3, 0.0), "test"),
+    (10, (0.0, 0.5, 0.5), "train"),
+])
+def test_chronological_split_names_an_empty_block(T, ratios, block):
+    s = MultivariateSeries(np.arange(float(T))[None, :])
+    with pytest.raises(EmptyResultError, match=f"leaves {block} empty"):
+        chronological_split(s, ratios)
+
+
+def test_chronological_split_of_the_shortest_series_with_three_blocks():
+    a, b, c = chronological_split(MultivariateSeries(np.arange(10.0)[None, :]))
+    assert (a.length, b.length, c.length) == (7, 1, 2)
+    assert np.array_equal(np.concatenate([a.values, b.values, c.values], axis=1),
+                          np.arange(10.0)[None, :])
 
 
 def test_gen_periodic_exact_periodicity():

@@ -12,8 +12,10 @@ from tsimg.training import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
+    EpochRecord,
     TrainConfig,
     adam_step,
+    best_epoch,
     train,
 )
 from tsimg.models import (
@@ -187,6 +189,13 @@ def test_train_updates_the_callers_arrays_and_returns_its_dict():
     assert out is params
     assert all(out[k] is arrays[k] for k in arrays)
     assert not all(np.array_equal(out[k], entry[k]) for k in entry)
+
+
+@pytest.mark.parametrize("task, want", [("classify", 1), ("forecast_linear", 2)])
+def test_best_epoch_is_the_first_best_metric(task, want):
+    # accuracy rises and loss falls; a tie goes to the earlier epoch
+    history = [EpochRecord(i, 1.0, m, 0.0) for i, m in enumerate([0.5, 0.9, 0.2, 0.9, 0.2])]
+    assert best_epoch(history, task) is history[want]
 
 
 def test_train_best_epoch_restore_is_bitwise():
