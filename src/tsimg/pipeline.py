@@ -6,13 +6,17 @@ entry points routed by task and layout: :func:`forecast_samples` (its
 training samples, one :class:`~tsimg.models.Samples` stack) and
 :func:`forecast_windows` (an (n, d, horizon) forecast).
 
-The mask-reconstruction core is stacked: :func:`build_reconstruct_samples`
-and :func:`predict_forecasts` (UVH, one segment length) and the MVH core
-take n windows that share one image geometry and resize, standardize,
+The mask-reconstruction core is stacked and has one image layout: an MVH
+image is the UVH layout at segment length L = 1.
+:func:`build_reconstruct_samples` and :func:`predict_forecasts` take n
+(d, H) windows that share one L and one horizon and resize, standardize,
 patchify and mask them as (n, ., .) arrays, with one model pass per
-forecast stack; the entry points call it once per split under MVH and once
-per segment length under UVH. :func:`build_reconstruct_sample`,
-:func:`predict_forecast` and their ``_mvh`` twins are the n = 1 case.
+forecast stack; the entry points call them once per split at L = 1 under
+MVH and once per segment length on (m, 1, H) rows under UVH.
+:func:`build_reconstruct_sample`, :func:`predict_forecast` and their
+``_mvh`` twins are the n = 1 case. A UVH geometry whose horizon needs
+more than MAX_HORIZON_COLS columns is refused before samples or forecasts
+are built; MVH horizons are not capped.
 
 Images are float64 arrays, checked once per stack by
 :func:`~tsimg.alignment.check_images` where a non-finite value can first
@@ -25,7 +29,6 @@ by one, then aligned as one stack in the model's three channels; the rest stay g
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,21 +122,11 @@ def build_linear_sample(lookback: np.ndarray, target: np.ndarray, method: str,
 
 # --- framework (d): mask-reconstruction forecasting -----------------------
 #
-# The core works on a stack of n windows that share one image geometry: n
-# (H,) look-backs with one segment length under UVH, or n (d, H) ones under
-# MVH, with one horizon. The per-window functions are its n = 1 case.
-
-@dataclass
-class ReconstructLayout:
-    """Look-back and horizon columns of a framework-(d) image before resizing."""
-
-    lookback_cols: int
-    horizon_cols: int
-
-    @property
-    def total_cols(self) -> int:
-        return self.lookback_cols + self.horizon_cols
-
+# The core works on a stack of n (d, H) look-backs that share one image
+# geometry: one segment length L and one horizon. Each variate's UVH columns
+# are stacked as rows, so an MVH image is the UVH layout at L = 1, and UVH
+# passes its rows as d = 1 windows of one segment length. The per-window
+# functions are the core's n = 1 case.
 
 def _stacks(ndim: int, *arrays) -> list:
     """The arrays as float64 stacks of n >= 1 windows of `ndim` - 1 dims,
@@ -146,175 +139,130 @@ def _stacks(ndim: int, *arrays) -> list:
     return out
 
 
-def _uvh_with_horizon(lookbacks: np.ndarray, seg_len: int, horizon: int,
-                      horizon_values: np.ndarray | None):
-    """UVH images of (n, H) look-backs plus appended horizon columns, as an
-    (n, seg_len, cols) stack and its layout.
+def _with_horizon(lookbacks: np.ndarray, L: int, horizon: int,
+                  values: np.ndarray | None = None):
+    """Images of (n, d, H) look-backs plus appended horizon columns, as an
+    (n, d * L, cols) stack, its look-back column count and its horizon
+    column count: each variate's UVH image at segment length L, stacked
+    as rows (at L = 1, the (d, H) window as it is).
 
-    Horizon columns hold `horizon_values` ((n, T'), right-padded by
-    repeating each row's final value) when given, else repeat the last
-    look-back column as a neutral placeholder.
+    Horizon columns hold `values` ((n, d, T'), right-padded by repeating
+    each row's final value) when given, else repeat the last look-back
+    column as a neutral placeholder.
     """
-    lb = imaging.uvh_stack(lookbacks, seg_len)
-    cols_h = math.ceil(horizon / seg_len)
-    if horizon_values is None:
+    n, d, _ = lookbacks.shape
+    lb = imaging.uvh_stack(lookbacks.reshape(n * d, -1), L)
+    cols_h = math.ceil(horizon / L)
+    if values is None:
         hz = np.repeat(lb[:, :, -1:], cols_h, axis=2)
     else:
-        n, need = lookbacks.shape[0], cols_h * seg_len
-        v = horizon_values
+        need = cols_h * L
+        v = values.reshape(n * d, -1)
         if v.shape[1] < need:
             v = np.concatenate([v, np.repeat(v[:, -1:], need - v.shape[1], axis=1)], axis=1)
-        hz = v[:, :need].reshape(n, cols_h, seg_len).swapaxes(1, 2)
-    return np.concatenate([lb, hz], axis=2), ReconstructLayout(lb.shape[2], cols_h)
+        hz = v[:, :need].reshape(n * d, cols_h, L).swapaxes(1, 2)
+    return np.concatenate([lb, hz], axis=2).reshape(n, d * L, -1), lb.shape[2], cols_h
 
 
-def _mvh_with_horizon(lookbacks: np.ndarray, horizon: int,
-                      horizon_values: np.ndarray | None):
-    """MVH images of (n, d, H) look-backs plus `horizon` time columns holding
-    `horizon_values` ((n, d, horizon)) when given, else each look-back's
-    last column repeated."""
-    hz = (np.repeat(lookbacks[:, :, -1:], horizon, axis=2) if horizon_values is None
-          else horizon_values)
-    return (np.concatenate([lookbacks, hz], axis=2),
-            ReconstructLayout(lookbacks.shape[2], horizon))
-
-
-def _reconstruct_samples(in_stack: np.ndarray, tgt_stack: np.ndarray,
-                         layout: ReconstructLayout, cfg: ModelConfig) -> Samples:
-    """Framework-(d) training core shared by UVH and MVH.
-
-    Resize both (n, h, w) stacks to S x S, standardize each input image,
-    scale each target by its input's statistics (so the loss lives in the
-    model's input space), patchify (gray), and mask the patch columns past
-    the look-back boundary. Returns the n samples as the stack it built:
-    (n, N, P*P) gray patches and targets, and the one read-only mask
-    broadcast to (n, N).
-    """
-    S, P = cfg.image_size, cfg.patch_size
-    std, mu, sigma, degenerate = standardize_stack(resize_stack(check_images(in_stack), S, S))
-    safe_sigma = np.where(degenerate, 1.0, sigma)[:, None, None]
-    tgt_std = (resize_stack(check_images(tgt_stack), S, S) - mu[:, None, None]) / safe_sigma
-    patches, targets = (patchify(check_images(x), P) for x in (std, tgt_std))
-    mask_rows = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P)
-    return Samples(ReconstructSample, (patches, targets,
-                                       np.broadcast_to(mask_rows, patches.shape[:2])))
-
-
-def build_reconstruct_samples(lookbacks: np.ndarray, targets: np.ndarray,
-                              seg_len: int, cfg: ModelConfig) -> Samples:
-    """UVH training samples of (n, H) look-backs and their (n, T') targets,
-    all with one segment length: each input image has placeholder horizon
-    columns, each target image the true horizon."""
-    lookbacks, targets = _stacks(2, lookbacks, targets)
-    in_stack, layout = _uvh_with_horizon(lookbacks, seg_len, targets.shape[1], None)
-    tgt_stack, _ = _uvh_with_horizon(lookbacks, seg_len, targets.shape[1], targets)
-    return _reconstruct_samples(in_stack, tgt_stack, layout, cfg)
-
-
-def build_reconstruct_sample(lookback: np.ndarray, target: np.ndarray,
-                             seg_len: int, cfg: ModelConfig) -> ReconstructSample:
-    """:func:`build_reconstruct_samples` of one (H,) look-back."""
-    return build_reconstruct_samples(np.reshape(lookback, (1, -1)),
-                                     np.reshape(target, (1, -1)), seg_len, cfg)[0]
-
-
-def _mvh_samples(lookbacks: np.ndarray, targets: np.ndarray, cfg: ModelConfig) -> Samples:
-    """MVH training samples: each (d, H) look-back of an (n, d, H) stack is
-    extended by T' horizon columns (one per future time step) and masked
-    past the look-back boundary; `targets` is (n, d, T')."""
-    lookbacks, targets = _stacks(3, lookbacks, targets)
-    in_stack, layout = _mvh_with_horizon(lookbacks, targets.shape[2], None)
-    tgt_stack, _ = _mvh_with_horizon(lookbacks, targets.shape[2], targets)
-    return _reconstruct_samples(in_stack, tgt_stack, layout, cfg)
-
-
-def build_reconstruct_sample_mvh(lookback: np.ndarray, target: np.ndarray,
-                                 cfg: ModelConfig) -> ReconstructSample:
-    """MVH training sample of one (d, H) look-back and its (d, T') target."""
-    return _mvh_samples(np.atleast_2d(lookback)[None], np.atleast_2d(target)[None], cfg)[0]
-
-
-def _reconstruct_horizons(stack: np.ndarray, layout: ReconstructLayout,
-                          params: ParamSet, cfg: ModelConfig) -> np.ndarray:
-    """Framework-(d) predict core shared by UVH and MVH.
-
-    Resize each image of the (n, h, w) stack (look-back columns, then
-    horizon columns) to S x S, standardize it, mask the patch columns past
-    the look-back boundary, reconstruct them from the gray (n, N, P*P)
-    patches with one :func:`forward_reconstruct_gray` pass, and return the
-    de-standardized (n, S, S) images. A degenerate (constant) resized
-    image has no scale to de-standardize with: it is returned as is, so
-    its constant is the forecast, and the model does not see it.
-    """
-    if cfg.task != "forecast_reconstruct":
-        raise RoutingError(
-            f"forecast reconstruction requires task 'forecast_reconstruct', got {cfg.task!r}")
-    S, P = cfg.image_size, cfg.patch_size
-    mask = build_forecast_mask(layout.lookback_cols, layout.horizon_cols, S, P)
-    resized = resize_stack(check_images(stack), S, S)
-    std, mu, sigma, degenerate = standardize_stack(resized)
-    if degenerate.all():
-        return resized
-    live = ~degenerate if degenerate.any() else slice(None)     # a slice copies nothing
-    out = forward_reconstruct_gray(patchify(std[live], P), mask, params, cfg)
-    resized[live] = (unpatchify(out, P) * sigma[live, None, None]
-                     + mu[live, None, None])
-    return check_images(resized)
-
-
-def predict_forecasts(lookbacks: np.ndarray, L: int, horizon: int,
-                      params: ParamSet, cfg: ModelConfig) -> np.ndarray:
-    """Framework-(d) forecasts of (n, H) look-backs that share the segment
-    length L: image, mask, reconstruct, invert; returns (n, horizon).
-
-    Pipeline: uvh -> append ceil(horizon/L) placeholder columns -> resize
-    to S x S -> standardize (recording mu/sigma) -> cut into gray P x P
-    patches -> one masked reconstruction pass over the stack, with the
-    model's three identical input channels folded into its weights ->
-    de-standardize -> resize back -> unstack -> first `horizon` recovered
-    values. A degenerate (constant) resized image forecasts its constant
-    without running the model.
-    """
-    lookbacks = _stacks(2, lookbacks)[0]
+def _uvh(rows: np.ndarray, L: int, horizon: int) -> np.ndarray:
+    """(m, H) UVH rows as the (m, 1, H) stack of the core, refused where
+    the segment length L is not positive or leaves more than
+    MAX_HORIZON_COLS horizon columns."""
     if L < 1:
         raise InvalidLError(f"L must be >= 1, got {L}")
     if math.ceil(horizon / L) > MAX_HORIZON_COLS:
         raise HorizonTooLongError(
             f"horizon {horizon} needs {math.ceil(horizon / L)} columns "
             f"(max {MAX_HORIZON_COLS})")
-    in_stack, layout = _uvh_with_horizon(lookbacks, L, horizon, None)
-    out = _reconstruct_horizons(in_stack, layout, params, cfg)
-    back = resize_stack(out, L, layout.total_cols)
-    flat = back.swapaxes(1, 2).reshape(back.shape[0], -1)    # columns unstacked in order
-    start = flat.shape[1] - layout.horizon_cols * L           # the first horizon value
-    return flat[:, start:start + horizon]
+    return rows[:, None]
+
+
+def build_reconstruct_samples(lookbacks: np.ndarray, targets: np.ndarray,
+                              L: int, cfg: ModelConfig) -> Samples:
+    """Framework-(d) training samples of (n, d, H) look-backs and their
+    (n, d, T') targets at segment length L (1 for MVH).
+
+    Each input image has placeholder horizon columns, each target image
+    the true horizon. Resize both stacks to S x S, standardize each input
+    image, scale each target by its input's statistics (so the loss lives
+    in the model's input space), patchify (gray), and mask the patch
+    columns past the look-back boundary. Returns the n samples as the
+    stack it built: (n, N, P*P) gray patches and targets, and the one
+    read-only mask broadcast to (n, N).
+    """
+    lookbacks, targets = _stacks(3, lookbacks, targets)
+    in_stack, lb_cols, h_cols = _with_horizon(lookbacks, L, targets.shape[2])
+    tgt_stack = _with_horizon(lookbacks, L, targets.shape[2], targets)[0]
+    S, P = cfg.image_size, cfg.patch_size
+    std, mu, sigma, degenerate = standardize_stack(resize_stack(check_images(in_stack), S, S))
+    safe_sigma = np.where(degenerate, 1.0, sigma)[:, None, None]
+    tgt_std = (resize_stack(check_images(tgt_stack), S, S) - mu[:, None, None]) / safe_sigma
+    patches, tgt_patches = (patchify(check_images(x), P) for x in (std, tgt_std))
+    mask_rows = build_forecast_mask(lb_cols, h_cols, S, P)
+    return Samples(ReconstructSample, (patches, tgt_patches,
+                                       np.broadcast_to(mask_rows, patches.shape[:2])))
+
+
+def build_reconstruct_sample(lookback: np.ndarray, target: np.ndarray,
+                             seg_len: int, cfg: ModelConfig) -> ReconstructSample:
+    """UVH training sample of one (H,) look-back and its (T',) target."""
+    rows = _uvh(np.reshape(lookback, (1, -1)), seg_len, np.size(target))
+    return build_reconstruct_samples(rows, np.reshape(target, (1, 1, -1)), seg_len, cfg)[0]
+
+
+def build_reconstruct_sample_mvh(lookback: np.ndarray, target: np.ndarray,
+                                 cfg: ModelConfig) -> ReconstructSample:
+    """MVH training sample of one (d, H) look-back and its (d, T') target."""
+    return build_reconstruct_samples(np.atleast_2d(lookback)[None],
+                                     np.atleast_2d(target)[None], 1, cfg)[0]
+
+
+def predict_forecasts(lookbacks: np.ndarray, L: int, horizon: int,
+                      params: ParamSet, cfg: ModelConfig) -> np.ndarray:
+    """Framework-(d) forecasts of (n, d, H) look-backs at segment length L
+    (1 for MVH): image, mask, reconstruct, invert; returns (n, d, horizon).
+
+    Pipeline: each variate's uvh rows -> append ceil(horizon/L)
+    placeholder columns -> resize to S x S -> standardize (recording
+    mu/sigma) -> cut into gray P x P patches -> one masked reconstruction
+    pass over the stack, with the model's three identical input channels
+    folded into its weights -> de-standardize -> resize back -> unstack
+    each variate -> its first `horizon` recovered values. A degenerate
+    (constant) resized image has no scale to de-standardize with: it
+    forecasts its constant without running the model.
+    """
+    lookbacks = _stacks(3, lookbacks)[0]
+    stack, lb_cols, h_cols = _with_horizon(lookbacks, L, horizon)
+    if cfg.task != "forecast_reconstruct":
+        raise RoutingError(
+            f"forecast reconstruction requires task 'forecast_reconstruct', got {cfg.task!r}")
+    S, P = cfg.image_size, cfg.patch_size
+    mask = build_forecast_mask(lb_cols, h_cols, S, P)
+    resized = resize_stack(check_images(stack), S, S)
+    std, mu, sigma, degenerate = standardize_stack(resized)
+    if not degenerate.all():
+        live = ~degenerate if degenerate.any() else slice(None)     # a slice copies nothing
+        out = forward_reconstruct_gray(patchify(std[live], P), mask, params, cfg)
+        resized[live] = (unpatchify(out, P) * sigma[live, None, None]
+                         + mu[live, None, None])
+        check_images(resized)
+    n, d = lookbacks.shape[:2]
+    back = resize_stack(resized, d * L, lb_cols + h_cols).reshape(n, d, L, -1)
+    flat = back.swapaxes(2, 3).reshape(n, d, -1)      # each variate's columns unstacked in order
+    return flat[:, :, lb_cols * L:lb_cols * L + horizon]
 
 
 def predict_forecast(lookback: np.ndarray, L: int, horizon: int,
                      params: ParamSet, cfg: ModelConfig) -> np.ndarray:
-    """:func:`predict_forecasts` of one (H,) look-back; returns (horizon,)."""
-    return predict_forecasts(np.reshape(lookback, (1, -1)), L, horizon, params, cfg)[0]
-
-
-def _mvh_forecasts(lookbacks: np.ndarray, horizon: int, params: ParamSet,
-                   cfg: ModelConfig) -> np.ndarray:
-    """MVH mask-reconstruction forecasts of (n, d, H) look-backs; returns
-    (n, d, horizon).
-
-    Each look-back gets `horizon` placeholder time columns and runs
-    through the same core as :func:`predict_forecasts`; a forecast is the
-    horizon columns of its image resized back to (d, H + horizon).
-    """
-    in_stack, layout = _mvh_with_horizon(_stacks(3, lookbacks)[0], horizon, None)
-    out = _reconstruct_horizons(in_stack, layout, params, cfg)
-    return resize_stack(out, in_stack.shape[1], layout.total_cols)[:, :, layout.lookback_cols:]
+    """UVH forecast of one (H,) look-back; returns (horizon,)."""
+    return predict_forecasts(_uvh(np.reshape(lookback, (1, -1)), L, horizon),
+                             L, horizon, params, cfg)[0, 0]
 
 
 def predict_forecast_mvh(lookback: np.ndarray, horizon: int, params: ParamSet,
                          cfg: ModelConfig) -> np.ndarray:
-    """MVH mask-reconstruction forecast of one (d, H) look-back; returns
-    (d, horizon)."""
-    return _mvh_forecasts(np.atleast_2d(lookback)[None], horizon, params, cfg)[0]
+    """MVH forecast of one (d, H) look-back; returns (d, horizon)."""
+    return predict_forecasts(np.atleast_2d(lookback)[None], 1, horizon, params, cfg)[0]
 
 
 # --- a forecast split, either framework ------------------------------------
@@ -350,13 +298,14 @@ def forecast_samples(lookbacks: np.ndarray, targets: np.ndarray, method: str,
     validate_routing(cfg.task, method)
     lookbacks, targets = _stacks(3, lookbacks, targets)
     if cfg.task == "forecast_reconstruct" and method == "mvh":
-        return _mvh_samples(lookbacks, targets, cfg)
+        return build_reconstruct_samples(lookbacks, targets, 1, cfg)
     rows, tgts = _per_image(lookbacks, method), _per_image(targets, method)
     if cfg.task != "forecast_reconstruct":
         return stack_samples([build_linear_sample(lb, tg, method, cfg, L=seg_len)
                               for lb, tg in zip(rows, tgts)])
     return Samples(ReconstructSample, _by_seg_len(rows, seg_len, lambda idx, L: (
-        build_reconstruct_samples(rows[idx], tgts[idx], L, cfg).arrays)))
+        build_reconstruct_samples(_uvh(rows[idx], L, tgts.shape[1]), tgts[idx][:, None],
+                                  L, cfg).arrays)))
 
 
 def forecast_windows(lookbacks: np.ndarray, method: str, horizon: int,
@@ -370,11 +319,11 @@ def forecast_windows(lookbacks: np.ndarray, method: str, horizon: int,
     validate_routing(cfg.task, method)
     lookbacks = _stacks(3, lookbacks)[0]
     if cfg.task == "forecast_reconstruct" and method == "mvh":
-        return _mvh_forecasts(lookbacks, horizon, params, cfg)
+        return predict_forecasts(lookbacks, 1, horizon, params, cfg)
     rows = _per_image(lookbacks, method)
     if cfg.task == "forecast_reconstruct":
         out = _by_seg_len(rows, seg_len, lambda idx, L: [predict_forecasts(
-            rows[idx], L, horizon, params, cfg)])[0]
+            _uvh(rows[idx], L, horizon), L, horizon, params, cfg)[:, 0]])[0]
     else:   # one image per call: a matmul over more rows may round differently
         out = np.stack([predict_linear(_patches(x[None], method, cfg, seg_len)[0], params, cfg)
                         for x in rows])

@@ -247,6 +247,22 @@ def test_failed_runs_leave_no_run_record(tmp_path, capsys):
     assert not sweep_out.exists() and not train_out.exists()
 
 
+def test_train_refuses_a_uvh_horizon_that_eval_would(tmp_path, capsys):
+    # seg-len 1 puts a 100-step horizon in 100 UVH columns, past the cap of
+    # 64: train stops before it trains, where eval used to, and writes no checkpoint
+    long = tmp_path / "long.csv"
+    x = gen_periodic(12, 1300, "sine", seed=0)
+    long.write_text("date,a\n" + "".join(f"t{i},{float(v)!r}\n" for i, v in enumerate(x)))
+    run = tmp_path / "run"
+    rc = main(["train", "--task", "forecast-reconstruct", "--arch", "minimae",
+               "--imaging", "uvh", "--input", str(long), "--out", str(run),
+               "--lookback", "24", "--horizon", "100", "--seg-len", "1",
+               "--image-size", "16", "--patch-size", "8", "--embed-dim", "8",
+               "--heads", "2", "--epochs", "1"])
+    assert rc == 1 and "horizon 100 needs 100 columns (max 64)" in capsys.readouterr().err
+    assert not (run / "checkpoint.bin").exists()
+
+
 def test_sweep_lookback_is_deterministic_and_reports_skips(tmp_path, capsys):
     texts = []
     for run in ("a", "b"):

@@ -151,7 +151,7 @@ def test_uvh_window_whose_std_overflows_is_refused():
         with pytest.raises(ShapeMismatchError):
             build_reconstruct_sample(BIG_SINE, BIG_SINE[:8], 8, rec)
         with pytest.raises(ShapeMismatchError):
-            pipeline.build_reconstruct_samples(lookbacks, lookbacks[:, :8], 8, rec)
+            pipeline.build_reconstruct_samples(lookbacks[:, None], lookbacks[:, None, :8], 8, rec)
         with pytest.raises(ShapeMismatchError):
             predict_forecast(BIG_SINE, 8, 8, init_params(rec, 0), rec)
         with pytest.raises(ShapeMismatchError):
@@ -202,6 +202,23 @@ def test_predict_forecast_horizon_cap():
         predict_forecast(gen_periodic(24, 168), 24, 24 * 100, params, STUB_CFG)
 
 
+def test_uvh_horizon_cap_refuses_samples_as_it_refuses_forecasts():
+    # seg_len 1 puts a 100-step horizon in 100 UVH columns, past the cap of
+    # 64; sample building used to accept it, so a run trained and then
+    # could not forecast. MVH horizons have no cap.
+    lookbacks = np.stack([gen_periodic(24, 168), gen_periodic(12, 168)])[:, None]
+    targets = np.zeros((2, 1, 100))
+    params = init_params(STUB_CFG, 0)
+    with pytest.raises(HorizonTooLongError, match="needs 100 columns"):
+        pipeline.forecast_samples(lookbacks, targets, "uvh", STUB_CFG, seg_len=1)
+    with pytest.raises(HorizonTooLongError, match="needs 100 columns"):
+        pipeline.forecast_windows(lookbacks, "uvh", 100, params, STUB_CFG, seg_len=1)
+    with pytest.raises(HorizonTooLongError, match="needs 100 columns"):
+        build_reconstruct_sample(lookbacks[0, 0], targets[0, 0], 1, STUB_CFG)
+    assert len(pipeline.forecast_samples(lookbacks, targets, "mvh", STUB_CFG)) == 2
+    assert pipeline.forecast_windows(lookbacks, "mvh", 100, params, STUB_CFG).shape == (2, 1, 100)
+
+
 @pytest.mark.parametrize("L", [0, -3])
 def test_non_positive_segment_length_is_invalid_l(L):
     params = init_params(STUB_CFG, 0)
@@ -210,9 +227,9 @@ def test_non_positive_segment_length_is_invalid_l(L):
     with pytest.raises(InvalidLError):
         predict_forecast(lookback, L, 24, params, STUB_CFG)
     with pytest.raises(InvalidLError):
-        pipeline.predict_forecasts(stack, L, 24, params, STUB_CFG)
+        pipeline.predict_forecasts(stack[:, None], L, 24, params, STUB_CFG)
     with pytest.raises(InvalidLError):
-        pipeline.build_reconstruct_samples(stack, np.zeros((2, 24)), L, STUB_CFG)
+        pipeline.build_reconstruct_samples(stack[:, None], np.zeros((2, 1, 24)), L, STUB_CFG)
 
 
 def test_predict_forecast_routing_guard():
@@ -295,11 +312,10 @@ def test_predict_forecast_matches_three_channel_reference(arch):
     params["dec_b"] = np.random.default_rng(2).normal(size=params["dec_b"].shape)
     for seed, L, H in ((0, 24, 96), (1, 12, 100), (2, 17, 64)):
         lookback = gen_periodic(L, H, "composite", seed=seed, noise_std=0.1)
-        in_stack, lay = pipeline._uvh_with_horizon(lookback[None], L, 24, None)
-        ref_img = _three_channel_image(in_stack[0], lay.lookback_cols,
-                                       lay.horizon_cols, params, cfg)
-        ref = uvh_inverse(resize_bilinear(ref_img, L, lay.total_cols),
-                          H + lay.horizon_cols * L)[H:H + 24]
+        in_stack, lb_cols, h_cols = pipeline._with_horizon(lookback[None, None], L, 24)
+        ref_img = _three_channel_image(in_stack[0], lb_cols, h_cols, params, cfg)
+        ref = uvh_inverse(resize_bilinear(ref_img, L, lb_cols + h_cols),
+                          H + h_cols * L)[H:H + 24]
         pred = predict_forecast(lookback, L, 24, params, cfg)
         assert pred.shape == (24,) and np.max(np.abs(pred - ref)) < 1e-12
 

@@ -212,9 +212,9 @@ def test_stacked_uvh_core_equals_single_window_loop(case, L):
     x = _windows(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
                  (n, H + horizon), flat)
     lb, tg = x[:, :H], x[:, H:]
-    _assert_same_samples(pipeline.build_reconstruct_samples(lb, tg, L, cfg),
+    _assert_same_samples(pipeline.build_reconstruct_samples(lb[:, None], tg[:, None], L, cfg),
                          [pipeline.build_reconstruct_sample(a, b, L, cfg) for a, b in zip(lb, tg)])
-    got = pipeline.predict_forecasts(lb, L, horizon, params, cfg)
+    got = pipeline.predict_forecasts(lb[:, None], L, horizon, params, cfg)[:, 0]
     want = np.stack([pipeline.predict_forecast(a, L, horizon, params, cfg) for a in lb])
     assert got.shape == (n, horizon) and np.array_equal(got, want)
     assert np.all(got[flat] == lb[flat, :1])          # a flat window is persistence

@@ -1,17 +1,18 @@
 """Each expression trimmed to fewer numpy calls on the forecast path, pinned
 bit for bit to the expression it replaced, kept here as the oracle: the
 period pick, the bilinear resize and its clamp, the forecast mask cache,
-the attention layer norm forward and backward, the gray weight folds and
-the MSE."""
+the attention layer norm forward and backward, the gray weight folds, the
+MSE, and the one framework-(d) image layout against its UVH and MVH forms."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tsimg import models
+from tsimg import imaging, models, pipeline
 from tsimg.alignment import _axis_plan, build_forecast_mask, resize_stack
 from tsimg.errors import IndivisiblePatchError, ShapeMismatchError
 from tsimg.evaluation import metric_mse
@@ -257,3 +258,73 @@ def test_metric_mse_equals_np_mean(shape, seed, scale):
     pred, truth = (rng.normal(size=shape) * scale for _ in range(2))
     d = pred - truth
     assert metric_mse(pred, truth) == float(np.mean(d * d))
+
+
+# --- _with_horizon: one layout against the UVH and MVH builders it replaced -------
+
+ReconstructLayout = namedtuple("ReconstructLayout", "lookback_cols horizon_cols")
+
+
+def _uvh_with_horizon(lookbacks: np.ndarray, seg_len: int, horizon: int,
+                      horizon_values: np.ndarray | None):
+    """UVH images of (n, H) look-backs plus appended horizon columns, as an
+    (n, seg_len, cols) stack and its layout.
+
+    Horizon columns hold `horizon_values` ((n, T'), right-padded by
+    repeating each row's final value) when given, else repeat the last
+    look-back column as a neutral placeholder.
+    """
+    lb = imaging.uvh_stack(lookbacks, seg_len)
+    cols_h = math.ceil(horizon / seg_len)
+    if horizon_values is None:
+        hz = np.repeat(lb[:, :, -1:], cols_h, axis=2)
+    else:
+        n, need = lookbacks.shape[0], cols_h * seg_len
+        v = horizon_values
+        if v.shape[1] < need:
+            v = np.concatenate([v, np.repeat(v[:, -1:], need - v.shape[1], axis=1)], axis=1)
+        hz = v[:, :need].reshape(n, cols_h, seg_len).swapaxes(1, 2)
+    return np.concatenate([lb, hz], axis=2), ReconstructLayout(lb.shape[2], cols_h)
+
+
+def _mvh_with_horizon(lookbacks: np.ndarray, horizon: int,
+                      horizon_values: np.ndarray | None):
+    """MVH images of (n, d, H) look-backs plus `horizon` time columns holding
+    `horizon_values` ((n, d, horizon)) when given, else each look-back's
+    last column repeated."""
+    hz = (np.repeat(lookbacks[:, :, -1:], horizon, axis=2) if horizon_values is None
+          else horizon_values)
+    return (np.concatenate([lookbacks, hz], axis=2),
+            ReconstructLayout(lookbacks.shape[2], horizon))
+
+
+@st.composite
+def layout_cases(draw):
+    """(n, d, H) look-backs, L, a horizon and its (n, d, horizon) values or
+    None: d = 1 at any L (UVH), or d up to 4 at L = 1 (MVH)."""
+    d = draw(st.integers(1, 4))
+    L = draw(st.integers(1, 40)) if d == 1 else 1
+    n, H, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 120)), draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n, d, horizon)) if draw(st.booleans()) else None
+    return rng.normal(size=(n, d, H)) * rng.uniform(0.01, 100.0), L, horizon, values
+
+
+def _same_layout(got, want):
+    (stack, lb_cols, h_cols), (w_stack, w_layout) = got, want
+    assert (lb_cols, h_cols) == tuple(w_layout)
+    assert stack.dtype == w_stack.dtype and stack.shape == w_stack.shape
+    assert stack.tobytes() == w_stack.tobytes()
+
+
+@given(layout_cases())
+@example((np.arange(10.0).reshape(1, 1, 10), 7, 100, np.ones((1, 1, 100))))  # T' % L != 0
+@example((np.arange(6.0).reshape(2, 3, 1), 1, 1, None))
+def test_with_horizon_equals_the_uvh_and_mvh_builders(case):
+    lookbacks, L, horizon, values = case
+    got = pipeline._with_horizon(lookbacks, L, horizon, values)
+    if lookbacks.shape[1] == 1:
+        _same_layout(got, _uvh_with_horizon(lookbacks[:, 0], L, horizon,
+                                            None if values is None else values[:, 0]))
+    if L == 1:
+        _same_layout(got, _mvh_with_horizon(lookbacks, horizon, values))
