@@ -262,10 +262,12 @@ def _read_run_config(path: Path) -> tuple[dict, ModelConfig]:
         raise ParseError(f"{path}: malformed run config: {e}") from e
 
 
-def _check_checkpoint(params: dict, cfg: ModelConfig) -> None:
-    """A checkpoint must hold exactly the tensors, in the same shapes, that
+def _fit_checkpoint(params: dict, cfg: ModelConfig) -> dict:
+    """The checkpoint's tensors in the model's dtype, that of init_params(cfg).
+    A checkpoint must hold exactly the tensors, in the same shapes, that
     init_params(cfg) makes; any other belongs to a different model."""
-    expected = {k: v.shape for k, v in init_params(cfg).items()}
+    init = init_params(cfg)
+    expected = {k: v.shape for k, v in init.items()}
     found = {k: v.shape for k, v in params.items()}
     if found != expected:
         diff = "; ".join(f"{k}: {found.get(k)} vs {expected.get(k)}"
@@ -273,13 +275,13 @@ def _check_checkpoint(params: dict, cfg: ModelConfig) -> None:
                          if found.get(k) != expected.get(k))
         raise ShapeMismatchError(
             f"checkpoint does not fit the model in config.json (checkpoint vs config): {diff}")
+    return {k: v.astype(init[k].dtype) for k, v in params.items()}
 
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     meta, cfg = _read_run_config(run_dir / "config.json")
-    params = dataio.load_checkpoint(str(run_dir / "checkpoint.bin"))
-    _check_checkpoint(params, cfg)
+    params = _fit_checkpoint(dataio.load_checkpoint(str(run_dir / "checkpoint.bin")), cfg)
     mode = (evaluation.PerturbMode(PERTURB_FLAGS[args.perturb], seed=args.seed)
             if args.perturb else None)
 

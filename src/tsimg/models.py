@@ -1,9 +1,16 @@
 """The three trainable architectures and their analytic gradients.
 
-Parameters are a dict (name -> float64 ndarray); training runs on a
-FlatSet of named views into one contiguous vector (flat_views). Forward
-passes cache intermediates; backward consumes them and adds into gradients
-with the same names, a FlatSet of views into one zeroed vector.
+Parameters are a dict (name -> ndarray); training runs on a FlatSet of
+named views into one contiguous vector (flat_views). Forward passes cache
+intermediates; backward consumes them and adds into gradients with the same
+names, a FlatSet of views into one zeroed vector.
+
+The parameters' dtype is the model's: init_params makes float32 models, and
+every array a forward or training step makes follows embed_w's dtype.
+_forward casts its input and _loss its targets to it (no copy when they
+already are), so float64 samples, which imaging and alignment build, feed a
+float32 model; training.train casts each split once. A float64 model is
+float64 parameters passed to the same code.
 
 Architectures (all share the patch-projection front end):
   wolvm     patch embed -> per-token linear layer
@@ -76,7 +83,7 @@ GradSet = dict
 
 
 class FlatSet(dict):
-    """A ParamSet whose arrays are views into one float64 vector, `.vector`."""
+    """A ParamSet whose arrays are views into one vector, `.vector`."""
 
 
 def flat_views(vec: np.ndarray, like: ParamSet) -> FlatSet:
@@ -146,9 +153,9 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(cfg: ModelConfig, seed: int = 0) -> ParamSet:
-    """Xavier-uniform projections, zero biases, N(0, 0.02) mask token and
-    positional embeddings."""
+def _draw_params(cfg: ModelConfig, seed: int) -> ParamSet:
+    """The float64 draw init_params casts: Xavier-uniform projections, zero
+    biases, N(0, 0.02) mask token and positional embeddings."""
     rng = np.random.default_rng(seed)
     D, N, F = cfg.embed_dim, cfg.n_patches, cfg.patch_dim
     p: ParamSet = {
@@ -176,6 +183,13 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamSet:
     return p
 
 
+def init_params(cfg: ModelConfig, seed: int = 0) -> ParamSet:
+    """A seeded float32 model, the one place the model dtype is chosen: every
+    array a forward or training step makes follows the parameters' dtype, so
+    a float64 model is these arrays cast to float64."""
+    return {k: v.astype(np.float32) for k, v in _draw_params(cfg, seed).items()}
+
+
 # --- patch embedding ----------------------------------------------------
 
 def forward_embed(patches: np.ndarray, params: ParamSet,
@@ -199,7 +213,7 @@ def forward_embed(patches: np.ndarray, params: ParamSet,
             raise ShapeMismatchError(f"patches {patches.shape} for row mask {mask_rows.shape}")
         visible = ~mask_rows
         rows = patches[visible]
-        proj = np.empty(mask_rows.shape + (D,))
+        proj = np.empty(mask_rows.shape + (D,), params["embed_w"].dtype)
         proj[visible] = rows @ params["embed_w"] + params["embed_b"]
         proj[mask_rows] = params["mask_token"]
     proj += params["pos"][: proj.shape[-2]]
@@ -336,6 +350,7 @@ def _forward(x: np.ndarray, params: ParamSet, cfg: ModelConfig,
       forecast_reconstruct  (M, D) masked body rows, sample-major ->
                             (M, F) decoded patches
     """
+    x = x.astype(params["embed_w"].dtype, copy=False)
     tokens, embed_cache = forward_embed(x, params, mask_rows)
     body, body_cache = forward_body(tokens, params, cfg)
     if cfg.task == "classify":
@@ -455,6 +470,12 @@ class Samples(Sequence):
             return self.kind(*picked)
         return Samples(self.kind, picked)
 
+    def astype(self, dtype) -> "Samples":
+        """These samples with their float fields in `dtype`, copied only where
+        they are not already."""
+        return Samples(self.kind, (a.astype(dtype, copy=False) if a.dtype.kind == "f" else a
+                                   for a in self.arrays))
+
 
 def _stack(arrays, what: str) -> np.ndarray:
     try:
@@ -499,7 +520,7 @@ def _loss(batch: Samples, params: ParamSet, cfg: ModelConfig, grads: GradSet | N
         pred, feat, body, caches = _forward(x, params, cfg)
         if pred.shape != target.shape:
             raise ShapeMismatchError(f"forecast {pred.shape} != target {target.shape}")
-        err = pred - target
+        err = pred - target.astype(pred.dtype, copy=False)
         loss = float(np.mean(err * err))
         d_out = 2.0 * err / err.size
     else:  # forecast_reconstruct: MSE on masked patch entries only
@@ -513,10 +534,11 @@ def _loss(batch: Samples, params: ParamSet, cfg: ModelConfig, grads: GradSet | N
         err, feat, body, caches = _forward(x, _gray_embed(params, x.shape[2]), cfg,
                                            mask)                        # body (B, N, D)
         err3 = err.reshape(len(err), 3, -1)     # each decoded channel against the gray target
-        err3 -= target[mask][:, None]
+        err3 -= target[mask].astype(err.dtype, copy=False)[:, None]
         # each sample's masked MSE, averaged over the batch: a row of sample
-        # b weighs 1 / (B * n_b * F)
-        w = np.repeat(1.0 / (B * n_masked * err.shape[1]), n_masked)[:, None]
+        # b weighs 1 / (B * n_b * F), in the model's dtype
+        w = np.repeat((1.0 / (B * n_masked * err.shape[1])).astype(err.dtype, copy=False),
+                      n_masked)[:, None]
         sq = w * err                            # (w * err * err).sum(), in place
         sq *= err
         loss = float(sq.sum())
@@ -556,7 +578,8 @@ def backward(batch, params: ParamSet, cfg: ModelConfig):
     """Mean loss and analytic gradients over a batch (a Samples or a list
     of samples)."""
     batch = stack_samples(batch)
-    grads = flat_views(np.zeros(sum(p.size for p in params.values())), params)
+    grads = flat_views(np.zeros(sum(p.size for p in params.values()), params["embed_w"].dtype),
+                       params)
     return _loss(batch, params, cfg, grads), grads
 
 

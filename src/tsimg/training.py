@@ -1,9 +1,10 @@
 """Adam optimization and the train/validate loop with early stopping and
-best-epoch restoration. Training keeps one contiguous float64 vector each
-for the parameters, the gradients, Adam's m and v and the best-epoch
-snapshot; the model reads the first two by name through models.flat_views,
-and an Adam step is a few whole-vector ufunc calls. Each split is one
-models.Samples stack, and a batch is one index gather per field of it."""
+best-epoch restoration. Training keeps one contiguous vector each, in the
+model dtype, for the parameters, the gradients, Adam's m and v and the
+best-epoch snapshot; the model reads the first two by name through
+models.flat_views, and an Adam step is a few whole-vector ufunc calls. Each
+split is one models.Samples stack, its float fields cast once to that dtype,
+and a batch is one index gather per field of it."""
 
 from __future__ import annotations
 
@@ -57,7 +58,8 @@ class AdamState:
 
     @classmethod
     def init(cls, params: np.ndarray) -> "AdamState":
-        return cls(0, np.zeros(params.size), np.zeros(params.size), np.empty((2, params.size)))
+        return cls(0, np.zeros_like(params), np.zeros_like(params),
+                   np.empty((2, params.size), params.dtype))
 
 
 @dataclass
@@ -108,18 +110,19 @@ def best_epoch(history: History, task: str) -> EpochRecord:
 
 def train(model_cfg: ModelConfig, params: ParamSet, train_data, val_data,
           cfg: TrainConfig) -> tuple[ParamSet, History]:
-    """Seeded mini-batch Adam loop on a float64 copy of `params` packed into
-    one vector; stops after `patience` consecutive non-improving epochs,
-    writes the best-validation epoch's values into the caller's arrays and
-    returns the caller's dict. Each split is a Samples or a list of samples,
-    stacked once here. A non-finite loss raises NonFiniteLossError and
-    leaves the caller's arrays at their entry values."""
+    """Seeded mini-batch Adam loop on a copy of `params` packed into one
+    vector of the model dtype (embed_w's); stops after `patience` consecutive
+    non-improving epochs, writes the best-validation epoch's values into the
+    caller's arrays and returns the caller's dict. Each split is a Samples or
+    a list of samples, stacked and cast once here. A non-finite loss raises
+    NonFiniteLossError and leaves the caller's arrays at their entry values."""
     if not train_data or not val_data:
         raise ShapeMismatchError("train and val data must be non-empty")
-    train_data, val_data = stack_samples(train_data), stack_samples(val_data)
+    live = flat_views(np.concatenate([p.ravel() for p in params.values()],
+                                     dtype=params["embed_w"].dtype), params)
+    train_data, val_data = (stack_samples(s).astype(live.vector.dtype)
+                            for s in (train_data, val_data))
     rng = np.random.default_rng(cfg.seed)
-    live = flat_views(np.concatenate([p.ravel() for p in params.values()], dtype=np.float64),
-                      params)
     state = AdamState.init(live.vector)
     history: History = []
     best, top = live.vector.copy(), None

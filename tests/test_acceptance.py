@@ -29,6 +29,7 @@ from tsimg.models import (
     ForecastSample,
     ModelConfig,
     ReconstructSample,
+    _draw_params,
     backward,
     batch_loss,
     init_params,
@@ -84,7 +85,7 @@ def _grad_batch(cfg, rng, n=2):
 
 def _max_grad_error(cfg, seed, step=1e-5):
     rng = np.random.default_rng(seed)
-    params = init_params(cfg, seed)
+    params = _draw_params(cfg, seed)    # float64: central differences at step 1e-5
     batch = _grad_batch(cfg, rng)
     _, grads = backward(batch, params, cfg)
     worst = 0.0

@@ -6,6 +6,7 @@ import pytest
 
 from tsimg.cli import main
 from tsimg.dataio import save_checkpoint
+from tsimg.evaluation import metric_mse
 from tsimg.imaging import IMAGING_METHODS
 from tsimg.models import ModelConfig, init_params
 from tsimg.series import gen_periodic
@@ -429,6 +430,41 @@ def test_train_then_eval_forecast_layouts(ett_csv2, tmp_path, capsys, task, imag
     out = capsys.readouterr().out
     mse = float(out.split("mse=")[1].split()[0])
     assert np.isfinite(mse)
+
+
+def test_eval_forecasts_with_the_trained_float32_model(ett_csv2, tmp_path, monkeypatch, capsys):
+    # the checkpoint holds the float32 model widened to float64; eval casts
+    # it back, so its forecasts are those of the model train returned
+    import tsimg.cli as cli
+    from tsimg import pipeline
+    trained, seen = [], []
+
+    def keep_model(*args):
+        out = cli.training.train(*args)
+        trained.append({k: p.copy() for k, p in out[0].items()})
+        return out
+
+    def keep_forecasts(*args, **kw):
+        seen.append((args, kw, forecast(*args, **kw)))
+        return seen[-1][2]
+
+    forecast = pipeline.forecast_windows
+    monkeypatch.setattr(cli, "train", keep_model)
+    monkeypatch.setattr(pipeline, "forecast_windows", keep_forecasts)
+    run = tmp_path / "run"
+    assert main(["train", "--task", "forecast-reconstruct", "--imaging", "uvh",
+                 "--arch", "minimae", "--input", ett_csv2, "--out", str(run),
+                 "--lookback", "24", "--horizon", "4", "--image-size", "16",
+                 "--patch-size", "8", "--embed-dim", "8", "--heads", "2",
+                 "--epochs", "2", "--seed", "0"]) == 0
+    assert main(["eval", "--run", str(run), "--input", ett_csv2]) == 0
+    (model,), ((args, kw, pred),) = trained, seen
+    assert all(p.dtype == np.float32 for p in model.values())
+    assert all(p.dtype == np.float32 for p in args[3].values())
+    want = forecast(*args[:3], model, *args[4:], **kw)
+    assert pred.dtype == want.dtype and pred.tobytes() == want.tobytes()
+    truth = cli._load_forecast_windows(ett_csv2, 24, 4)[2][1]
+    assert f"mse={metric_mse(want, truth)!r}" in capsys.readouterr().out
 
 
 # --- config.json comes from outside the program ---------------------------

@@ -26,6 +26,7 @@ from tsimg.errors import (
     ShapeMismatchError,
     VersionMismatchError,
 )
+from tsimg.models import TASKS, ModelConfig, init_params
 from tsimg.training import EpochRecord
 
 
@@ -151,6 +152,25 @@ def test_checkpoint_bitwise_round_trip(tmp_path):
     for k in params:
         assert np.array_equal(back[k], params[k])
         assert back[k].dtype == np.float64
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_float32_model_round_trips_exactly(tmp_path, task):
+    # checkpoints hold float64, which every float32 value widens to exactly
+    params = init_params(ModelConfig(arch="minimae", task=task, image_size=16, patch_size=8,
+                                     embed_dim=8, num_heads=2, horizon=5, num_classes=3), 3)
+    f32 = np.finfo(np.float32)
+    params["pos"][0, :4] = [f32.max, f32.smallest_subnormal, -0.0, -f32.tiny]
+    path = tmp_path / "ck.bin"
+    save_checkpoint(params, str(path))
+    back = load_checkpoint(str(path))
+    assert set(back) == set(params)
+    for k, p in params.items():
+        assert back[k].dtype == np.float64 and np.array_equal(back[k], p)
+        assert back[k].astype(np.float32).tobytes() == p.tobytes(), k
+    save_checkpoint({k: p.astype(np.float64) for k, p in params.items()},
+                    str(tmp_path / "ck64.bin"))
+    assert path.read_bytes() == (tmp_path / "ck64.bin").read_bytes()
 
 
 def test_checkpoint_truncation_detected(tmp_path):

@@ -3,9 +3,12 @@
 `data/forecast_golden.npz` holds :func:`~tsimg.pipeline.predict_forecast`
 and :func:`~tsimg.pipeline.predict_forecast_mvh` outputs for every arch at
 each (image_size, patch_size) geometry of the property tests, on a flat and
-a noisy window. On the platform that wrote the file the forecasts must match
-it bit for bit, so a change that only trims numpy calls off the forecast
-path is shown to change no output. Elsewhere they are held to 1e-10: another
+a noisy window. The models run on float64 parameters, the float64 draw that
+init_params casts to float32 (models._draw_params), so the file pins the
+float64 arithmetic of the code float32 models run through. On the platform
+that wrote the file the forecasts must match it bit for bit, so a change
+that only trims numpy calls off the forecast path is shown to change no
+output. Elsewhere they are held to 1e-10: another
 CPU makes OpenBLAS pick another kernel, which rounds matmuls differently
 (about 1e-14 relative when a Haswell or Zen kernel is forced on an AVX-512
 machine with OPENBLAS_CORETYPE).
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsimg.models import ARCHS, ModelConfig, init_params
+from tsimg.models import ARCHS, ModelConfig, _draw_params
 from tsimg.pipeline import predict_forecast, predict_forecast_mvh
 from tsimg.series import gen_periodic
 
@@ -58,7 +61,7 @@ def _forecasts() -> dict:
         for k, arch in enumerate(ARCHS):
             cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=S,
                               patch_size=P, embed_dim=8, num_heads=2, horizon=HORIZON)
-            params = init_params(cfg, seed=S + P + k)
+            params = _draw_params(cfg, seed=S + P + k)
             params["dec_b"] = np.random.default_rng(P + k).normal(size=params["dec_b"].shape)
             for kind, lb in windows.items():
                 key = f"{arch}_{S}x{P}_{kind}"

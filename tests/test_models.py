@@ -19,6 +19,7 @@ from tsimg.models import (
     ModelConfig,
     ReconstructSample,
     Samples,
+    _draw_params,
     backward,
     batch_loss,
     forward_attention,
@@ -63,7 +64,7 @@ def finite_difference_check(cfg, seed, step=1e-5, floor=1e-6):
     """Max relative error between analytic and central-difference gradients
     over every parameter element."""
     rng = np.random.default_rng(seed)
-    params = init_params(cfg, seed)
+    params = _draw_params(cfg, seed)    # float64: central differences at step 1e-5
     batch = make_batch(cfg, rng)
     _, grads = backward(batch, params, cfg)
     worst = 0.0
@@ -221,7 +222,7 @@ def test_reconstruct_gray_is_channel_mean_of_replicated(arch):
     # three-channel model, average the output channels
     cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=32,
                       patch_size=8, embed_dim=16, num_heads=2)
-    params = init_params(cfg, 0)
+    params = _draw_params(cfg, 0)       # float64, for the 1e-12 bound
     rng = np.random.default_rng(12)
     params["dec_b"] = rng.normal(size=params["dec_b"].shape)
     P2 = cfg.patch_size ** 2
@@ -341,7 +342,7 @@ def _equivalence_batch(cfg, rng):
 @pytest.mark.parametrize("task", TASKS)
 def test_batched_backward_equals_mean_of_single_samples(arch, task):
     cfg = small_cfg(arch, task)
-    params = init_params(cfg, 3)
+    params = _draw_params(cfg, 3)       # float64, for the 1e-12 bounds
     batch = _equivalence_batch(cfg, np.random.default_rng(10))
     loss, grads = backward(batch, params, cfg)
     singles = [backward([s], params, cfg) for s in batch]
@@ -427,7 +428,7 @@ def test_classify_label_out_of_range_raises():
 
 def test_batch_loss_past_one_pass_is_the_sample_mean():
     cfg = small_cfg("lvm2attn", "forecast_reconstruct")
-    params = init_params(cfg, 4)
+    params = _draw_params(cfg, 4)       # float64, for the 1e-12 bound
     batch = make_batch(cfg, np.random.default_rng(15), n=PASS_SAMPLES + 6)
     singles = [batch_loss([s], params, cfg) for s in batch]
     assert batch_loss(batch, params, cfg) == pytest.approx(np.mean(singles), rel=1e-12)
@@ -451,7 +452,7 @@ def masked_mse(pred_patches, target_patches, mask_rows):
 def test_reconstruct_batch_loss_is_masked_mse(arch):
     # the three-channel reference: gray patches and targets replicated
     cfg = small_cfg(arch, "forecast_reconstruct")
-    params = init_params(cfg, 16)
+    params = _draw_params(cfg, 16)      # float64, for the 1e-12 bound
     s = make_batch(cfg, np.random.default_rng(16), n=1)[0]
     pred = forward_reconstruct(replicate_channels(s.patches), s.mask_rows, params, cfg)
     assert batch_loss([s], params, cfg) == pytest.approx(
@@ -491,7 +492,7 @@ def _three_channel_loss(batch, params, cfg, grads):
 @pytest.mark.parametrize("arch", ARCHS)
 def test_gray_backward_matches_three_channel_oracle(arch):
     cfg = small_cfg(arch, "forecast_reconstruct")
-    params = init_params(cfg, 18)
+    params = _draw_params(cfg, 18)      # float64, for the 1e-12 bounds
     params["dec_b"] = np.random.default_rng(18).normal(size=params["dec_b"].shape)
     batch = _equivalence_batch(cfg, np.random.default_rng(18))
     loss, grads = backward(batch, params, cfg)
@@ -518,10 +519,88 @@ def test_three_channel_reconstruct_sample_is_refused():
 @pytest.mark.parametrize("arch", ARCHS)
 def test_classify_batch_loss_is_cross_entropy(arch):
     cfg = small_cfg(arch, "classify")
-    params = init_params(cfg, 17)
+    params = _draw_params(cfg, 17)      # float64, for the 1e-12 bound
     s = make_batch(cfg, np.random.default_rng(17), n=1)[0]
     tokens, _ = forward_embed(np.stack(s.patch_seqs), params)
     body, _ = forward_body(tokens, params, cfg)
     logits = body.mean(-2).reshape(-1) @ params["head_w"] + params["head_b"]
     assert batch_loss([s], params, cfg) == pytest.approx(
         cross_entropy(logits, s.label), rel=1e-12)
+
+
+# --- the model dtype is the parameters' dtype ------------------------------
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("task", TASKS)
+def test_float32_parameters_promote_nothing_to_float64(arch, task, monkeypatch):
+    # numpy 1.24 promotes by value and numpy 2 by NEP 50, which treat
+    # scalars differently; on both, float32 parameters keep every array a
+    # step makes float32, though the samples come in float64. Spies record
+    # the dtypes that reach the backward kernels, backward and Adam in train.
+    import tsimg.models as models
+    import tsimg.training as training
+    seen = []
+
+    def spy(fn, *picks):
+        def wrapped(*args):
+            out = fn(*args)
+            seen.extend(pick(args, out) for pick in picks)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(models, "backward_body", spy(models.backward_body,
+                        lambda a, out: a[0].dtype, lambda a, out: out.dtype))
+    monkeypatch.setattr(models, "backward_embed", spy(models.backward_embed,
+                        lambda a, out: a[0].dtype))
+    monkeypatch.setattr(training, "backward", spy(training.backward,
+                        lambda a, out: a[1].vector.dtype, lambda a, out: out[1].vector.dtype,
+                        lambda a, out: np.result_type(*(f for f in a[0].arrays
+                                                        if f.dtype.kind == "f"))))
+    monkeypatch.setattr(training, "adam_step", spy(training.adam_step,
+                        lambda a, out: a[2].m.dtype, lambda a, out: a[2].v.dtype,
+                        lambda a, out: a[2].scratch.dtype))
+    cfg = small_cfg(arch, task)
+    params = init_params(cfg, 5)
+    samples = make_batch(cfg, np.random.default_rng(5), n=6)
+    trained, _ = training.train(cfg, params, samples[:4], samples[4:],
+                                training.TrainConfig(learning_rate=1e-3, batch_size=2,
+                                                     max_epochs=1, seed=5))
+    seen.extend(p.dtype for p in trained.values())
+
+    batch = stack_samples(samples)
+    loss, grads = backward(batch, params, cfg)
+    assert np.isfinite(loss) and float(np.float32(loss)) == loss      # summed in float32
+    seen.append(grads.vector.dtype)
+    # the samples are cast before any arithmetic: float32 samples give the same bits
+    loss32, grads32 = backward(batch.astype(np.float32), params, cfg)
+    assert loss32 == loss and grads32.vector.tobytes() == grads.vector.tobytes()
+    x, mask, model = batch.arrays[0], None, params
+    if task == "forecast_reconstruct":
+        mask, model = batch.mask_rows, models._gray_embed(params, x.shape[-1])
+    out, feat, body, caches = models._forward(x, model, cfg, mask)
+    cached = [a for c in caches for a in c.values() if isinstance(a, np.ndarray)]
+    seen.extend(a.dtype for a in [out, feat, body, *cached] if a.dtype.kind == "f")
+    assert len(seen) > 20 and set(seen) == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("task", TASKS)
+def test_float32_gradients_match_float64(arch, task):
+    # the float64 parameters are the exact widening of the float32 draw, so
+    # the two runs differ only in the precision of their arithmetic. Float32
+    # rounds each operation to 6e-8 relative, and a gradient is a few dozen
+    # dependent operations deep: each tensor's largest error stays within
+    # 1e-5 of its largest entry (about 1e-6 at these sizes), the loss within
+    # 1e-6. wolvm's reconstruction embed gradients are exactly zero in both:
+    # its masked rows do not see the visible ones.
+    cfg = small_cfg(arch, task)
+    for seed in (0, 1, 2):
+        p32 = init_params(cfg, seed)
+        p64 = {k: v.astype(np.float64) for k, v in p32.items()}
+        batch = make_batch(cfg, np.random.default_rng(seed), n=4)
+        loss32, g32 = backward(batch, p32, cfg)
+        loss64, g64 = backward(batch, p64, cfg)
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        for k in p32:
+            scale = np.max(np.abs(g64[k]))
+            assert np.max(np.abs(g32[k] - g64[k])) <= 1e-5 * scale, (seed, k)

@@ -15,7 +15,13 @@ from tsimg.alignment import (
 )
 from tsimg.errors import HorizonTooLongError, InvalidLError, RoutingError, ShapeMismatchError
 from tsimg.imaging import IMAGING_METHODS, detect_period, uvh_inverse
-from tsimg.models import ModelConfig, forward_reconstruct, init_params, predict_linear
+from tsimg.models import (
+    ModelConfig,
+    _draw_params,
+    forward_reconstruct,
+    init_params,
+    predict_linear,
+)
 from tsimg.pipeline import (
     build_classify_sample,
     build_linear_sample,
@@ -308,7 +314,7 @@ def _three_channel_image(img, lookback_cols, horizon_cols, params, cfg):
 def test_predict_forecast_matches_three_channel_reference(arch):
     cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=32,
                       patch_size=8, embed_dim=16, num_heads=2, horizon=24)
-    params = init_params(cfg, 1)
+    params = _draw_params(cfg, 1)       # float64, for the 1e-12 bounds
     params["dec_b"] = np.random.default_rng(2).normal(size=params["dec_b"].shape)
     for seed, L, H in ((0, 24, 96), (1, 12, 100), (2, 17, 64)):
         lookback = gen_periodic(L, H, "composite", seed=seed, noise_std=0.1)

@@ -6,10 +6,13 @@ every arch and task on small seeded splits. The reconstruct split comes from
 :func:`~tsimg.pipeline.forecast_samples` with FFT-detected segment lengths on
 two variates of different periods, so it mixes two forecast masks, as
 ``tsimg train`` does; its validation split is larger than one
-``PASS_SAMPLES`` pass. On the platform that wrote the file the results must
-match it bit for bit, so a change that only reorganizes how training reads
-its samples is shown to change no bit of training. Elsewhere they are held
-to 1e-10 (see test_forecast_golden.py for why).
+``PASS_SAMPLES`` pass. Training starts from float64 parameters, the float64
+draw that init_params casts to float32 (models._draw_params), so the file
+pins the float64 arithmetic of the code float32 models train through. On the
+platform that wrote the file the results must match it bit for bit, so a
+change that only reorganizes how training reads its samples is shown to
+change no bit of training. Elsewhere they are held to 1e-10 (see
+test_forecast_golden.py for why).
 
 Regenerate it (only when a change is meant to move training) with
 ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_train_golden.py``.
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 from test_forecast_golden import _platform
-from tsimg.models import ARCHS, PASS_SAMPLES, TASKS, ClassifySample, ModelConfig, init_params
+from tsimg.models import ARCHS, PASS_SAMPLES, TASKS, ClassifySample, ModelConfig, _draw_params
 from tsimg.pipeline import forecast_samples
 from tsimg.series import MultivariateSeries, gen_periodic, window_stacks
 from tsimg.training import TrainConfig, train
@@ -62,7 +65,7 @@ def _run(arch: str, task: str) -> dict:
     cfg = ModelConfig(arch=arch, task=task, image_size=S, patch_size=P, embed_dim=8,
                       num_heads=2, horizon=HORIZON, num_classes=3, num_variates=2)
     train_s, val_s = _splits(cfg)
-    params = init_params(cfg, seed=ARCHS.index(arch) + 3 * TASKS.index(task))
+    params = _draw_params(cfg, seed=ARCHS.index(arch) + 3 * TASKS.index(task))
     tc = TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=EPOCHS,
                      patience=EPOCHS, seed=11)
     params, history = train(cfg, params, train_s, val_s, tc)

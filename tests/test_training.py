@@ -23,6 +23,7 @@ from tsimg.models import (
     ForecastSample,
     ModelConfig,
     ReconstructSample,
+    _draw_params,
     batch_loss,
     init_params,
     predict_linear,
@@ -129,7 +130,7 @@ def test_masked_mse_oracle():
     # a zero decoder weight makes every masked row decode to dec_b
     cfg = ModelConfig(arch="wolvm", task="forecast_reconstruct", image_size=4,
                       patch_size=2, embed_dim=8, num_heads=2)
-    params = init_params(cfg, 0)
+    params = _draw_params(cfg, 0)       # float64, for the 1e-12 bound
     params["dec_w"][:] = 0.0
     params["dec_b"][:] = np.arange(cfg.patch_dim)
     target = np.zeros((cfg.n_patches, cfg.patch_size ** 2))     # gray: one channel
