@@ -8,9 +8,9 @@ one shape (:func:`resize_stack`, :func:`standardize_stack`);
 :func:`resize_bilinear` and :func:`standardize_image` are their n = 1
 case on one image. A patch is a plain float64 array: one :func:`patchify`
 cuts an (n, S, S) stack into (n, N, P * P) gray patches, and
-:func:`replicate_channels` makes the model's three identical channels from
-them, just before the model. A forecast mask is a read-only bool (N,)
-array over those patches.
+:func:`replicate_channels` makes the three identical channels that
+classify and linear models take from them; the reconstruction model takes
+them as they are. A forecast mask is a read-only bool (N,) array over them.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ def unpatchify(patches: np.ndarray, P: int) -> np.ndarray:
 
 
 def replicate_channels(patches: np.ndarray) -> np.ndarray:
-    """Three identical channels of (..., N, P * P) gray patches, as the
-    model's (..., N, 3 * P * P) input: each patch vector is channel-major,
-    then row-major."""
+    """Three identical channels of (..., N, P * P) gray patches, as a
+    classify or linear model's (..., N, 3 * P * P) input: each patch vector
+    is channel-major, then row-major."""
     return np.concatenate([patches] * 3, axis=-1)
 
 

@@ -44,12 +44,11 @@ gradient is scattered back into zeros.
 
 Patches are plain arrays cut by alignment.patchify, and a forecast mask
 is the read-only bool (N,) array of alignment.build_forecast_mask. The
-model input is three identical channels of one gray image (F = 3 * P * P):
-classify and linear samples hold all three (alignment.replicate_channels).
-Reconstruction samples and forecasts stay gray (N, P * P): _gray_embed sums
-embed_w's three channel blocks for them on every call, each block gets the
-one (exact) gray gradient, and the decoder scores its three channels against
-the gray target; forecasts fold the decoder too (see forward_reconstruct_gray).
+model input width is ModelConfig.patch_dim. The reconstruction model is one
+channel wide: it embeds gray (N, P * P) patches and decodes gray patches,
+scored against the gray target. Classify and linear models take three
+identical channels of one gray image (F = 3 * P * P,
+alignment.replicate_channels).
 """
 
 from __future__ import annotations
@@ -133,7 +132,10 @@ class ModelConfig:
 
     @property
     def patch_dim(self) -> int:
-        return 3 * self.patch_size ** 2
+        """The model's patch width: P * P gray pixels for forecast_reconstruct,
+        three identical channels of them for classify and forecast_linear."""
+        P2 = self.patch_size ** 2
+        return P2 if self.task == "forecast_reconstruct" else 3 * P2
 
 
 def validate_routing(task: str, imaging_method: str) -> None:
@@ -155,9 +157,14 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 def _draw_params(cfg: ModelConfig, seed: int) -> ParamSet:
     """The float64 draw init_params casts: Xavier-uniform projections, zero
-    biases, N(0, 0.02) mask token and positional embeddings."""
+    biases, N(0, 0.02) mask token and positional embeddings.
+
+    The one-channel reconstruction model is drawn as the fold of a
+    three-channel one: embed_w sums the three (P*P, D) blocks of a (3*P*P, D)
+    draw and dec_w averages those of a (D, 3*P*P) one, so it forecasts as the
+    three-channel model does on three copies of a gray image."""
     rng = np.random.default_rng(seed)
-    D, N, F = cfg.embed_dim, cfg.n_patches, cfg.patch_dim
+    D, N, F = cfg.embed_dim, cfg.n_patches, 3 * cfg.patch_size ** 2
     p: ParamSet = {
         "embed_w": _xavier(rng, F, D),
         "embed_b": np.zeros(D),
@@ -172,9 +179,12 @@ def _draw_params(cfg: ModelConfig, seed: int) -> ParamSet:
         p["ln_g"] = np.ones(D)
         p["ln_b"] = np.zeros(D)
     if cfg.task == "forecast_reconstruct":
+        e = p["embed_w"].reshape(3, -1, D)
+        p["embed_w"] = e[0] + e[1] + e[2]                   # sum(axis=0)'s order
         p["mask_token"] = rng.normal(0.0, 0.02, size=D)
-        p["dec_w"] = _xavier(rng, D, F)
-        p["dec_b"] = np.zeros(F)
+        w = _xavier(rng, D, F).reshape(D, 3, -1).swapaxes(0, 1)
+        p["dec_w"] = (w[0] + w[1] + w[2]) / 3               # mean(axis=1)'s order
+        p["dec_b"] = np.zeros(cfg.patch_dim)
     else:
         fan_in, out = ((N * D, cfg.horizon) if cfg.task == "forecast_linear"
                        else (cfg.num_variates * D, cfg.num_classes))
@@ -229,8 +239,7 @@ def backward_embed(d_tokens: np.ndarray, cache: dict, grads: GradSet) -> None:
     else:
         grads["mask_token"] += d_tokens[mask_rows].sum(axis=0)
         d_proj = d_tokens[cache["visible"]]
-    g = cache["rows"].T @ d_proj
-    grads["embed_w"].reshape((-1,) + g.shape)[:] += g    # gray rows feed all 3 blocks
+    grads["embed_w"] += cache["rows"].T @ d_proj
     grads["embed_b"] += d_proj.sum(axis=0)
 
 
@@ -376,50 +385,21 @@ def _checked_mask(mask: np.ndarray, N: int) -> np.ndarray:
 
 def forward_reconstruct(patches: np.ndarray, mask: np.ndarray, params: ParamSet,
                         cfg: ModelConfig) -> np.ndarray:
-    """Full framework-(d) forward on the (N, F) patches of one image and
-    its bool (N,) forecast mask: masked tokens become the mask token, the
-    decoder regenerates only the masked patches, and unmasked patches are
-    passed through untouched."""
-    mask_rows = _checked_mask(mask, patches.shape[0])
-    out = patches.copy()
-    out[mask_rows] = _forward(patches, params, cfg, mask_rows)[0]
-    return out
-
-
-def _gray_embed(params: ParamSet, P2: int) -> dict:
-    """`params` with embed_w's three channel blocks summed, to embed gray P2-pixel patches."""
-    F, D = params["embed_w"].shape
-    if F != 3 * P2:
-        raise ShapeMismatchError(f"gray patch width {P2}, expected embed_w fan-in / 3 = {F / 3:g}")
-    e = params["embed_w"].reshape(3, P2, D)
-    return dict(params, embed_w=e[0] + e[1] + e[2])      # sum(axis=0)'s order
+    """:func:`forward_reconstruct_gray` on the (N, P*P) patches of one image,
+    under the name perfbench's tracer wraps."""
+    return forward_reconstruct_gray(patches, mask, params, cfg)
 
 
 def forward_reconstruct_gray(patches: np.ndarray, mask: np.ndarray, params: ParamSet,
                              cfg: ModelConfig) -> np.ndarray:
-    """:func:`forward_reconstruct` on the (..., N, P*P) patches of gray
-    images that share one mask, as one stacked pass.
-
-    Equal, up to rounding, to :func:`~tsimg.alignment.replicate_channels`
-    followed by :func:`forward_reconstruct` (the three-channel reference),
-    with the three output channels averaged. The copies are folded into
-    the weights on every call instead: the embedding uses the sum of
-    embed_w's three channel blocks (as in training) and the decoder the mean
-    of dec_w's and dec_b's, so a third of the columns are embedded and decoded.
-    The fold is not cached: train updates the caller's arrays in place, so a
-    cache keyed on params would go stale. A one-channel model removes it.
-    """
-    folded = _gray_embed(params, patches.shape[-1])
-    P2, D = folded["embed_w"].shape
-    if params["dec_w"].shape != (D, 3 * P2):
-        raise ShapeMismatchError(
-            f"dec_w {params['dec_w'].shape} does not fit three channels of {P2}-pixel patches")
+    """Full framework-(d) forward on the (..., N, P*P) gray patches of
+    images that share one bool (N,) forecast mask, as one stacked pass:
+    masked tokens become the mask token, the decoder regenerates only the
+    masked patches, and unmasked patches are passed through untouched."""
     # the one (..., N) row mask; forward_embed builds its one inverse
     mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | _checked_mask(mask, patches.shape[-2])
-    w, b = params["dec_w"].reshape(D, 3, P2).swapaxes(0, 1), params["dec_b"].reshape(3, P2)
-    folded.update(dec_w=(w[0] + w[1] + w[2]) / 3, dec_b=(b[0] + b[1] + b[2]) / 3)  # mean's order
     out = patches.copy()
-    out[mask_rows] = _forward(patches, folded, cfg, mask_rows)[0]
+    out[mask_rows] = _forward(patches, params, cfg, mask_rows)[0]
     return out
 
 
@@ -531,10 +511,8 @@ def _loss(batch: Samples, params: ParamSet, cfg: ModelConfig, grads: GradSet | N
         n_masked = mask.sum(axis=1)
         if not n_masked.all():
             raise EmptyMaskError("reconstruction loss needs >= 1 masked patch per sample")
-        err, feat, body, caches = _forward(x, _gray_embed(params, x.shape[2]), cfg,
-                                           mask)                        # body (B, N, D)
-        err3 = err.reshape(len(err), 3, -1)     # each decoded channel against the gray target
-        err3 -= target[mask].astype(err.dtype, copy=False)[:, None]
+        err, feat, body, caches = _forward(x, params, cfg, mask)        # body (B, N, D)
+        err -= target[mask].astype(err.dtype, copy=False)
         # each sample's masked MSE, averaged over the batch: a row of sample
         # b weighs 1 / (B * n_b * F), in the model's dtype
         w = np.repeat((1.0 / (B * n_masked * err.shape[1])).astype(err.dtype, copy=False),

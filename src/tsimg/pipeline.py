@@ -23,7 +23,8 @@ Images are float64 arrays, checked once per stack by
 appear: on :func:`image_for_method`'s output and on the stacks of the
 reconstruction core. Every path cuts patches with one
 :func:`~tsimg.alignment.patchify`; classify and linear images are resized one
-by one, then aligned as one stack in the model's three channels; the rest stay gray.
+by one, then aligned as one stack in those models' three channels. The
+reconstruction model is one channel wide, so its patches stay gray.
 """
 
 from __future__ import annotations
@@ -225,11 +226,10 @@ def predict_forecasts(lookbacks: np.ndarray, L: int, horizon: int,
     Pipeline: each variate's uvh rows -> append ceil(horizon/L)
     placeholder columns -> resize to S x S -> standardize (recording
     mu/sigma) -> cut into gray P x P patches -> one masked reconstruction
-    pass over the stack, with the model's three identical input channels
-    folded into its weights -> de-standardize -> resize back -> unstack
-    each variate -> its first `horizon` recovered values. A degenerate
-    (constant) resized image has no scale to de-standardize with: it
-    forecasts its constant without running the model.
+    pass of the one-channel model over the stack -> de-standardize ->
+    resize back -> unstack each variate -> its first `horizon` recovered
+    values. A degenerate (constant) resized image has no scale to
+    de-standardize with: it forecasts its constant without running the model.
     """
     lookbacks = _stacks(3, lookbacks)[0]
     stack, lb_cols, h_cols = _with_horizon(lookbacks, L, horizon)

@@ -78,8 +78,8 @@ def _grad_batch(cfg, rng, n=2):
     for _ in range(n):
         m = np.zeros(N, bool)
         m[rng.choice(N, N // 2, replace=False)] = True
-        out.append(ReconstructSample(rng.normal(size=(N, F // 3)),
-                                     rng.normal(size=(N, F // 3)), m))
+        out.append(ReconstructSample(rng.normal(size=(N, F)),
+                                     rng.normal(size=(N, F)), m))
     return out
 
 

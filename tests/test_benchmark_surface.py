@@ -72,3 +72,34 @@ def test_tracer_counts_a_training_batch_as_its_list_of_samples(monkeypatch):
             counts.append(tracer._model)
         assert counts[0] == counts[1]
         assert counts[0]["samples"] == len(as_list) and counts[0]["masked"] > 0
+
+
+def test_reconstruct_train_and_forecasts_run_under_the_tracer():
+    """A traced benchmark run replaces every function in LAYERS, and the
+    tracer reads the inputs of some of them, such as `.patches` of
+    models.forward_reconstruct's first argument. So a library path that
+    reaches a traced name with arguments the tracer cannot read fails the
+    traced run: train and forecast with a reconstruct model under it."""
+    import tsimg
+    import tsimg.alignment
+    import tsimg.dataio
+    import tsimg.evaluation
+    import tsimg.series  # noqa: F401  (patched reaches each layer as a package attribute)
+    from tsimg import pipeline
+    spans = _spans()
+    cfg = ModelConfig(arch="minimae", task="forecast_reconstruct", image_size=16,
+                      patch_size=4, embed_dim=8, num_heads=2, horizon=8)
+    windows = [gen_periodic(12, 56, "composite", seed=k, noise_std=0.1) for k in range(4)]
+    samples = [build_reconstruct_sample(x[:48], x[48:], 12, cfg) for x in windows]
+    tracer = spans.Tracer()
+    with spans.patched(tsimg, tracer.replacements()), tracer.item_span():
+        params, history = training.train(cfg, init_params(cfg, seed=0), samples, samples,
+                                         training.TrainConfig(batch_size=2, max_epochs=1))
+        uvh = pipeline.predict_forecast(windows[0][:48], 12, 8, params, cfg)
+        mvh = pipeline.predict_forecast_mvh(np.stack(windows)[:, :48], 8, params, cfg)
+    assert uvh.shape == (8,) and mvh.shape == (4, 8) and len(history) == 1
+    called = {tracer.names[i] for i in tracer.name_id}
+    assert {"training.train", "models.backward", "models.forward_embed",
+            "pipeline.predict_forecast", "pipeline.predict_forecast_mvh"} <= called
+    # one epoch: each sample once through models.backward, once through batch_loss
+    assert tracer.train_calls == 1 and tracer._model["samples"] == 2 * len(samples)

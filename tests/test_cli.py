@@ -156,6 +156,29 @@ def test_eval_rejects_checkpoint_of_another_model(ett_csv, tmp_path, capsys, oth
     assert err.startswith("error: checkpoint does not fit the model")
 
 
+def test_eval_refuses_a_three_channel_reconstruct_checkpoint(ett_csv, tmp_path, capsys):
+    # a forecast-reconstruct run saved while that model was three channels
+    # wide: embed_w (3 * P * P, D), dec_w (D, 3 * P * P); such runs are retrained
+    run = tmp_path / "run"
+    assert main(["train", "--task", "forecast-reconstruct", "--imaging", "uvh",
+                 "--arch", "minimae", "--input", ett_csv, "--out", str(run),
+                 "--lookback", "24", "--horizon", "4", "--seg-len", "12",
+                 "--image-size", "16", "--patch-size", "8", "--embed-dim", "8",
+                 "--heads", "2", "--epochs", "1", "--seed", "0"]) == 0
+    cfg = ModelConfig(arch="minimae", task="forecast_reconstruct", image_size=16,
+                      patch_size=8, embed_dim=8, num_heads=2, horizon=4)
+    old = init_params(cfg, 0)
+    old.update(embed_w=np.zeros((192, 8)), dec_w=np.zeros((8, 192)), dec_b=np.zeros(192))
+    save_checkpoint(old, str(run / "checkpoint.bin"))
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--input", ett_csv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint does not fit the model")
+    for diff in ("dec_b: (192,) vs (64,)", "dec_w: (8, 192) vs (8, 64)",
+                 "embed_w: (192, 8) vs (64, 8)"):
+        assert diff in err
+
+
 def test_eval_with_perturbation(ett_csv, tmp_path, capsys):
     run = str(tmp_path / "run")
     assert _train_linear(ett_csv, run) == 0

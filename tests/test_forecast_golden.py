@@ -8,7 +8,9 @@ init_params casts to float32 (models._draw_params), so the file pins the
 float64 arithmetic of the code float32 models run through. On the platform
 that wrote the file the forecasts must match it bit for bit, so a change
 that only trims numpy calls off the forecast path is shown to change no
-output. Elsewhere they are held to 1e-10: another
+output. The file was written when the reconstruction model had three
+channels; the one-channel model is drawn as the fold of that model's draw,
+so its forecasts still match it. Elsewhere they are held to 1e-10: another
 CPU makes OpenBLAS pick another kernel, which rounds matmuls differently
 (about 1e-14 relative when a Haswell or Zen kernel is forced on an AVX-512
 machine with OPENBLAS_CORETYPE).
@@ -62,7 +64,10 @@ def _forecasts() -> dict:
             cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=S,
                               patch_size=P, embed_dim=8, num_heads=2, horizon=HORIZON)
             params = _draw_params(cfg, seed=S + P + k)
-            params["dec_b"] = np.random.default_rng(P + k).normal(size=params["dec_b"].shape)
+            # a random decoder bias, drawn at three channels and folded by
+            # their mean as the model's decoder is (models._draw_params)
+            b = np.random.default_rng(P + k).normal(size=(3, P * P))
+            params["dec_b"] = (b[0] + b[1] + b[2]) / 3
             for kind, lb in windows.items():
                 key = f"{arch}_{S}x{P}_{kind}"
                 out[f"uvh_{key}"] = predict_forecast(lb[1], L, HORIZON, params, cfg)

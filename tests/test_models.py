@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from test_trim_oracles import three_channel_draw, three_channel_reconstruct
 from tsimg.alignment import replicate_channels
 from tsimg.errors import (
     EmptyMaskError,
@@ -55,8 +56,8 @@ def make_batch(cfg, rng, n=2):
     for _ in range(n):
         m = np.zeros(N, bool)
         m[rng.choice(N, N // 2, replace=False)] = True
-        out.append(ReconstructSample(rng.normal(size=(N, F // 3)),
-                                     rng.normal(size=(N, F // 3)), m))
+        out.append(ReconstructSample(rng.normal(size=(N, F)),
+                                     rng.normal(size=(N, F)), m))
     return out
 
 
@@ -218,17 +219,19 @@ def test_reconstruct_zero_decoder():
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_reconstruct_gray_is_channel_mean_of_replicated(arch):
-    # reference: replicate each gray patch into three channels, run the
-    # three-channel model, average the output channels
+    # reference: the three-channel model the one-channel draw folds, run on
+    # each gray patch replicated into three channels, output channels averaged
     cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=32,
                       patch_size=8, embed_dim=16, num_heads=2)
-    params = _draw_params(cfg, 0)       # float64, for the 1e-12 bound
+    three = three_channel_draw(cfg, 0)
     rng = np.random.default_rng(12)
-    params["dec_b"] = rng.normal(size=params["dec_b"].shape)
     P2 = cfg.patch_size ** 2
+    three["dec_b"] = rng.normal(size=3 * P2)
+    params = _draw_params(cfg, 0)       # float64, for the 1e-12 bound
+    params["dec_b"] = three["dec_b"].reshape(3, P2).mean(axis=0)
     gray = rng.normal(size=(cfg.n_patches, P2))
     mask = _mask(cfg.n_patches, {2, 3, 6, 7, 11, 15})
-    ref = forward_reconstruct(replicate_channels(gray), mask, params, cfg)
+    ref = three_channel_reconstruct(replicate_channels(gray), mask, three, cfg)
     ref = ref.reshape(-1, 3, P2).mean(axis=1)
     out = forward_reconstruct_gray(gray, mask, params, cfg)
     assert out.shape == gray.shape
@@ -450,59 +453,12 @@ def masked_mse(pred_patches, target_patches, mask_rows):
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_reconstruct_batch_loss_is_masked_mse(arch):
-    # the three-channel reference: gray patches and targets replicated
     cfg = small_cfg(arch, "forecast_reconstruct")
     params = _draw_params(cfg, 16)      # float64, for the 1e-12 bound
     s = make_batch(cfg, np.random.default_rng(16), n=1)[0]
-    pred = forward_reconstruct(replicate_channels(s.patches), s.mask_rows, params, cfg)
+    pred = forward_reconstruct(s.patches, s.mask_rows, params, cfg)
     assert batch_loss([s], params, cfg) == pytest.approx(
-        masked_mse(pred, replicate_channels(s.target_patches), s.mask_rows), rel=1e-12)
-
-
-def _three_channel_loss(batch, params, cfg, grads):
-    """The reconstruction loss as it was before training went gray: each
-    sample replicated into three channels, its visible rows and masked
-    targets gathered per sample, every 3 * P * P column embedded, and the
-    batch's mean masked MSE backpropagated by hand."""
-    from tsimg.models import _forward, backward_body
-    B = len(batch)
-    mask = np.stack([s.mask_rows for s in batch])
-    patches = np.stack([replicate_channels(s.patches) for s in batch])
-    visible = patches[~mask]
-    target = np.concatenate([replicate_channels(s.target_patches)[s.mask_rows]
-                             for s in batch])
-    err, feat, body, (_, body_cache) = _forward(patches, params, cfg, mask)
-    err -= target
-    n_masked = mask.sum(axis=1)
-    w = np.repeat(1.0 / (B * n_masked * target.shape[1]), n_masked)[:, None]
-    d_out = 2.0 * w * err
-    grads["dec_w"] += feat.T @ d_out
-    grads["dec_b"] += d_out.sum(axis=0)
-    d_body = np.zeros_like(body)
-    d_body[mask] = d_out @ params["dec_w"].T
-    d_tokens = backward_body(d_body, body_cache, params, grads)
-    grads["pos"] += d_tokens.sum(axis=0)
-    grads["mask_token"] += d_tokens[mask].sum(axis=0)
-    d_proj = d_tokens[~mask]
-    grads["embed_w"] += visible.T @ d_proj
-    grads["embed_b"] += d_proj.sum(axis=0)
-    return float((w * err * err).sum())
-
-
-@pytest.mark.parametrize("arch", ARCHS)
-def test_gray_backward_matches_three_channel_oracle(arch):
-    cfg = small_cfg(arch, "forecast_reconstruct")
-    params = _draw_params(cfg, 18)      # float64, for the 1e-12 bounds
-    params["dec_b"] = np.random.default_rng(18).normal(size=params["dec_b"].shape)
-    batch = _equivalence_batch(cfg, np.random.default_rng(18))
-    loss, grads = backward(batch, params, cfg)
-    want = {k: np.zeros_like(p) for k, p in params.items()}
-    assert loss == pytest.approx(_three_channel_loss(batch, params, cfg, want), rel=1e-12)
-    for k in params:
-        scale = np.max(np.abs(want[k]))
-        assert np.max(np.abs(grads[k] - want[k])) <= 1e-12 * scale, k
-    blocks = grads["embed_w"].reshape(3, cfg.patch_size ** 2, cfg.embed_dim)
-    assert np.array_equal(blocks[0], blocks[1]) and np.array_equal(blocks[0], blocks[2])
+        masked_mse(pred, s.target_patches, s.mask_rows), rel=1e-12)
 
 
 def test_three_channel_reconstruct_sample_is_refused():
@@ -512,7 +468,7 @@ def test_three_channel_reconstruct_sample_is_refused():
     three = ReconstructSample(replicate_channels(s.patches),
                               replicate_channels(s.target_patches), s.mask_rows)
     for run in (backward, batch_loss):
-        with pytest.raises(ShapeMismatchError, match="expected embed_w fan-in / 3 = 64"):
+        with pytest.raises(ShapeMismatchError, match="patch dim 192 != embed fan-in 64"):
             run([three], params, cfg)
 
 
@@ -574,10 +530,8 @@ def test_float32_parameters_promote_nothing_to_float64(arch, task, monkeypatch):
     # the samples are cast before any arithmetic: float32 samples give the same bits
     loss32, grads32 = backward(batch.astype(np.float32), params, cfg)
     assert loss32 == loss and grads32.vector.tobytes() == grads.vector.tobytes()
-    x, mask, model = batch.arrays[0], None, params
-    if task == "forecast_reconstruct":
-        mask, model = batch.mask_rows, models._gray_embed(params, x.shape[-1])
-    out, feat, body, caches = models._forward(x, model, cfg, mask)
+    mask = batch.mask_rows if task == "forecast_reconstruct" else None
+    out, feat, body, caches = models._forward(batch.arrays[0], params, cfg, mask)
     cached = [a for c in caches for a in c.values() if isinstance(a, np.ndarray)]
     seen.extend(a.dtype for a in [out, feat, body, *cached] if a.dtype.kind == "f")
     assert len(seen) > 20 and set(seen) == {np.dtype(np.float32)}

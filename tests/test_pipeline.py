@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsimg.pipeline as pipeline
+from test_trim_oracles import three_channel_draw, three_channel_reconstruct
 from tsimg.alignment import (
     build_forecast_mask,
     patchify,
@@ -18,7 +19,6 @@ from tsimg.imaging import IMAGING_METHODS, detect_period, uvh_inverse
 from tsimg.models import (
     ModelConfig,
     _draw_params,
-    forward_reconstruct,
     init_params,
     predict_linear,
 )
@@ -296,16 +296,16 @@ def test_trained_stub_free_round_trip_smoke():
 
 # --- the single-channel core against the three-channel model ---------------
 #
-# The reference runs the model as trained: the standardized image
-# patchified, replicated into three channels, reconstructed by
-# forward_reconstruct, averaged back to one channel and unpatchified.
+# The reference runs the three-channel model the one-channel draw folds:
+# the standardized image patchified, replicated into three channels,
+# reconstructed, averaged back to one channel and unpatchified.
 
 def _three_channel_image(img, lookback_cols, horizon_cols, params, cfg):
     S, P = cfg.image_size, cfg.patch_size
     std, mu, sigma, _ = standardize_stack(resize_bilinear(img, S, S)[None])
     patches = replicate_channels(patchify(std, P))[0]
     mask = build_forecast_mask(lookback_cols, horizon_cols, S, P)
-    out = forward_reconstruct(patches, mask, params, cfg)
+    out = three_channel_reconstruct(patches, mask, params, cfg)
     gray = unpatchify(out.reshape(1, -1, 3, P * P).mean(axis=2), P)[0]
     return gray * sigma[0] + mu[0]
 
@@ -314,12 +314,15 @@ def _three_channel_image(img, lookback_cols, horizon_cols, params, cfg):
 def test_predict_forecast_matches_three_channel_reference(arch):
     cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=32,
                       patch_size=8, embed_dim=16, num_heads=2, horizon=24)
+    P2 = cfg.patch_size ** 2
+    three = three_channel_draw(cfg, 1)
+    three["dec_b"] = np.random.default_rng(2).normal(size=3 * P2)
     params = _draw_params(cfg, 1)       # float64, for the 1e-12 bounds
-    params["dec_b"] = np.random.default_rng(2).normal(size=params["dec_b"].shape)
+    params["dec_b"] = three["dec_b"].reshape(3, P2).mean(axis=0)
     for seed, L, H in ((0, 24, 96), (1, 12, 100), (2, 17, 64)):
         lookback = gen_periodic(L, H, "composite", seed=seed, noise_std=0.1)
         in_stack, lb_cols, h_cols = pipeline._with_horizon(lookback[None, None], L, 24)
-        ref_img = _three_channel_image(in_stack[0], lb_cols, h_cols, params, cfg)
+        ref_img = _three_channel_image(in_stack[0], lb_cols, h_cols, three, cfg)
         ref = uvh_inverse(resize_bilinear(ref_img, L, lb_cols + h_cols),
                           H + h_cols * L)[H:H + 24]
         pred = predict_forecast(lookback, L, 24, params, cfg)
@@ -327,7 +330,7 @@ def test_predict_forecast_matches_three_channel_reference(arch):
 
     lookback = np.random.default_rng(3).normal(size=(3, 96)) + np.arange(3.0)[:, None]
     in_img = np.concatenate([lookback, np.tile(lookback[:, -1:], (1, 24))], axis=1)
-    ref = resize_bilinear(_three_channel_image(in_img, 96, 24, params, cfg),
+    ref = resize_bilinear(_three_channel_image(in_img, 96, 24, three, cfg),
                           3, 120)[:, 96:]
     pred = predict_forecast_mvh(lookback, 24, params, cfg)
     assert pred.shape == (3, 24) and np.max(np.abs(pred - ref)) < 1e-12

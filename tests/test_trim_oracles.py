@@ -1,8 +1,9 @@
 """Each expression trimmed to fewer numpy calls on the forecast path, pinned
 bit for bit to the expression it replaced, kept here as the oracle: the
 period pick, the bilinear resize and its clamp, the forecast mask cache,
-the attention layer norm forward and backward, the gray weight folds, the
-MSE, and the one framework-(d) image layout against its UVH and MVH forms."""
+the attention layer norm forward and backward, the one-channel
+reconstruction model against the three-channel one whose weights it folds,
+the MSE, and the one framework-(d) image layout against its UVH and MVH forms."""
 
 import math
 from collections import namedtuple
@@ -20,6 +21,7 @@ from tsimg.imaging import detect_period
 from tsimg.models import (
     ARCHS,
     ModelConfig,
+    _draw_params,
     forward_attention,
     forward_reconstruct_gray,
     init_params,
@@ -212,41 +214,106 @@ def test_attention_backward_layer_norm_equals_np_mean_form(B, D, heads):
         assert got[k].tobytes() == want[k].tobytes(), k
 
 
-# --- the gray folds: block adds against reshape(...).sum and .mean -------------------
+# --- the one-channel reconstruction model against the three-channel one ------
+#
+# The oracle is the three-channel model the reconstruct task had before it
+# became one channel wide: its float64 draw, and its forward on gray
+# patches, which folded the weights on every call (_gray_embed and the
+# decoder fold, copied verbatim). The one-channel draw is that draw folded
+# once, by block adds in np.sum's and np.mean's order, so an untrained model
+# forecasts the same bits. test_models and test_pipeline take their
+# three-channel references from here.
 
-@given(st.integers(1, 40), st.integers(1, 80), st.integers(0, 2**32 - 1))
-def test_gray_embed_fold_equals_block_sum(D, P2, seed):
-    w = np.random.default_rng(seed).normal(size=(3 * P2, D)) * 10.0
-    got = models._gray_embed({"embed_w": w}, P2)["embed_w"]
-    assert got.tobytes() == w.reshape(3, P2, D).sum(axis=0).tobytes()
+def three_channel_draw(cfg, seed):
+    """The reconstruct task's float64 draw at three channels: embed_w
+    (3 * P * P, D), dec_w (D, 3 * P * P), dec_b (3 * P * P,)."""
+    rng = np.random.default_rng(seed)
+    D, N, F = cfg.embed_dim, cfg.n_patches, 3 * cfg.patch_size ** 2
+    p = {
+        "embed_w": models._xavier(rng, F, D),
+        "embed_b": np.zeros(D),
+        "pos": rng.normal(0.0, 0.02, size=(N, D)),
+    }
+    if cfg.arch == "wolvm":
+        p["body_w"] = models._xavier(rng, D, D)
+        p["body_b"] = np.zeros(D)
+    else:
+        for name in ("wq", "wk", "wv", "wo"):
+            p[name] = models._xavier(rng, D, D)
+        p["ln_g"] = np.ones(D)
+        p["ln_b"] = np.zeros(D)
+    p["mask_token"] = rng.normal(0.0, 0.02, size=D)
+    p["dec_w"] = models._xavier(rng, D, F)
+    p["dec_b"] = np.zeros(F)
+    return p
 
 
-def reconstruct_gray_oracle(patches, mask, params, cfg):
-    """forward_reconstruct_gray with the folds taken as reshape(...).sum and .mean."""
+def _gray_embed(params, P2: int) -> dict:
+    """`params` with embed_w's three channel blocks summed, to embed gray P2-pixel patches."""
     F, D = params["embed_w"].shape
-    P2 = F // 3
-    folded = dict(params, embed_w=params["embed_w"].reshape(3, P2, D).sum(axis=0),
-                  dec_w=params["dec_w"].reshape(D, 3, P2).mean(axis=1),
-                  dec_b=params["dec_b"].reshape(3, P2).mean(axis=0))
-    mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | mask
+    if F != 3 * P2:
+        raise ShapeMismatchError(f"gray patch width {P2}, expected embed_w fan-in / 3 = {F / 3:g}")
+    e = params["embed_w"].reshape(3, P2, D)
+    return dict(params, embed_w=e[0] + e[1] + e[2])      # sum(axis=0)'s order
+
+
+def three_channel_reconstruct(patches, mask, params, cfg):
+    """The forward on the (N, 3 * P * P) patches of one image, as the
+    three-channel model ran it on a gray image replicated into channels."""
+    mask_rows = models._checked_mask(mask, patches.shape[0])
+    out = patches.copy()
+    out[mask_rows] = models._forward(patches, params, cfg, mask_rows)[0]
+    return out
+
+
+def three_channel_reconstruct_gray(patches, mask, params, cfg):
+    """The forward on (..., N, P*P) gray patches of a three-channel model."""
+    folded = _gray_embed(params, patches.shape[-1])
+    P2, D = folded["embed_w"].shape
+    if params["dec_w"].shape != (D, 3 * P2):
+        raise ShapeMismatchError(
+            f"dec_w {params['dec_w'].shape} does not fit three channels of {P2}-pixel patches")
+    # the one (..., N) row mask; forward_embed builds its one inverse
+    mask_rows = np.zeros(patches.shape[:-1], dtype=bool) | models._checked_mask(
+        mask, patches.shape[-2])
+    w, b = params["dec_w"].reshape(D, 3, P2).swapaxes(0, 1), params["dec_b"].reshape(3, P2)
+    folded.update(dec_w=(w[0] + w[1] + w[2]) / 3, dec_b=(b[0] + b[1] + b[2]) / 3)  # mean's order
     out = patches.copy()
     out[mask_rows] = models._forward(patches, folded, cfg, mask_rows)[0]
     return out
 
 
-@given(st.sampled_from(ARCHS), st.sampled_from([(8, 2), (8, 4), (16, 4), (32, 8)]),
+@given(st.sampled_from(ARCHS), st.integers(1, 9), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_gray_embed_fold_equals_block_sum(arch, P, D, seed):
+    cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=P, patch_size=P,
+                      embed_dim=D, num_heads=1)
+    w = three_channel_draw(cfg, seed)["embed_w"]
+    got = _draw_params(cfg, seed)["embed_w"]
+    assert got.tobytes() == w.reshape(3, P * P, D).sum(axis=0).tobytes()
+    assert got.tobytes() == _gray_embed({"embed_w": w}, P * P)["embed_w"].tobytes()
+
+
+@given(st.sampled_from(ARCHS), st.sampled_from([(8, 2), (8, 4), (16, 4), (24, 8), (32, 8)]),
        st.sampled_from([(4, 1), (8, 2), (32, 4)]), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_reconstruct_gray_folds_equal_sum_and_mean(arch, geometry, width, n, seed):
     (S, P), (D, heads) = geometry, width
     cfg = ModelConfig(arch=arch, task="forecast_reconstruct", image_size=S, patch_size=P,
                       embed_dim=D, num_heads=heads)
     rng = np.random.default_rng(seed)
-    params = init_params(cfg, seed=seed % 1000)
-    params["dec_b"] = rng.normal(size=params["dec_b"].shape)
+    three = three_channel_draw(cfg, seed % 1000)
+    three["dec_b"] = rng.normal(size=3 * P * P)
+    params = _draw_params(cfg, seed % 1000)
+    assert params.keys() == three.keys()
+    params["dec_b"] = three["dec_b"].reshape(3, P * P).mean(axis=0)
+    for k in params.keys() - {"embed_w", "dec_w", "dec_b"}:
+        assert params[k].tobytes() == three[k].tobytes(), k
+    assert params["embed_w"].tobytes() == three["embed_w"].reshape(3, P * P, D).sum(axis=0).tobytes()
+    assert params["dec_w"].tobytes() == three["dec_w"].reshape(D, 3, P * P).mean(axis=1).tobytes()
     mask = build_forecast_mask(int(rng.integers(1, 8)), int(rng.integers(1, 8)), S, P)
     patches = rng.normal(size=(n, cfg.n_patches, P * P))
     got = forward_reconstruct_gray(patches, mask, params, cfg)
-    assert got.tobytes() == reconstruct_gray_oracle(patches, mask, params, cfg).tobytes()
+    want = three_channel_reconstruct_gray(patches, mask, three, cfg)
+    assert got.tobytes() == want.tobytes()
 
 
 # --- metric_mse: a sum and a divide against np.mean -------------------------------
