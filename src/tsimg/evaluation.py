@@ -244,8 +244,10 @@ def lookback_sweep(task: ForecastTask, model_cfg: ModelConfig,
                    seg_len: int | None = None) -> SweepResult:
     """One train/eval per look-back length; lengths too long for the data
     are skipped with a recorded reason."""
-    if sorted(lengths) != list(lengths):
-        raise ShapeMismatchError("lengths must be increasing")
+    if not lengths:
+        raise EmptyResultError("lookback_sweep needs at least one length")
+    if any(a >= b for a, b in zip(lengths, lengths[1:])):
+        raise ShapeMismatchError(f"lengths must be strictly increasing, got {list(lengths)}")
     axis, mses, maes, secs, skipped = [], [], [], [], []
     for idx, H in enumerate(lengths):
         splits = split_windows(replace(task, lookback=H))

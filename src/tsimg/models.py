@@ -286,7 +286,8 @@ def forward_attention(tokens: np.ndarray, params: ParamSet, num_heads: int):
     Qh, Kh, Vh = (_split_heads(x @ params[w], lead, N, num_heads) for w in ("wq", "wk", "wv"))
     A = Qh @ Kh.swapaxes(-1, -2)                         # scores, then softmax in place
     A /= math.sqrt(dh)
-    A -= A.max(axis=-1, keepdims=True)
+    # row max over each sample's (keys, rows) copy: long elementwise maxima, not a reduce per row
+    A -= A.reshape(len(A), -1, N).swapaxes(-1, -2).copy().max(axis=-2).reshape(A.shape[:-1] + (1,))
     np.exp(A, out=A)
     A /= A.sum(axis=-1, keepdims=True)                   # (..., h, N, N)
     O = _merge_heads(A @ Vh)

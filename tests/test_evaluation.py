@@ -257,7 +257,8 @@ def test_segment_sweep_checks_every_i_before_the_first_cell(monkeypatch, i_value
     assert cells == []
 
 
-def test_segment_sweep_refuses_empty_i_values_before_splitting(monkeypatch):
+def _unsplittable_sweep_args(monkeypatch):
+    """A sweep's task, model and train configs, with split_windows failing if it runs."""
     def no_split(task):
         raise AssertionError("split_windows ran")
 
@@ -266,8 +267,24 @@ def test_segment_sweep_refuses_empty_i_values_before_splitting(monkeypatch):
     cfg = ModelConfig(arch="wolvm", task="forecast_reconstruct", image_size=16,
                       patch_size=8, embed_dim=8, num_heads=2, horizon=12)
     tc = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=1, patience=1, seed=0)
+    return task, cfg, tc
+
+
+def test_segment_sweep_refuses_empty_i_values_before_splitting(monkeypatch):
     with pytest.raises(EmptyResultError, match="at least one i"):
-        segment_sweep(task, cfg, tc, L=12, k=3, i_values=[])
+        segment_sweep(*_unsplittable_sweep_args(monkeypatch), L=12, k=3, i_values=[])
+
+
+def test_lookback_sweep_refuses_empty_lengths_before_splitting(monkeypatch):
+    with pytest.raises(EmptyResultError, match="at least one length"):
+        lookback_sweep(*_unsplittable_sweep_args(monkeypatch), [])
+
+
+@pytest.mark.parametrize("lengths", [[48, 48], [24, 48, 48, 96], [96, 48]])
+def test_lookback_sweep_refuses_repeated_or_decreasing_lengths_before_splitting(
+        monkeypatch, lengths):
+    with pytest.raises(ShapeMismatchError, match="strictly increasing"):
+        lookback_sweep(*_unsplittable_sweep_args(monkeypatch), lengths, seg_len=12)
 
 
 def test_split_windows_short_block_is_empty():

@@ -123,6 +123,21 @@ def test_attention_rows_sum_to_one():
     assert np.max(np.abs(sums - 1.0)) < 1e-9
 
 
+def test_attention_softmax_is_stable_at_large_float32_scores():
+    # scores near 1e4 overflow exp unshifted and underflow whole rows to 0/0
+    # under a shift shared by a sample or a head; the row max keeps each row's
+    # largest term at exp(0) = 1
+    cfg = small_cfg("lvm2attn", "forecast_linear")
+    params = init_params(cfg, 0)
+    tokens = np.random.default_rng(4).normal(size=(16, cfg.n_patches, cfg.embed_dim)) * 50.0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        _, cache = forward_attention(tokens.astype(np.float32), params, cfg.num_heads)
+    scores = cache["Qh"] @ cache["Kh"].swapaxes(-1, -2) / np.sqrt(cache["Qh"].shape[-1])
+    assert cache["A"].dtype == np.float32 and 5e3 < np.abs(scores).max() < 5e4
+    assert np.isfinite(cache["A"]).all()
+    assert np.max(np.abs(cache["A"].sum(axis=-1, dtype=np.float64) - 1.0)) < 1e-6
+
+
 def test_attention_single_token():
     cfg = small_cfg("lvm2attn", "forecast_linear")
     params = init_params(cfg, 0)

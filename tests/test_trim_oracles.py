@@ -1,10 +1,13 @@
 """Each expression trimmed to fewer numpy calls on the forecast path, pinned
 bit for bit to the expression it replaced, kept here as the oracle: the
 period pick, the bilinear resize and its clamp, the forecast mask cache,
-the attention layer norm forward and backward, the one-channel
-reconstruction model against the three-channel one whose weights it folds,
-the MSE, and the one framework-(d) image layout against its UVH and MVH forms."""
+the attention row max, the attention layer norm forward and backward,
+the one-channel reconstruction model against the three-channel one whose
+weights it folds, the MSE, and the one framework-(d) image layout against
+its UVH and MVH forms."""
 
+import inspect
+import itertools
 import math
 from collections import namedtuple
 
@@ -128,7 +131,7 @@ def test_forecast_mask_refuses_bad_sizes_on_every_call(args, error):
             build_forecast_mask(*args)
 
 
-# --- forward_attention: the layer norm against np.mean ---------------------------
+# --- forward_attention: the row max and the layer norm against A.max and np.mean ---
 
 def attention_oracle(tokens, params, num_heads):
     """forward_attention's output, xhat and inv_std with np.mean and np.sqrt(dh)."""
@@ -138,7 +141,7 @@ def attention_oracle(tokens, params, num_heads):
     Qh, Kh, Vh = (models._split_heads(x @ params[w], lead, N, num_heads)
                   for w in ("wq", "wk", "wv"))
     A = Qh @ Kh.swapaxes(-1, -2)
-    A /= np.sqrt(dh)
+    A /= np.sqrt(dh, dtype=A.dtype)
     A -= A.max(axis=-1, keepdims=True)
     np.exp(A, out=A)
     A /= A.sum(axis=-1, keepdims=True)
@@ -152,18 +155,62 @@ def attention_oracle(tokens, params, num_heads):
 @pytest.mark.parametrize("B", [1, 16, 64])
 @pytest.mark.parametrize("D, heads", [(32, 4), (8, 2), (12, 3)])
 def test_attention_layer_norm_equals_np_mean_form(B, D, heads):
-    cfg = ModelConfig(arch="minimae", task="forecast_reconstruct", image_size=32,
-                      patch_size=8, embed_dim=D, num_heads=heads)
-    rng = np.random.default_rng(B * D)
-    params = init_params(cfg, seed=B + D)
-    params["ln_g"] = rng.normal(size=D)
-    params["ln_b"] = rng.normal(size=D)
-    tokens = rng.normal(size=(B, cfg.n_patches, D)) * 3.0
-    out, cache = forward_attention(tokens, params, heads)
-    want, xhat, inv_std = attention_oracle(tokens, params, heads)
-    assert out.tobytes() == want.tobytes()
-    assert cache["xhat"].tobytes() == xhat.tobytes()
-    assert cache["inv_std"].tobytes() == inv_std.tobytes()
+    for S, dtype in itertools.product([8, 24, 32, 64], [np.float32, np.float64]):  # N = 1-64
+        cfg = ModelConfig(arch="minimae", task="forecast_reconstruct", image_size=S,
+                          patch_size=8, embed_dim=D, num_heads=heads)
+        rng = np.random.default_rng(B * D + S)
+        params = {k: v.astype(dtype) for k, v in _draw_params(cfg, seed=B + D).items()}
+        params["ln_g"] = rng.normal(size=D).astype(dtype)
+        params["ln_b"] = rng.normal(size=D).astype(dtype)
+        tokens = (rng.normal(size=(B, cfg.n_patches, D)) * 3.0).astype(dtype)
+        out, cache = forward_attention(tokens, params, heads)
+        want, xhat, inv_std = attention_oracle(tokens, params, heads)
+        case = f"N={cfg.n_patches} {dtype.__name__}"
+        assert out.dtype == dtype, case
+        assert out.tobytes() == want.tobytes(), case
+        assert cache["xhat"].tobytes() == xhat.tobytes(), case
+        assert cache["inv_std"].tobytes() == inv_std.tobytes(), case
+
+
+def row_shift(A):
+    """forward_attention's softmax shift, copied from its source (the test below checks that)."""
+    N = A.shape[-1]
+    return A.reshape(len(A), -1, N).swapaxes(-1, -2).copy().max(axis=-2).reshape(A.shape[:-1] + (1,))
+
+
+def test_row_shift_is_forward_attentions_line():
+    expr = inspect.getsource(row_shift).splitlines()[-1].strip().removeprefix("return ")
+    assert f"A -= {expr}\n" in inspect.getsource(forward_attention)
+
+
+# values a score row can take: ties, both zeros, both infinities and NaN
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1e4, -1e4]
+
+
+@given(st.sampled_from(["h", "B h", "B V h"]), st.integers(1, 70), st.integers(1, 3),
+       st.integers(1, 4), st.integers(1, 70), st.sampled_from([np.float32, np.float64]),
+       st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.booleans(), st.integers(0, 2**32 - 1))
+@example("B h", 16, 1, 4, 9, np.float32, 0.05, False, 0)
+@example("B h", 16, 1, 4, 16, np.float32, 0.5, True, 1)
+@example("B V h", 3, 3, 4, 64, np.float64, 0.05, False, 2)
+def test_row_shift_equals_the_row_max(lead, B, V, h, N, dtype, special, small_ints, seed):
+    rng = np.random.default_rng(seed)
+    shape = {"h": (h,), "B h": (B, h), "B V h": (B, V, h)}[lead] + (N, N)
+    A = (rng.integers(-2, 3, size=shape) if small_ints else rng.normal(size=shape)).astype(dtype)
+    picks = rng.random(shape) < special
+    A[picks] = rng.choice(np.array(SPECIAL, dtype), size=int(picks.sum()))
+    got, want = row_shift(A), A.max(axis=-1, keepdims=True)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    # a max is exact, but which zero a row of +0 and -0 ties at depends on the
+    # order numpy reduces in; only those rows may differ in the sign of zero
+    zero_tie = ((A == 0) & np.signbit(A)).any(-1, keepdims=True) \
+        & ((A == 0) & ~np.signbit(A)).any(-1, keepdims=True) & (want == 0)
+    assert np.array_equal(np.signbit(got) | zero_tie, np.signbit(want) | zero_tie)
+    # either zero shifts every score to the same value under exp, so the
+    # softmax numerators are the same bits
+    with np.errstate(invalid="ignore"):
+        assert np.exp(A - got).tobytes() == np.exp(A - want).tobytes()
 
 
 # --- backward_attention: the layer-norm means against np.mean ---------------------
