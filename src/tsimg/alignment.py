@@ -120,7 +120,7 @@ def standardize_stack(stack: np.ndarray):
         c /= sigma[:, None, None]
     # a mean that is not finite makes the std so too
     if not np.isfinite(sigma).all():
-        raise ShapeMismatchError("image std is not finite")
+        raise ShapeMismatchError("std of a non-constant image or series is not finite")
     return c, mu, sigma, degenerate
 
 

@@ -1,11 +1,13 @@
 """File ingestion and persistence: ETT-style CSV, flat labeled-window CSV,
-16-bit PGM images, binary parameter checkpoints, and results CSV rows."""
+16-bit PGM images, parameter checkpoints (numpy .npz archives whose
+members zip checks by CRC-32), and results CSV rows."""
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,8 @@ from .errors import (
 from .alignment import check_images
 from .series import MultivariateSeries, WindowSample
 
-CHECKPOINT_MAGIC = b"TSIMGCKPT"
-CHECKPOINT_VERSION = 1
+# the first bytes of a checkpoint in the binary format before .npz archives
+OLD_CHECKPOINT_MAGIC = b"TSIMGCKPT"
 
 
 def load_ett_csv(path: str) -> MultivariateSeries:
@@ -154,61 +156,48 @@ def read_pgm(path: str) -> np.ndarray:
 # --- checkpoints --------------------------------------------------------
 
 def save_checkpoint(params: dict, path: str) -> None:
-    """Versioned binary container: magic, version byte, record count, then
-    (name, shape, row-major float64 data) records and a trailing record
-    count for the corruption check."""
-    tensors = {k: v for k, v in params.items() if isinstance(v, np.ndarray)}
+    """A numpy .npz archive: one stored ``<name>.npy`` member (.npy 1.0,
+    float64) per tensor in sorted name order, each with zip's fixed 1980
+    timestamp, so equal parameters give equal bytes; zip keeps their CRC-32s."""
     try:
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<BI", CHECKPOINT_VERSION, len(tensors)))
-            for name in sorted(tensors):
-                arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-                nb = name.encode()
-                fh.write(struct.pack("<H", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-                fh.write(arr.tobytes())
-            fh.write(struct.pack("<I", len(tensors)))
+        with zipfile.ZipFile(path, "w") as zf:
+            for name in sorted(params):
+                with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                    np.lib.format.write_array(fh, np.asarray(params[name], dtype=np.float64),
+                                              version=(1, 0), allow_pickle=False)
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from None
 
 
 def load_checkpoint(path: str) -> dict:
+    """The float64 tensors, by name, of a :func:`save_checkpoint` archive.
+    A file in the binary format used before .npz archives raises
+    VersionMismatchError (retrain its run). A non-zip file, a failed CRC-32,
+    a compressed, encrypted, repeated or non-.npy member, or data that is not
+    .npy 1.0 C-order '<f8' filling its header's shape (checked before an
+    array is made) raises CorruptFileError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from None
-    off = len(CHECKPOINT_MAGIC)
-    if blob[:off] != CHECKPOINT_MAGIC:
-        raise CorruptFileError(f"{path}: bad magic")
+    if blob.startswith(OLD_CHECKPOINT_MAGIC):
+        raise VersionMismatchError(f"{path}: a checkpoint in the binary format used "
+                                   "before .npz archives; retrain the run")
+    params = {}
     try:
-        version, count = struct.unpack_from("<BI", blob, off)
-        off += 5
-        if version != CHECKPOINT_VERSION:
-            raise VersionMismatchError(
-                f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
-        params = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off:off + nlen].decode()
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}q", blob, off)
-            off += 8 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).copy()
-            off += 8 * size
-            params[name] = arr.reshape(shape)
-        (trailer,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if trailer != count or off != len(blob):
-            raise CorruptFileError(f"{path}: length check failed")
-    except (struct.error, ValueError):
-        raise CorruptFileError(f"{path}: truncated file") from None
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            for info in zf.infolist():
+                name = info.filename.removesuffix(".npy")
+                if name == info.filename or name in params or info.compress_type:
+                    raise ValueError(f"{info.filename!r}: repeated, compressed or not .npy")
+                fh = io.BytesIO(member := zf.read(info))    # zf.read checks the CRC-32
+                version = np.lib.format.read_magic(fh)
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+                if version != (1, 0) or fortran or dtype != "<f8" or min(shape, default=0) < 0:
+                    raise ValueError(f"{info.filename!r}: not .npy 1.0 C-order '<f8' data")
+                params[name] = np.frombuffer(member, "<f8", offset=fh.tell()).reshape(shape).copy()
+    except (zipfile.BadZipFile, EOFError, ValueError, RuntimeError, NotImplementedError) as e:
+        raise CorruptFileError(f"{path}: {e}") from None
     return params
 
 

@@ -127,8 +127,8 @@ class IoError(TsimgError):
 
 
 class VersionMismatchError(TsimgError):
-    """Checkpoint written by an unknown format version."""
+    """Checkpoint in the binary format used before .npz archives."""
 
 
 class CorruptFileError(TsimgError):
-    """Checkpoint failed its length/consistency check."""
+    """Checkpoint failed its CRC-32 or its layout check."""

@@ -15,8 +15,8 @@ float64 parameters passed to the same code.
 Architectures (all share the patch-projection front end):
   wolvm     patch embed -> per-token linear layer
   lvm2attn  patch embed -> one multi-head self-attention block (residual + LN)
-  minimae   patch embed (+ learned mask token) -> attention block -> linear
-            patch decoder
+  minimae   lvm2attn under another name for now: the learned mask token and
+            linear patch decoder belong to the forecast_reconstruct task
 
 Task heads: classification (mean-pool per variate, concat, linear),
 linear forecasting (flatten tokens, linear), and masked-patch
@@ -27,10 +27,10 @@ trained is the model predicted with.
 
 Samples are stacks, not lists: a Samples holds n samples of one kind (a
 sample dataclass) as one (n, ...) array per field, and indexes like a
-sequence of samples. The reconstruct sample functions return the stack they build;
-stack_samples is the one place where a list of samples is stacked, once:
-linear samples in pipeline.forecast_samples, and a list given to backward,
-batch_loss or training.train. train takes each batch with one index gather
+sequence of samples. The forecast sample functions return the stack they build;
+stack_samples is the one place where a list of samples is stacked, once: a
+list given to backward, batch_loss or training.train, say by a caller that
+builds its own samples. train takes each batch with one index gather
 per field and batch_loss slices a larger stack (a whole validation set, say)
 into views of PASS_SAMPLES, so a batch runs as one forward and one backward
 pass over (B, N, F) patches for the forecast tasks and (B, V, N, F) for

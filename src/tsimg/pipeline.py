@@ -54,7 +54,6 @@ from .models import (
     Samples,
     forward_reconstruct_gray,
     predict_linear,
-    stack_samples,
     validate_routing,
 )
 from .series import MultivariateSeries, WindowSample
@@ -101,7 +100,7 @@ def _per_image(stack: np.ndarray, method: str) -> np.ndarray:
 
 
 def _patches(xs: np.ndarray, method: str, cfg: ModelConfig, L: int | None = None) -> np.ndarray:
-    """Framework-(b)/(c) input of n rows (a window's variates, say): each imaged and
+    """Framework-(b)/(c) input of n rows (a split's images, say): each imaged and
     resized on its own, then standardized, patched and replicated as one stack."""
     S = cfg.image_size
     imgs = np.stack([resize_bilinear(image_for_method(method, x, L=L), S, S) for x in xs])
@@ -113,12 +112,6 @@ def build_classify_sample(window: WindowSample, method: str, cfg: ModelConfig,
     """Image each variate independently (single shared image for mvh)."""
     xs = _per_image(window.lookback[None], method)
     return ClassifySample(patch_seqs=_patches(xs, method, cfg, L), label=window.class_label)
-
-
-def build_linear_sample(lookback: np.ndarray, target: np.ndarray, method: str,
-                        cfg: ModelConfig, L: int | None = None) -> ForecastSample:
-    return ForecastSample(patches=_patches(np.asarray(lookback)[None], method, cfg, L)[0],
-                          target=np.asarray(target, dtype=np.float64).ravel())
 
 
 # --- framework (d): mask-reconstruction forecasting -----------------------
@@ -301,8 +294,8 @@ def forecast_samples(lookbacks: np.ndarray, targets: np.ndarray, method: str,
         return build_reconstruct_samples(lookbacks, targets, 1, cfg)
     rows, tgts = _per_image(lookbacks, method), _per_image(targets, method)
     if cfg.task != "forecast_reconstruct":
-        return stack_samples([build_linear_sample(lb, tg, method, cfg, L=seg_len)
-                              for lb, tg in zip(rows, tgts)])
+        return Samples(ForecastSample, (_patches(rows, method, cfg, seg_len),
+                                        tgts.reshape(len(rows), -1)))
     return Samples(ReconstructSample, _by_seg_len(rows, seg_len, lambda idx, L: (
         build_reconstruct_samples(_uvh(rows[idx], L, tgts.shape[1]), tgts[idx][:, None],
                                   L, cfg).arrays)))
@@ -325,6 +318,6 @@ def forecast_windows(lookbacks: np.ndarray, method: str, horizon: int,
         out = _by_seg_len(rows, seg_len, lambda idx, L: [predict_forecasts(
             _uvh(rows[idx], L, horizon), L, horizon, params, cfg)[:, 0]])[0]
     else:   # one image per call: a matmul over more rows may round differently
-        out = np.stack([predict_linear(_patches(x[None], method, cfg, seg_len)[0], params, cfg)
-                        for x in rows])
+        out = np.stack([predict_linear(p, params, cfg)
+                        for p in _patches(rows, method, cfg, seg_len)])
     return out.reshape(lookbacks.shape[:2] + (horizon,))

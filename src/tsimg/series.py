@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .alignment import standardize_stack
 from .errors import (
     EmptyResultError,
     InvalidPeriodError,
@@ -115,28 +116,17 @@ def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,
                          test: MultivariateSeries,
                          ) -> tuple[MultivariateSeries, MultivariateSeries,
                                     MultivariateSeries, SplitStats]:
-    """Per-variate z-score of all three splits using train statistics.
-
-    Variates that are constant over train are mapped to all zeros and
-    flagged in the returned SplitStats instead of raising. Constancy is read
-    from the range, not from the std alone: the rounded mean of a constant
-    variate can differ from the constant and leave a tiny nonzero std. The
-    mean stored for a flagged variate is its first train value, so
-    ``z * std + mean`` gives the constant back exactly. A non-constant
-    variate whose train mean or std is not finite (its values overflow a
-    float64 sum of squares) raises ShapeMismatchError: it has no scale.
+    """Per-variate z-score of all three splits using train statistics: the
+    rule of :func:`~tsimg.alignment.standardize_stack` for each train
+    variate, applied to val and test. A variate constant over train maps to
+    all zeros and is flagged in SplitStats; its stored mean is its first
+    train value, so ``z * std + mean`` gives the constant back exactly. A
+    non-constant variate with no finite scale raises ShapeMismatchError.
     """
     if not (train.d == val.d == test.d):
         raise ShapeMismatchError("splits disagree on number of variates")
-    v = train.values
-    mean = v.mean(axis=1)
-    std = v.std(axis=1)
-    degenerate = (std == 0.0) | (v.max(axis=1, initial=-np.inf)
-                                 == v.min(axis=1, initial=np.inf))
-    if not (degenerate | (np.isfinite(mean) & np.isfinite(std))).all():
-        raise ShapeMismatchError("train mean or std of a variate is not finite")
-    if degenerate.any():
-        mean[degenerate] = v[degenerate, 0]
+    train_z, mean, std, degenerate = standardize_stack(train.values[:, None])
+    mean[degenerate] = train.values[degenerate, 0]
     safe_std = np.where(degenerate, 1.0, std)
 
     def transform(s: MultivariateSeries) -> MultivariateSeries:
@@ -144,8 +134,8 @@ def standardize_by_train(train: MultivariateSeries, val: MultivariateSeries,
         z[degenerate, :] = 0.0
         return MultivariateSeries(z, s.variate_names)
 
-    stats = SplitStats(mean=mean, std=std, degenerate=degenerate)
-    return transform(train), transform(val), transform(test), stats
+    return (MultivariateSeries(train_z[:, 0], train.variate_names), transform(val), transform(test),
+            SplitStats(mean=mean, std=std, degenerate=degenerate))
 
 
 def gen_periodic(period: int, length: int, waveform: str = "sine",

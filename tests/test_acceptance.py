@@ -33,9 +33,8 @@ from tsimg.models import (
     backward,
     batch_loss,
     init_params,
-    predict_linear,
 )
-from tsimg.pipeline import build_linear_sample
+from tsimg.pipeline import forecast_samples, forecast_windows
 from tsimg.series import MultivariateSeries, gen_ar1, gen_periodic
 from tsimg.training import TrainConfig, train
 
@@ -229,26 +228,19 @@ def test_c6_m_shape_bias():
 def test_c7_perturbation_sensitivity():
     x = gen_ar1(0.9, 3000, seed=11)
     task = ForecastTask(series=x, lookback=96, horizon=24, stride=8)
-    tr_w, va_w, te_w = ([*zip(lb[:, 0], tg[:, 0])] for lb, tg in split_windows(task))
+    splits = split_windows(task)
     cfg = ModelConfig(arch="lvm2attn", task="forecast_linear", image_size=32,
                       patch_size=8, embed_dim=32, num_heads=4, horizon=24)
-
-    def sample(lb, tg):
-        return build_linear_sample(lb, tg, "uvh", cfg, L=24)
-
+    train_s, val_s = (forecast_samples(*split, "uvh", cfg, 24) for split in splits[:2])
     params = init_params(cfg, 0)
-    params, _ = train(cfg, params, [sample(*w) for w in tr_w],
-                      [sample(*w) for w in va_w],
+    params, _ = train(cfg, params, train_s, val_s,
                       TrainConfig(learning_rate=1e-3, batch_size=32,
                                   max_epochs=30, patience=5, seed=0))
+    test_lb, truth = splits[2]
 
     def test_mse(transform):
-        preds, truths = [], []
-        for lb, tg in te_w:
-            preds.append(predict_linear(sample(transform(lb), tg).patches,
-                                        params, cfg))
-            truths.append(tg)
-        return metric_mse(np.stack(preds), np.stack(truths))
+        lbs = np.stack([transform(lb) for lb in test_lb[:, 0]])[:, None]
+        return metric_mse(forecast_windows(lbs, "uvh", 24, params, cfg, 24)[:, 0], truth[:, 0])
 
     clean = test_mse(lambda lb: lb)
     shuffled = test_mse(lambda lb: perturb(
@@ -271,20 +263,18 @@ def test_c8_trainability():
     x = gen_periodic(24, 2000, "sine")
     task = ForecastTask(series=x, lookback=96, horizon=24, stride=4)
     splits = split_windows(task)
-    tr_w, va_w, te_w = ([*zip(lb[:, 0], tg[:, 0])] for lb, tg in splits)
 
     # framework (c): linear forecasting head
     cfg_c = ModelConfig(arch="wolvm", task="forecast_linear", image_size=32,
                         patch_size=8, embed_dim=32, num_heads=4, horizon=24)
-    sample = lambda lb, tg: build_linear_sample(lb, tg, "uvh", cfg_c, L=24)
+    train_s, val_s = (forecast_samples(*split, "uvh", cfg_c, 24) for split in splits[:2])
     params = init_params(cfg_c, 0)
-    params, _ = train(cfg_c, params, [sample(*w) for w in tr_w],
-                      [sample(*w) for w in va_w],
+    params, _ = train(cfg_c, params, train_s, val_s,
                       TrainConfig(learning_rate=1e-2, batch_size=32,
                                   max_epochs=60, patience=60, seed=0))
-    preds = [predict_linear(sample(lb, tg).patches, params, cfg_c)
-             for lb, tg in te_w]
-    mse_c = metric_mse(np.stack(preds), np.stack([tg for _, tg in te_w]))
+    test_lb, truth = splits[2]
+    mse_c = metric_mse(forecast_windows(test_lb, "uvh", 24, params, cfg_c, 24)[:, 0],
+                       truth[:, 0])
 
     # framework (d): mask-reconstruction forecasting
     cfg_d = ModelConfig(arch="minimae", task="forecast_reconstruct",

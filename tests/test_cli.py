@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from test_dataio import data_offset
 from tsimg.cli import main
 from tsimg.dataio import save_checkpoint
 from tsimg.evaluation import metric_mse
@@ -154,6 +155,28 @@ def test_eval_rejects_checkpoint_of_another_model(ett_csv, tmp_path, capsys, oth
     assert main(["eval", "--run", str(run), "--input", ett_csv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint does not fit the model")
+
+
+def test_eval_refuses_a_checkpoint_with_a_flipped_data_byte(ett_csv, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train_linear(ett_csv, str(run)) == 0
+    ckpt = run / "checkpoint.bin"
+    blob = bytearray(ckpt.read_bytes())
+    blob[data_offset(ckpt, "pos.npy") + 200] ^= 0x01      # inside pos's values
+    ckpt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--input", ett_csv]) == 1
+    assert "Bad CRC-32 for file 'pos.npy'" in capsys.readouterr().err
+
+
+def test_eval_asks_to_retrain_a_checkpoint_in_the_old_format(ett_csv, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train_linear(ett_csv, str(run)) == 0
+    (run / "checkpoint.bin").write_bytes(b"TSIMGCKPT" + bytes(9))   # an empty old-format file
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--input", ett_csv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "retrain the run" in err
 
 
 def test_eval_refuses_a_three_channel_reconstruct_checkpoint(ett_csv, tmp_path, capsys):

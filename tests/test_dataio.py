@@ -1,8 +1,17 @@
 import csv
+import io
 import re
+import struct
+import tempfile
+import warnings
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from tsimg.dataio import (
     RESULT_FIELDS,
@@ -183,14 +192,142 @@ def test_checkpoint_truncation_detected(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_version_mismatch(tmp_path):
-    path = str(tmp_path / "ck.bin")
-    save_checkpoint(_params(), path)
-    blob = bytearray(open(path, "rb").read())
-    blob[9] = 77  # version byte follows the 9-byte magic
-    open(path, "wb").write(bytes(blob))
-    with pytest.raises(VersionMismatchError):
+def test_old_format_checkpoint_asks_for_a_retrain(tmp_path):
+    # the binary layout before .npz archives: magic, version byte, record
+    # count, records, trailing count; here one (2,) tensor named "b"
+    old = (b"TSIMGCKPT" + struct.pack("<BI", 1, 1) + struct.pack("<H", 1) + b"b"
+           + struct.pack("<Bq", 1, 2) + np.ones(2).tobytes() + struct.pack("<I", 1))
+    path = tmp_path / "ck.bin"
+    path.write_bytes(old)
+    with pytest.raises(VersionMismatchError, match="retrain the run"):
+        load_checkpoint(str(path))
+
+
+def data_offset(path, name: str) -> int:
+    """Where the bytes of member `name` of a stored zip at `path` start: after
+    its local header, whose fixed 30 bytes end in the name and extra lengths."""
+    with zipfile.ZipFile(path) as zf:
+        start = zf.getinfo(name).header_offset
+    blob = Path(path).read_bytes()
+    name_len, extra_len = struct.unpack_from("<HH", blob, start + 26)
+    return start + 30 + name_len + extra_len
+
+
+def test_flipped_tensor_byte_is_caught(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(_params(), str(path))
+    with zipfile.ZipFile(path) as zf:
+        size = zf.getinfo("pos.npy").file_size
+    blob = bytearray(path.read_bytes())
+    blob[data_offset(path, "pos.npy") + size - 4] ^= 0x01   # inside pos's last value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptFileError, match="Bad CRC-32 for file 'pos.npy'"):
+        load_checkpoint(str(path))
+
+
+def _archive(path, members) -> str:
+    """A stored zip of (name, .npy bytes) members, as save_checkpoint writes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)       # zipfile warns on a repeated name
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in members:
+                zf.writestr(zipfile.ZipInfo(name), data)
+    return str(path)
+
+
+def _npy(arr, version=(1, 0), **header) -> bytes:
+    """`arr` in .npy format `version`, its 1.0 header's fields overridden by `header`."""
+    fh = io.BytesIO()
+    if header:
+        np.lib.format.write_array_header_1_0(
+            fh, {**np.lib.format.header_data_from_array_1_0(arr), **header})
+        fh.write(arr.tobytes())
+    else:
+        np.lib.format.write_array(fh, arr, version=version, allow_pickle=True)
+    return fh.getvalue()
+
+
+def _relabelled(member: bytes, major: int) -> bytes:
+    """A .npy 1.0 member whose magic claims format `major`.0 (its seventh byte)."""
+    return member[:6] + bytes([major]) + member[7:]
+
+
+def test_header_that_overstates_its_data_allocates_nothing(tmp_path):
+    path = _archive(tmp_path / "ck.bin", [("pos.npy", _npy(np.ones(1), shape=(2 ** 40,)))])
+    with pytest.raises(CorruptFileError, match="cannot reshape"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("members, reason", [
+    ([("obj.npy", _npy(np.array([1.0, None], dtype=object)))], "C-order '<f8'"),
+    ([("f32.npy", _npy(np.ones(4, dtype=np.float32)))], "C-order '<f8'"),
+    # 8-byte values that are not little-endian float64
+    ([("big.npy", _npy(np.ones(3, dtype=">f8")))], "C-order '<f8'"),
+    ([("int.npy", _npy(np.arange(3)))], "C-order '<f8'"),
+    ([("fortran.npy", _npy(np.asfortranarray(np.ones((2, 3)))))], "C-order '<f8'"),
+    ([("neg.npy", _npy(np.ones(2), shape=(-1,)))], "C-order '<f8'"),
+    # the 1.0 header reader fails on a 2.0 header, with a message that
+    # depends on the numpy and Python versions
+    ([("v2.npy", _npy(np.ones(2), version=(2, 0)))], None),
+    ([("v2.npy", _relabelled(_npy(np.ones(2)), 2))], "not .npy 1.0"),
+    ([("same.npy", _npy(np.ones(2))), ("same.npy", _npy(np.zeros(2)))], "repeated"),
+    ([("pos.bin", _npy(np.ones(2)))], "not .npy"),
+    ([("short.npy", _npy(np.ones(2))[:-3])], "multiple of element size"),
+], ids=["object", "float32", "big-endian", "int64", "fortran", "negative-dim", "version-2",
+        "1.0-layout-labelled-2.0", "repeated", "not-npy", "short-data"])
+def test_malformed_members_are_refused(tmp_path, members, reason):
+    with pytest.raises(CorruptFileError, match=reason):
+        load_checkpoint(_archive(tmp_path / "ck.bin", members))
+
+
+def test_compressed_member_is_refused(tmp_path):
+    path = tmp_path / "ck.npz"
+    np.savez_compressed(path, pos=np.ones(3))
+    with pytest.raises(CorruptFileError, match="compressed"):
+        load_checkpoint(str(path))
+
+
+_tensors = st.dictionaries(
+    st.text(st.characters(exclude_characters="\x00"), max_size=12),
+    st.one_of(arrays(np.float64, array_shapes(min_dims=0, min_side=0, max_side=4),
+                     elements=st.floats(width=64)),
+              arrays(np.float32, array_shapes(min_dims=0, min_side=0, max_side=4),
+                     elements=st.floats(width=32))),
+    max_size=4)
+
+
+@given(_tensors)
+@example({"f64": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324]),
+          "f32": np.array([np.float32(1e-45), -np.float32(0.0), np.nan], dtype=np.float32),
+          "": np.float64(2.0), "empty/x": np.zeros((0, 3))})
+def test_checkpoint_round_trip_is_bitwise_and_resaves_the_same_bytes(params):
+    # width-64 and width-32 floats include NaN, +-inf, -0.0 and subnormals
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "ck.bin", Path(tmp) / "again.bin"
+        save_checkpoint(params, str(path))
+        back = load_checkpoint(str(path))
+        assert back.keys() == params.keys()
+        for k, v in params.items():
+            want = np.asarray(v, dtype=np.float64)
+            assert back[k].dtype == np.float64 and back[k].shape == want.shape
+            assert back[k].tobytes() == want.tobytes(), k
+        save_checkpoint(back, str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_bytes_do_not_depend_on_insertion_order(tmp_path):
+    params = _params()
+    save_checkpoint(params, str(tmp_path / "a.bin"))
+    save_checkpoint(dict(reversed(params.items())), str(tmp_path / "b.bin"))
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def test_np_load_reads_a_checkpoint(tmp_path):
+    params = _params()
+    save_checkpoint(params, str(tmp_path / "ck.bin"))
+    with np.load(tmp_path / "ck.bin") as f:
+        assert sorted(f.files) == sorted(params)
+        assert all(np.array_equal(f[k], params[k]) for k in params)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -24,7 +24,6 @@ from tsimg.models import (
 )
 from tsimg.pipeline import (
     build_classify_sample,
-    build_linear_sample,
     build_reconstruct_sample,
     build_reconstruct_sample_mvh,
     image_for_method,
@@ -164,11 +163,11 @@ def test_uvh_window_whose_std_overflows_is_refused():
             predict_forecast_mvh(lookbacks, 8, init_params(rec, 0), rec)
 
 
-def test_build_linear_sample_shapes():
+def test_linear_forecast_sample_shapes():
     cfg = ModelConfig(arch="wolvm", task="forecast_linear", image_size=16,
                       patch_size=8, embed_dim=8, num_heads=2, horizon=4)
-    s = build_linear_sample(gen_periodic(8, 64, "sine"), np.zeros(4), "uvh",
-                            cfg, L=8)
+    s = pipeline.forecast_samples(gen_periodic(8, 64, "sine")[None, None], np.zeros((1, 1, 4)),
+                                  "uvh", cfg, 8)[0]
     assert s.patches.shape == (cfg.n_patches, cfg.patch_dim)
     assert s.target.shape == (4,)
 
@@ -447,13 +446,13 @@ def test_forecast_samples_match_builders(task, method, seg_len):
     got = pipeline.forecast_samples(lbs, tgs, method, cfg, seg_len)
     if method == "mvh":
         want = [build_reconstruct_sample_mvh(lb, tg, cfg) if task == "forecast_reconstruct"
-                else build_linear_sample(lb, tg.reshape(-1), "mvh", cfg)
+                else pipeline.forecast_samples(lb[None], tg[None], "mvh", cfg)[0]
                 for lb, tg in zip(lbs, tgs)]
     elif task == "forecast_reconstruct":
         want = [build_reconstruct_sample(lb, tg, seg_len or detect_period(lb).chosen_L, cfg)
                 for w_lb, w_tg in zip(lbs, tgs) for lb, tg in zip(w_lb, w_tg)]
     else:
-        want = [build_linear_sample(lb, tg, method, cfg, L=seg_len)
+        want = [pipeline.forecast_samples(lb[None, None], tg[None, None], method, cfg, seg_len)[0]
                 for w_lb, w_tg in zip(lbs, tgs) for lb, tg in zip(w_lb, w_tg)]
     assert len(got) == (2 if method == "mvh" else 6)
     width = cfg.patch_size ** 2 if task == "forecast_reconstruct" else cfg.patch_dim

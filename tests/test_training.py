@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_train_golden import _splits as golden_splits
 from tsimg.errors import NonFiniteLossError, NonPositiveError, ShapeMismatchError
 from tsimg.training import (
     ADAM_BETA1,
@@ -19,6 +20,7 @@ from tsimg.training import (
     train,
 )
 from tsimg.models import (
+    TASKS,
     ClassifySample,
     ForecastSample,
     ModelConfig,
@@ -243,3 +245,22 @@ def test_train_config_rejects_non_positive(field):
         TrainConfig(**{field: 0})
     with pytest.raises(NonPositiveError):
         TrainConfig.for_classification(**{field: 0})
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_lvm2attn_and_minimae_are_one_model(task):
+    # the mask token and the decoder come from the task, not the arch, so the
+    # two names draw and train alike; a change that makes them differ says so here
+    runs = []
+    for arch in ("lvm2attn", "minimae"):
+        cfg = ModelConfig(arch=arch, task=task, image_size=16, patch_size=4, embed_dim=8,
+                          num_heads=2, horizon=8, num_classes=3, num_variates=2)
+        init = init_params(cfg, 3)
+        tc = TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=2, patience=2, seed=11)
+        runs.append((init, *train(cfg, init_params(cfg, 3), *golden_splits(cfg), tc)))
+    (init_a, params_a, hist_a), (init_b, params_b, hist_b) = runs
+    for a, b in ((init_a, init_b), (params_a, params_b)):
+        assert a.keys() == b.keys()
+        assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+    assert [e.val_metric for e in hist_a] == [e.val_metric for e in hist_b]
+    assert len(hist_a) == 2
