@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a trained run on the test split")
     e.add_argument("--run", required=True, help="output directory of `tsimg train`")
     e.add_argument("--input", required=True)
-    e.add_argument("--split", default="test", choices=["test", "val"])
+    e.add_argument("--split", default="test", choices=["test", "val"],
+                   help="forecast runs only: a classify eval scores every row of --input, "
+                        "so give it a held-out CSV")
     e.add_argument("--perturb", choices=sorted(PERTURB_FLAGS))
     e.add_argument("--seed", type=int, default=os.environ.get("TSIMG_SEED", "0"))
     e.add_argument("--out")
@@ -281,6 +283,10 @@ def _fit_checkpoint(params: dict, cfg: ModelConfig) -> dict:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     meta, cfg = _read_run_config(run_dir / "config.json")
+    if cfg.task == "classify" and args.split == "val":
+        print("error: --split val: a classify eval scores every row of --input; "
+              "give it a held-out CSV instead", file=sys.stderr)
+        return 2
     params = _fit_checkpoint(dataio.load_checkpoint(str(run_dir / "checkpoint.bin")), cfg)
     mode = (evaluation.PerturbMode(PERTURB_FLAGS[args.perturb], seed=args.seed)
             if args.perturb else None)
@@ -337,23 +343,18 @@ def cmd_sweep(args) -> int:
                      horizon=args.horizon)
     tc = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                      max_epochs=args.epochs, patience=args.patience, seed=args.seed)
-    if args.kind == "segment":
-        i_values = [int(v) for v in args.i_values.split(",")]
-        res = evaluation.segment_sweep(task, mc, tc, args.L, args.k, i_values)
-        # timing goes to stderr: the results CSV must be byte-identical
-        # across same-seed runs
-        rows = [{"experiment_id": "segment_sweep", "axis_value": a,
-                 "mse": repr(m), "mae": repr(ma), "n_value": n}
-                for a, m, ma, n in zip(res.axis, res.mse, res.mae,
-                                       res.n_values)]
-    else:
-        lengths = [int(v) for v in args.lengths.split(",")]
-        res = evaluation.lookback_sweep(task, mc, tc, lengths, seg_len=args.L)
-        rows = [{"experiment_id": "lookback_sweep", "axis_value": a,
-                 "mse": repr(m), "mae": repr(ma)}
-                for a, m, ma in zip(res.axis, res.mse, res.mae)]
-        for H, reason in res.skipped:
-            print(f"skip lookback={H}: {reason}", file=sys.stderr)
+    segment = args.kind == "segment"
+    values = [int(v) for v in (args.i_values if segment else args.lengths).split(",")]
+    res = (evaluation.segment_sweep(task, mc, tc, args.L, args.k, values) if segment
+           else evaluation.lookback_sweep(task, mc, tc, values, seg_len=args.L))
+    for H, reason in res.skipped:
+        print(f"skip lookback={H}: {reason}", file=sys.stderr)
+    # timing goes to stderr: the results CSV must be byte-identical across
+    # same-seed runs; a look-back row leaves its n_value empty
+    n_values = res.n_values or [""] * len(res.axis)
+    rows = [{"experiment_id": f"{args.kind}_sweep", "axis_value": a, "mse": repr(m),
+             "mae": repr(ma), "n_value": n}
+            for a, m, ma, n in zip(res.axis, res.mse, res.mae, n_values)]
     _write_run_metadata(out_dir, args)
     dataio.write_result_rows(str(out_dir / "sweep.csv"), rows)
     print(f"cell seconds: {' '.join(f'{s:.3f}' for s in res.seconds)}",

@@ -33,10 +33,9 @@ def load_ett_csv(path: str) -> MultivariateSeries:
     """ETT-style layout: header row, leading timestamp column, then numeric
     variate columns. Rows become time steps in file order."""
     rows = _read_rows(path)
-    header = rows[0]
-    data_rows = rows[1:]
-    if not data_rows:
+    if len(rows) < 2:   # an empty file has no header row either
         raise EmptyFileError(f"{path}: no data rows")
+    header, data_rows = rows[0], rows[1:]
     cols = []
     for line_no, row in enumerate(data_rows, start=2):
         if len(row) != len(header):
@@ -49,13 +48,12 @@ def load_ett_csv(path: str) -> MultivariateSeries:
 def load_labeled_windows_csv(path: str, d: int = 1) -> list[WindowSample]:
     """Flat export: one row = flattened (d x T) sample followed by an
     integer label in the last cell."""
-    rows = _read_rows(path)
-    data_rows = [r for r in rows if r]
-    if not data_rows:
+    numbered = [(line_no, r) for line_no, r in enumerate(_read_rows(path), start=1) if r]
+    if not numbered:
         raise EmptyFileError(f"{path}: empty file")
-    width = len(data_rows[0])
+    width = len(numbered[0][1])
     samples = []
-    for line_no, row in enumerate(data_rows, start=1):
+    for line_no, row in numbered:     # a blank line keeps its number but holds no sample
         if len(row) != width:
             raise InconsistentWidthError(
                 f"{path}: line {line_no}: width {len(row)} != {width}")

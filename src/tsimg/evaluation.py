@@ -200,10 +200,30 @@ def _train_eval_reconstruct(splits: list, seg_len: int,
 
 
 def minmax_normalize(values: list[float]) -> list[float]:
-    lo, hi = min(values), max(values)
+    lo, hi = min(values, default=0.0), max(values, default=0.0)
     if hi == lo:
         return [0.0 for _ in values]
     return [(v - lo) / (hi - lo) for v in values]
+
+
+def _sweep(cells, model_cfg: ModelConfig, train_cfg: TrainConfig) -> SweepResult:
+    """The one sweep loop. Cell i, an (axis value, splits, segment length)
+    triple or None when skipped, trains with seed ``train_cfg.seed ^ i`` and
+    is timed from sample building through its test metrics."""
+    res = SweepResult(axis=[], mse=[], mae=[])
+    for idx, cell in enumerate(cells):
+        if cell is None:
+            continue
+        value, splits, seg = cell
+        t0 = time.perf_counter()
+        mse, mae = _train_eval_reconstruct(splits, seg, model_cfg, train_cfg,
+                                           seed=train_cfg.seed ^ idx)
+        res.seconds.append(time.perf_counter() - t0)
+        res.axis.append(value)
+        res.mse.append(mse)
+        res.mae.append(mae)
+    res.normalized_mse = minmax_normalize(res.mse)
+    return res
 
 
 def segment_sweep(task: ForecastTask, model_cfg: ModelConfig,
@@ -219,24 +239,11 @@ def segment_sweep(task: ForecastTask, model_cfg: ModelConfig,
     ns = [reoccurrence_n(i, k) for i in i_values]    # every i and k >= 1, before any cell
     if any((i * L) % k for i in i_values):
         raise NonIntegerSegmentError(f"(i*L) % k != 0 for some i in {i_values}, k={k}, L={L}")
-    axis, mses, maes, secs = [], [], [], []
     splits = split_windows(task)
-    for idx, i in enumerate(i_values):
-        seg = (i * L) // k
-        t0 = time.perf_counter()
-        mse, mae = _train_eval_reconstruct(splits, seg, model_cfg, train_cfg,
-                                           seed=train_cfg.seed ^ idx)
-        secs.append(time.perf_counter() - t0)
-        axis.append(seg)
-        mses.append(mse)
-        maes.append(mae)
-    norm = minmax_normalize(mses)
-    zero_est = None
-    by_i = dict(zip(i_values, mses))
-    if k in by_i and 2 * k in by_i:
-        zero_est = (by_i[k] + by_i[2 * k]) / 2.0
-    return SweepResult(axis=axis, mse=mses, mae=maes, normalized_mse=norm,
-                       n_values=ns, seconds=secs, zero_length_estimate=zero_est)
+    res = _sweep([(i * L // k, splits, i * L // k) for i in i_values], model_cfg, train_cfg)
+    by_i = dict(zip(i_values, res.mse))
+    zero_est = (by_i[k] + by_i[2 * k]) / 2.0 if k in by_i and 2 * k in by_i else None
+    return replace(res, n_values=ns, zero_length_estimate=zero_est)
 
 
 def lookback_sweep(task: ForecastTask, model_cfg: ModelConfig,
@@ -248,20 +255,9 @@ def lookback_sweep(task: ForecastTask, model_cfg: ModelConfig,
         raise EmptyResultError("lookback_sweep needs at least one length")
     if any(a >= b for a, b in zip(lengths, lengths[1:])):
         raise ShapeMismatchError(f"lengths must be strictly increasing, got {list(lengths)}")
-    axis, mses, maes, secs, skipped = [], [], [], [], []
-    for idx, H in enumerate(lengths):
-        splits = split_windows(replace(task, lookback=H))
-        if not all(len(lb) for lb, _ in splits):
-            skipped.append((H, "series too short for this look-back length"))
-            continue
-        seg = uvh_seg_len(np.asarray(task.series)[:H], seg_len)
-        t0 = time.perf_counter()
-        mse, mae = _train_eval_reconstruct(splits, seg, model_cfg, train_cfg,
-                                           seed=train_cfg.seed ^ idx)
-        secs.append(time.perf_counter() - t0)
-        axis.append(H)
-        mses.append(mse)
-        maes.append(mae)
-    return SweepResult(axis=axis, mse=mses, mae=maes,
-                       normalized_mse=minmax_normalize(mses) if mses else [],
-                       seconds=secs, skipped=skipped)
+    split_by_H = [(H, split_windows(replace(task, lookback=H))) for H in lengths]
+    cells = [(H, splits, uvh_seg_len(np.asarray(task.series)[:H], seg_len))
+             if all(len(lb) for lb, _ in splits) else None for H, splits in split_by_H]
+    return replace(_sweep(cells, model_cfg, train_cfg),
+                   skipped=[(H, "series too short for this look-back length")
+                            for H, cell in zip(lengths, cells) if cell is None])

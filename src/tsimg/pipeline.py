@@ -317,7 +317,8 @@ def forecast_windows(lookbacks: np.ndarray, method: str, horizon: int,
     if cfg.task == "forecast_reconstruct":
         out = _by_seg_len(rows, seg_len, lambda idx, L: [predict_forecasts(
             _uvh(rows[idx], L, horizon), L, horizon, params, cfg)[:, 0]])[0]
-    else:   # one image per call: a matmul over more rows may round differently
-        out = np.stack([predict_linear(p, params, cfg)
-                        for p in _patches(rows, method, cfg, seg_len)])
+    else:   # one image per call: a matmul over more rows may round differently, and
+        # a split's patches at once would hold three channels of every image
+        out = np.stack([predict_linear(_patches(x[None], method, cfg, seg_len)[0], params, cfg)
+                        for x in rows])
     return out.reshape(lookbacks.shape[:2] + (horizon,))

@@ -265,6 +265,28 @@ def test_train_classify(labeled_csv, tmp_path, capsys):
     assert "accuracy=" in capsys.readouterr().out
 
 
+def test_classify_eval_refuses_split_val(labeled_csv, tmp_path, capsys):
+    # a classify eval scores every row of --input, so a val split is not there
+    run = str(tmp_path / "crun")
+    assert main(["train", "--task", "classify", "--imaging", "gaf", "--arch", "wolvm",
+                 "--input", labeled_csv, "--out", run, "--image-size", "16",
+                 "--patch-size", "8", "--embed-dim", "8", "--heads", "2",
+                 "--epochs", "1"]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--run", run, "--input", labeled_csv, "--split", "val"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "--split val" in captured.err and "held-out CSV" in captured.err
+
+
+def test_empty_input_csv_exits_1_naming_the_file(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    rc = main(["render", "--input", str(empty), "--method", "uvh",
+               "--out", str(tmp_path / "img.pgm")])
+    assert rc == 1 and f"error: {empty}: no data rows" in capsys.readouterr().err
+
+
 def test_sweep_segment_writes_csv(tmp_path, capsys):
     out = str(tmp_path / "sweep")
     rc = main(["sweep", "--kind", "segment", "--synthetic-period", "12",
@@ -311,7 +333,8 @@ def test_train_refuses_a_uvh_horizon_that_eval_would(tmp_path, capsys):
 
 
 def test_sweep_lookback_is_deterministic_and_reports_skips(tmp_path, capsys):
-    texts = []
+    # C10 pins segment sweeps; look-back sweeps run through the same cell loop
+    texts, skips = [], []
     for run in ("a", "b"):
         out = tmp_path / run
         rc = main(["sweep", "--kind", "lookback", "--lengths", "48,96,5000",
@@ -319,10 +342,15 @@ def test_sweep_lookback_is_deterministic_and_reports_skips(tmp_path, capsys):
                    "--stride", "16", "--image-size", "16", "--embed-dim", "8",
                    "--heads", "2", "--seed", "3", "--out", str(out)])
         assert rc == 0
-        assert "skip lookback=5000" in capsys.readouterr().err
+        skips.append([ln for ln in capsys.readouterr().err.splitlines()
+                      if ln.startswith("skip ")])
         texts.append((out / "sweep.csv").read_bytes())
     assert texts[0] == texts[1]
     assert texts[0].count(b"lookback_sweep") == 2
+    assert skips[0] == skips[1] == [
+        "skip lookback=5000: series too short for this look-back length"]
+    header, row = texts[0].decode().splitlines()[:2]
+    assert header.split(",")[5] == "n_value" and row.split(",")[5] == ""
 
 
 def test_lemma_subcommand(tmp_path, capsys):

@@ -69,6 +69,13 @@ def test_load_ett_csv_errors_cite_line(tmp_path):
         load_ett_csv(str(tmp_path / "missing.csv"))
 
 
+def test_load_ett_csv_empty_file_names_the_file(tmp_path):
+    # an empty file has no header row either
+    p = _write(tmp_path / "empty.csv", "")
+    with pytest.raises(EmptyFileError, match=re.escape(f"{p}: no data rows")):
+        load_ett_csv(p)
+
+
 def test_load_ett_csv_rejects_nan(tmp_path):
     p = _write(tmp_path / "d.csv", "date,a\nt0,nan\n")
     with pytest.raises(NonNumericCellError):
@@ -95,6 +102,17 @@ def test_load_labeled_windows_errors(tmp_path):
     p3 = _write(tmp_path / "w3.csv", "1,2,3,0\n")
     with pytest.raises(InconsistentWidthError):
         load_labeled_windows_csv(p3, d=2)  # 3 values not divisible by 2
+
+
+def test_load_labeled_windows_errors_cite_the_file_line_past_blank_lines(tmp_path):
+    p = _write(tmp_path / "w.csv", "1,2,0\n\n1,x,1\n")
+    with pytest.raises(NonNumericCellError, match=re.escape(f"{p}: line 3: non-numeric")):
+        load_labeled_windows_csv(p)
+    p2 = _write(tmp_path / "w2.csv", "\n1,2,0\n\n\n1,2,3,0\n")
+    with pytest.raises(InconsistentWidthError, match=re.escape(f"{p2}: line 5: width 4 != 3")):
+        load_labeled_windows_csv(p2)
+    assert [w.class_label for w in load_labeled_windows_csv(
+        _write(tmp_path / "w3.csv", "\n1,2,0\n\n3,4,1\n\n"))] == [0, 1]
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])

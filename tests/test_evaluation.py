@@ -185,6 +185,7 @@ def test_reoccurrence_brute_force_rejects_fractional():
 def test_minmax_normalize():
     assert minmax_normalize([2.0, 4.0, 3.0]) == [0.0, 1.0, 0.5]
     assert minmax_normalize([5.0, 5.0]) == [0.0, 0.0]
+    assert minmax_normalize([]) == []       # a look-back sweep whose every length is skipped
 
 
 def test_split_windows_chronological():
@@ -241,6 +242,33 @@ def test_sweeps_split_the_series_once_per_task(monkeypatch):
     calls.clear()
     res = lookback_sweep(task, cfg, tc, [24, 48, 200], seg_len=12)
     assert res.axis == [24, 48] and calls == [24, 48, 200]
+
+
+def test_sweeps_seed_time_and_record_cells_through_one_loop(monkeypatch):
+    # cell i trains with seed ^ i; a skipped look-back keeps its index
+    calls = []
+
+    def fake_cell(splits, seg, model_cfg, train_cfg, seed):
+        calls.append((len(splits[2][0]), seg, seed))
+        return float(seed), -float(seed)
+
+    monkeypatch.setattr(evaluation, "_train_eval_reconstruct", fake_cell)
+    task = ForecastTask(series=gen_periodic(12, 600, "composite"), lookback=48, horizon=12,
+                        stride=16)
+    cfg = ModelConfig(arch="wolvm", task="forecast_reconstruct", image_size=16,
+                      patch_size=8, embed_dim=8, num_heads=2, horizon=12)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=1, patience=1, seed=5)
+    res = segment_sweep(task, cfg, tc, L=12, k=3, i_values=[2, 3, 6])
+    assert calls == [(4, 8, 5), (4, 12, 4), (4, 24, 7)]
+    assert (res.axis, res.mse, res.mae) == ([8, 12, 24], [5.0, 4.0, 7.0], [-5.0, -4.0, -7.0])
+    assert res.normalized_mse == [1 / 3, 0.0, 1.0] and res.n_values == [3, 1, 1]
+    assert res.zero_length_estimate == 5.5 and len(res.seconds) == 3 and res.skipped == []
+    calls.clear()
+    res = lookback_sweep(task, cfg, tc, [24, 48, 72], seg_len=12)
+    assert calls == [(6, 12, 5), (4, 12, 4)]
+    assert (res.axis, res.mse, res.normalized_mse) == ([24, 48], [5.0, 4.0], [1.0, 0.0])
+    assert res.skipped == [(72, "series too short for this look-back length")]
+    assert len(res.seconds) == 2 and res.n_values == [] and res.zero_length_estimate is None
 
 
 @pytest.mark.parametrize("i_values, error", [([6, 12, 0], NonPositiveError),

@@ -113,14 +113,27 @@ def test_forward_embed_linearity():
     assert np.allclose(t2 - params["pos"] - params["embed_b"], 2.0 * proj)
 
 
+# The attention tests run in one dtype at a time, float64 and then float32,
+# parameters and tokens alike; a float64 model is the float32 one cast. Each
+# float32 bound is a multiple of float32's eps: a row of N weights sums to
+# within N roundings of 1.
+DTYPES = (np.float64, np.float32)
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+def params_in(dtype, cfg, seed=0):
+    return {k: v.astype(dtype) for k, v in init_params(cfg, seed).items()}
+
+
 def test_attention_rows_sum_to_one():
     cfg = small_cfg("lvm2attn", "forecast_linear")
-    params = init_params(cfg, 0)
-    rng = np.random.default_rng(1)
-    tokens = rng.normal(size=(cfg.n_patches, cfg.embed_dim))
-    _, cache = forward_attention(tokens, params, cfg.num_heads)
-    sums = cache["A"].sum(axis=2)
-    assert np.max(np.abs(sums - 1.0)) < 1e-9
+    for dtype, tol in zip(DTYPES, (1e-9, cfg.n_patches * EPS32)):
+        rng = np.random.default_rng(1)
+        tokens = rng.normal(size=(cfg.n_patches, cfg.embed_dim)).astype(dtype)
+        _, cache = forward_attention(tokens, params_in(dtype, cfg), cfg.num_heads)
+        sums = cache["A"].sum(axis=2)
+        assert cache["A"].dtype == dtype
+        assert np.max(np.abs(sums - 1.0)) < tol, dtype
 
 
 def test_attention_softmax_is_stable_at_large_float32_scores():
@@ -140,23 +153,30 @@ def test_attention_softmax_is_stable_at_large_float32_scores():
 
 def test_attention_single_token():
     cfg = small_cfg("lvm2attn", "forecast_linear")
-    params = init_params(cfg, 0)
-    token = np.random.default_rng(2).normal(size=(1, cfg.embed_dim))
-    out, cache = forward_attention(token, params, cfg.num_heads)
-    assert cache["A"].shape == (cfg.num_heads, 1, 1)
-    assert np.allclose(cache["A"], 1.0)
-    assert out.shape == (1, cfg.embed_dim)
+    for dtype in DTYPES:
+        token = np.random.default_rng(2).normal(size=(1, cfg.embed_dim)).astype(dtype)
+        out, cache = forward_attention(token, params_in(dtype, cfg), cfg.num_heads)
+        assert cache["A"].shape == (cfg.num_heads, 1, 1) and cache["A"].dtype == dtype
+        if dtype == np.float32:
+            assert np.max(np.abs(cache["A"] - 1.0)) <= EPS32      # exp(0) / exp(0)
+        else:
+            assert np.allclose(cache["A"], 1.0)
+        assert out.shape == (1, cfg.embed_dim)
 
 
 def test_attention_permutation_equivariance():
+    # float32: outputs of order 1 summed over N keys in another order, 4 eps
+    # at most over 300 seeds
     cfg = small_cfg("lvm2attn", "forecast_linear")
-    params = init_params(cfg, 0)
-    rng = np.random.default_rng(3)
-    tokens = rng.normal(size=(cfg.n_patches, cfg.embed_dim))
-    perm = rng.permutation(cfg.n_patches)
-    out, _ = forward_attention(tokens, params, cfg.num_heads)
-    out_p, _ = forward_attention(tokens[perm], params, cfg.num_heads)
-    assert np.allclose(out_p, out[perm], atol=1e-12)
+    for dtype, tol in zip(DTYPES, (dict(atol=1e-12), dict(rtol=0, atol=64 * EPS32))):
+        params = params_in(dtype, cfg)
+        rng = np.random.default_rng(3)
+        tokens = rng.normal(size=(cfg.n_patches, cfg.embed_dim)).astype(dtype)
+        perm = rng.permutation(cfg.n_patches)
+        out, _ = forward_attention(tokens, params, cfg.num_heads)
+        out_p, _ = forward_attention(tokens[perm], params, cfg.num_heads)
+        assert out.dtype == out_p.dtype == dtype
+        assert np.allclose(out_p, out[perm], **tol), dtype
 
 
 def _classify_patches(cfg, seed):
@@ -425,13 +445,16 @@ def test_reconstruct_passes_unmasked_rows_bitwise(arch):
 
 def test_attention_weights_batched_rows_sum_to_one():
     cfg = small_cfg("lvm2attn", "forecast_linear")
-    params = init_params(cfg, 0)
-    tokens = np.random.default_rng(13).normal(size=(3, cfg.n_patches, cfg.embed_dim))
-    A = forward_attention(tokens, params, cfg.num_heads)[1]["A"]
-    assert A.shape == (3, cfg.num_heads, cfg.n_patches, cfg.n_patches)
-    assert np.max(np.abs(A.sum(axis=-1) - 1.0)) < 1e-12
-    single = forward_attention(tokens[1], params, cfg.num_heads)[1]["A"]
-    assert np.allclose(A[1], single, rtol=0, atol=1e-15)
+    bounds = ((1e-12, 1e-15), (cfg.n_patches * EPS32, 4 * EPS32))
+    for dtype, (sum_tol, single_tol) in zip(DTYPES, bounds):
+        params = params_in(dtype, cfg)
+        tokens = np.random.default_rng(13).normal(size=(3, cfg.n_patches, cfg.embed_dim))
+        tokens = tokens.astype(dtype)
+        A = forward_attention(tokens, params, cfg.num_heads)[1]["A"]
+        assert A.shape == (3, cfg.num_heads, cfg.n_patches, cfg.n_patches) and A.dtype == dtype
+        assert np.max(np.abs(A.sum(axis=-1) - 1.0)) < sum_tol, dtype
+        single = forward_attention(tokens[1], params, cfg.num_heads)[1]["A"]
+        assert np.allclose(A[1], single, rtol=0, atol=single_tol), dtype
 
 
 def test_classify_label_out_of_range_raises():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -481,6 +483,24 @@ def test_forecast_window_matches_predict_paths(task, method, seg_len):
                          pipeline.forecast_samples(lbs, tgs, method, cfg, seg_len)])
     assert got.shape == (2, 3, 6) and np.all(np.isfinite(got))
     assert np.array_equal(got, want.reshape(2, 3, 6))
+
+
+def test_linear_forecast_windows_holds_about_one_image_of_patches():
+    # one image's three-channel patches at a time: a whole split's at once would
+    # hold every image's
+    cfg = ModelConfig(arch="wolvm", task="forecast_linear", image_size=32, patch_size=8,
+                      embed_dim=8, num_heads=2, horizon=24)
+    params = init_params(cfg, 0)
+    lookbacks = np.sin(np.arange(200 * 96).reshape(200, 1, 96) / 3.0)
+    pipeline.forecast_windows(lookbacks[:2], "uvh", 24, params, cfg, 24)
+    tracemalloc.start()
+    try:
+        pipeline.forecast_windows(lookbacks, "uvh", 24, params, cfg, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    image_patch_bytes = cfg.n_patches * cfg.patch_dim * 8
+    assert peak < 20 * image_patch_bytes, peak / image_patch_bytes
 
 
 def test_forecast_window_routes_gaf_linear_per_variate():

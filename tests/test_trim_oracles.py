@@ -231,7 +231,7 @@ def attention_backward_oracle(d_out, cache, params, grads):
     d_scores = dOh @ Vh.swapaxes(-1, -2)
     d_scores -= (d_scores * A).sum(axis=-1, keepdims=True)
     d_scores *= A
-    scale = 1.0 / np.sqrt(Qh.shape[-1])
+    scale = 1.0 / math.sqrt(Qh.shape[-1])    # a Python float keeps a float32 model float32
     dQ = models._merge_heads(d_scores @ Kh * scale)
     dK = models._merge_heads(d_scores.swapaxes(-1, -2) @ Qh * scale)
     dV = models._merge_heads(A.swapaxes(-1, -2) @ dOh)
@@ -245,20 +245,25 @@ def attention_backward_oracle(d_out, cache, params, grads):
 @pytest.mark.parametrize("B", [1, 16, 64])
 @pytest.mark.parametrize("D, heads", [(32, 4), (8, 2), (12, 3)])
 def test_attention_backward_layer_norm_equals_np_mean_form(B, D, heads):
+    # in float64 and in float32 (parameters, ln_g, tokens and d_out), bitwise
+    # in both: the float32 tolerance is 0 eps
     cfg = ModelConfig(arch="minimae", task="forecast_reconstruct", image_size=32,
                       patch_size=8, embed_dim=D, num_heads=heads)
-    rng = np.random.default_rng(B * D + 1)
-    params = init_params(cfg, seed=B + D)
-    params["ln_g"] = rng.normal(size=D)
-    tokens = rng.normal(size=(B, cfg.n_patches, D)) * 3.0
-    d_out = rng.normal(size=tokens.shape)
-    _, cache = forward_attention(tokens, params, heads)
-    got = {k: np.zeros_like(p) for k, p in params.items()}
-    want = {k: np.zeros_like(p) for k, p in params.items()}
-    d_tokens = models.backward_attention(d_out, cache, params, got)
-    assert d_tokens.tobytes() == attention_backward_oracle(d_out, cache, params, want).tobytes()
-    for k in params:
-        assert got[k].tobytes() == want[k].tobytes(), k
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(B * D + 1)
+        params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=B + D).items()}
+        params["ln_g"] = rng.normal(size=D).astype(dtype)
+        tokens = (rng.normal(size=(B, cfg.n_patches, D)) * 3.0).astype(dtype)
+        d_out = rng.normal(size=tokens.shape).astype(dtype)
+        _, cache = forward_attention(tokens, params, heads)
+        got = {k: np.zeros_like(p) for k, p in params.items()}
+        want = {k: np.zeros_like(p) for k, p in params.items()}
+        d_tokens = models.backward_attention(d_out, cache, params, got)
+        assert d_tokens.dtype == dtype
+        want_tokens = attention_backward_oracle(d_out, cache, params, want)
+        assert d_tokens.tobytes() == want_tokens.tobytes(), dtype
+        for k in params:
+            assert got[k].tobytes() == want[k].tobytes(), (dtype, k)
 
 
 # --- the one-channel reconstruction model against the three-channel one ------
